@@ -30,9 +30,9 @@ from .colorer import (
 from .density import build_pair_spec, density_profile, m2_asym
 from .families import (
     DEFAULT_ORACLE_BUDGET,
+    blocker_decomposition,
     enumerate_blockers,
     has_valid_coloring,
-    verify_coloring,
 )
 from .graphs import (
     Graph,
@@ -78,9 +78,6 @@ _MODES = {
     "color": "ColorOnly",
     "oracle": "ColorPlusOracle",
     "full": "FullPipeline",
-    "ColorOnly": "ColorOnly",
-    "ColorPlusOracle": "ColorPlusOracle",
-    "FullPipeline": "FullPipeline",
 }
 
 
@@ -237,23 +234,19 @@ def cmd_color(args) -> int:
         "blockers": len(blockers),
     }
     if outcome.status == "colored":
-        check = verify_coloring(outcome.coloring, pair)
-        if not check.ok:
-            raise ColorerInternalError(
-                f"colored outcome fails the independent verifier: {check.kind}",
-                outcome.trace,
-            )
+        # asym_edge_color has run the independent verifier on this coloring
         payload["verified"] = True
         payload["coloring"] = {
             _edge_key(e): c for e, c in sorted(outcome.coloring.assignment.items())
         }
     else:
         report = check_stuck_state(outcome, pair)
-        payload["residual"] = emit_graph6(report.residual)
-        payload["residual_edges"] = report.residual.edge_count
+        decomp = report.decomposition
+        payload["residual"] = emit_graph6(decomp.graph)
+        payload["residual_edges"] = decomp.graph.edge_count
         payload["live_anchors"] = report.live_anchor_count
-        payload["covered_once"] = report.covered_once
-        payload["sparse"] = report.sparse
+        payload["covered_once"] = decomp.covered_once
+        payload["sparse"] = decomp.sparse
     _write_artifact(args.out, "color_trace.jsonl", _jsonl(ev.to_dict() for ev in outcome.trace))
     _write_artifact(args.out, "color.json", json.dumps(payload, indent=2) + "\n")
     _emit(payload, args.format)
@@ -272,7 +265,7 @@ def cmd_grow(args) -> int:
     if variant == "auto":
         variant = "anchored" if pair.case == "strict" else "alt"
     grower = grow if variant == "anchored" else grow_alt
-    final, trace = grower(host, pair, blockers)
+    final, trace = grower(blocker_decomposition(host, pair, blockers), pair)
     payload = {
         "variant": variant,
         "outcome": trace.outcome,
@@ -400,9 +393,13 @@ def cmd_regular_cert(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--out", type=Path, default=None, help="directory for artifacts")
     common.add_argument("--format", choices=("json", "csv"), default="json")
+
+    out_arg = argparse.ArgumentParser(add_help=False)
+    out_arg.add_argument("--out", type=Path, default=None, help="directory for artifacts")
+
+    seed_arg = argparse.ArgumentParser(add_help=False)
+    seed_arg.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
     pair_args = argparse.ArgumentParser(add_help=False)
     pair_args.add_argument("--h1", required=True, help="denser target: K5, C4, K3,3, Q3, or graph6")
@@ -434,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
-        "color", parents=[common, pair_args, budget_arg], help="run the stack colorer"
+        "color", parents=[common, out_arg, pair_args, budget_arg], help="run the stack colorer"
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--a-hat-bound", type=int, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser(
-        "grow", parents=[common, pair_args, budget_arg], help="grow a witness from a host"
+        "grow", parents=[common, out_arg, pair_args, budget_arg], help="grow a witness from a host"
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--variant", choices=("auto", "anchored", "alt"), default="auto")
@@ -449,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser(
-        "trial", parents=[common, pair_args, budget_arg], help="one seeded G(n,p) trial"
+        "trial",
+        parents=[common, out_arg, seed_arg, pair_args, budget_arg],
+        help="one seeded G(n,p) trial",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=Fraction, required=True)
@@ -458,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser(
-        "sweep", parents=[common, pair_args, budget_arg], help="trial grid over n and b"
+        "sweep",
+        parents=[common, out_arg, seed_arg, pair_args, budget_arg],
+        help="trial grid over n and b",
     )
     p.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 12,16,20")
     p.add_argument("--b", type=_fraction_list, default=_fraction_list(DEFAULT_B_GRID))

@@ -18,15 +18,17 @@ from .density import PairSpec
 from .families import (
     BLUE,
     RED,
+    BlockerDecomposition,
     Coloring,
     MemberColoringResult,
     blocker_decomposition,
     color_by_members,
+    decompose_copies,
     family_report,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
-from .graphs import Copy, CopySet, Edge, Graph, enumerate_copies, subgraph_from_edges
+from .graphs import CopySet, Edge, Graph, enumerate_copies, graph
 
 
 @dataclass(frozen=True)
@@ -115,39 +117,6 @@ class _LiveCopies:
         return (c for i, c in enumerate(self.copies) if self.missing[i] == 0)
 
 
-def _guard_needs_work(
-    live: set[Edge], h1: _LiveCopies, h2: _LiveCopies, blocker_sets: list[_LiveCopies]
-) -> bool:
-    """True while the residual is NOT a cleanly-covered sparse union of
-    blocker members (the loop-continue condition)."""
-    if not blocker_sets:
-        # no members can exist: clean coverage forces an empty edge set
-        return bool(live)
-    living: list[Copy] = []
-    for bs in blocker_sets:
-        living.extend(bs.alive_all())
-    living = list({c.edges: c for c in living}.values())
-    living.sort(key=lambda c: (-len(c.edges), c.sort_key()))
-    members: list[Copy] = []
-    for c in living:
-        if not any(c.edges < kept.edges for kept in members):
-            members.append(c)
-    counts = {e: 0 for e in live}
-    touching: dict[Edge, list[int]] = {e: [] for e in live}
-    for mi, mem in enumerate(members):
-        for e in mem.edges:
-            counts[e] += 1
-            touching[e].append(mi)
-    if any(c != 1 for c in counts.values()):
-        return True
-    for source in (h1, h2):
-        for c in source.alive_all():
-            touched = {mi for e in c.edges for mi in touching[e]}
-            if len(touched) >= 2:
-                return True
-    return False
-
-
 def asym_edge_color(
     g: Graph,
     pair: PairSpec,
@@ -196,13 +165,21 @@ def asym_edge_color(
                 return e
         return None
 
+    # the loop runs until the residual is a cleanly-covered sparse union of
+    # blocker members; clean holds that decomposition once it is
     guard_dirty = True
-    guard_value = False
+    clean = None
     while True:
         if guard_dirty:
-            guard_value = _guard_needs_work(live, h1, h2, blocker_sets)
+            clean = decompose_copies(
+                live,
+                (c for bs in blocker_sets for c in bs.alive_all()),
+                h1.alive_all(),
+                h2.alive_all(),
+                clean_only=True,
+            )
             guard_dirty = False
-        if not guard_value:
+        if clean is not None:
             break
         measure = len(live) + len(tracked)
         # every tracked copy must still be fully alive in the residual
@@ -238,15 +215,15 @@ def asym_edge_color(
                     break
         if not fired:
             log("stuck")
-            residual = subgraph_from_edges(g.vertex_count, live)
+            residual = graph(g.vertex_count, live)
             live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in sorted(tracked)))
             return ColorerOutcome("stuck", None, residual, live_anchors, tuple(trace), tuple(blockers))
         assert len(live) + len(tracked) < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer
-    residual = subgraph_from_edges(g.vertex_count, live)
+    residual = graph(g.vertex_count, live)
     log("handoff")
-    base = color_by_members(residual, pair, blockers, budget)
+    base = color_by_members(BlockerDecomposition(residual, *clean), pair, budget)
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)
@@ -291,16 +268,16 @@ def asym_edge_color(
 
 @dataclass(frozen=True)
 class StuckReport:
-    residual: Graph
     anchored: bool
-    covered_once: bool
-    sparse: bool
     live_anchor_count: int
+    decomposition: BlockerDecomposition  # of the residual, from fresh copies
 
 
 def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
     """Independently verify what a Stuck outcome promises: the residual is in
-    the anchored family and is not a cleanly-covered sparse union."""
+    the anchored family and is not a cleanly-covered sparse union. The
+    residual's copies are enumerated afresh, not taken from the colorer;
+    the report carries the resulting blocker decomposition."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
@@ -321,6 +298,4 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
         raise ColorerInternalError(
             "stuck residual is already a cleanly-covered sparse union", outcome.trace
         )
-    return StuckReport(
-        residual, report.anchored, decomp.covered_once, decomp.sparse, len(outcome.live_anchors)
-    )
+    return StuckReport(report.anchored, len(outcome.live_anchors), decomp)

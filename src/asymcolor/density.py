@@ -74,30 +74,43 @@ class PairSpec:
     hypotheses: PairHypotheses
 
 
+# d, d2 and the mixed d2_asym measure as functions of (vertex count, edge
+# count), the form in which the subset maximizations evaluate them.
+
+
+def _d(v: int, e: int) -> Fraction:
+    return Fraction(e, v) if v else Fraction(0)
+
+
+def _d2(v: int, e: int) -> Fraction:
+    if v >= 3 and e >= 1:
+        return Fraction(e - 1, v - 2)
+    if v == 2 and e == 1:
+        return Fraction(1, 2)
+    return Fraction(0)
+
+
+def _d2_asym_of(h2: Graph) -> Callable[[int, int], Fraction]:
+    """J -> e(J) / (v(J) - 2 + 1/m2(h2)), 0 when v(J) < 2; h2 non-empty."""
+    m2_h2, _ = m2_density(h2)
+    inv = 1 / m2_h2
+
+    def value(v: int, e: int) -> Fraction:
+        if v < 2:
+            return Fraction(0)
+        return Fraction(e) / (v - 2 + inv)
+
+    return value
+
+
 def d_density(g: Graph) -> Fraction:
     """Edges over vertices; 0 for the graph with no vertices."""
-    if g.vertex_count == 0:
-        return Fraction(0)
-    return Fraction(g.edge_count, g.vertex_count)
+    return _d(g.vertex_count, g.edge_count)
 
 
 def d2_density(g: Graph) -> Fraction:
     """(e-1)/(v-2) for non-empty graphs on >= 3 vertices, 1/2 for K2, else 0."""
-    if g.vertex_count >= 3 and g.edge_count >= 1:
-        return Fraction(g.edge_count - 1, g.vertex_count - 2)
-    if g.vertex_count == 2 and g.edge_count == 1:
-        return Fraction(1, 2)
-    return Fraction(0)
-
-
-def _pointwise(vertex_count: int, edge_count: int, measure: str) -> Fraction:
-    if measure == "d":
-        return Fraction(edge_count, vertex_count) if vertex_count else Fraction(0)
-    if vertex_count >= 3 and edge_count >= 1:
-        return Fraction(edge_count - 1, vertex_count - 2)
-    if vertex_count == 2 and edge_count == 1:
-        return Fraction(1, 2)
-    return Fraction(0)
+    return _d2(g.vertex_count, g.edge_count)
 
 
 def _iter_induced(g: Graph):
@@ -128,20 +141,19 @@ def _maximize(g: Graph, value: Callable[[int, int], Fraction]) -> tuple[Fraction
 
 def m_density(g: Graph) -> tuple[Fraction, Witness]:
     """max d(J) over subgraphs J, with a least maximizing induced witness."""
-    return _maximize(g, lambda v, e: _pointwise(v, e, "d"))
+    return _maximize(g, _d)
 
 
 def m2_density(g: Graph) -> tuple[Fraction, Witness]:
     """max d2(J) over subgraphs J, with a least maximizing induced witness."""
-    return _maximize(g, lambda v, e: _pointwise(v, e, "d2"))
+    return _maximize(g, _d2)
 
 
 def d2_asym(g1: Graph, h2: Graph) -> Fraction:
     """e1 / (v1 - 2 + 1/m2(h2)), or 0 when h2 is empty or v1 < 2."""
-    if h2.edge_count == 0 or g1.vertex_count < 2:
+    if h2.edge_count == 0:
         return Fraction(0)
-    m2_h2, _ = m2_density(h2)
-    return Fraction(g1.edge_count) / (g1.vertex_count - 2 + 1 / m2_h2)
+    return _d2_asym_of(h2)(g1.vertex_count, g1.edge_count)
 
 
 def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
@@ -149,15 +161,7 @@ def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
     if h2.edge_count == 0:
         sub, _ = induced_subgraph(h1, ())
         return Fraction(0), Witness((), sub)
-    m2_h2, _ = m2_density(h2)
-    inv = 1 / m2_h2
-
-    def value(v: int, e: int) -> Fraction:
-        if v < 2:
-            return Fraction(0)
-        return Fraction(e) / (v - 2 + inv)
-
-    return _maximize(h1, value)
+    return _maximize(h1, _d2_asym_of(h2))
 
 
 def density_profile(g: Graph) -> DensityProfile:
@@ -186,24 +190,15 @@ def _balanced_against(g: Graph, value: Callable[[int, int], Fraction], strict: b
 
 def balancedness(g: Graph, mode: BalanceMode) -> bool:
     """Whether every proper subgraph sits (strictly) below g in d or d2."""
-    measure = "d" if mode in ("balanced", "strictly_balanced") else "d2"
-    strict = mode.startswith("strictly")
-    return _balanced_against(g, lambda v, e: _pointwise(v, e, measure), strict)
+    measure = _d if mode in ("balanced", "strictly_balanced") else _d2
+    return _balanced_against(g, measure, mode.startswith("strictly"))
 
 
 def asym_balancedness(h1: Graph, h2: Graph, strict: bool) -> bool:
     """Balancedness of h1 measured by d2_asym(., h2)."""
     if h2.edge_count == 0:
         return not strict  # measure identically 0: balanced, never strictly
-    m2_h2, _ = m2_density(h2)
-    inv = 1 / m2_h2
-
-    def value(v: int, e: int) -> Fraction:
-        if v < 2:
-            return Fraction(0)
-        return Fraction(e) / (v - 2 + inv)
-
-    return _balanced_against(h1, value, strict)
+    return _balanced_against(h1, _d2_asym_of(h2), strict)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ theory, renamed for what it checks):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .density import PairSpec, m_density
 from .graphs import (
@@ -26,7 +26,6 @@ from .graphs import (
     CopySet,
     Edge,
     Graph,
-    canonical_key,
     enumerate_copies,
     extract_from_edges,
     graphs_up_to,
@@ -254,26 +253,27 @@ class FamilyReport:
     anchor_of: dict[Edge, Copy]
 
 
+def _anchored(h1_by_edge: dict[Edge, list[Copy]], h2_copies: Iterable[Copy]) -> tuple[Copy, ...]:
+    return tuple(
+        L
+        for L in h2_copies
+        if all(any(L.edges & R.edges == {e} for R in h1_by_edge.get(e, ())) for e in L.edges)
+    )
+
+
 def anchored_copies(g: Graph, pair: PairSpec) -> CopySet:
     """Copies L of h2 whose every edge e satisfies E(L) & E(R) == {e} for
     some copy R of h1."""
-    h2_copies = enumerate_copies(g, pair.h2)
     h1_by_edge = enumerate_copies(g, pair.h1).by_edge()
-    good = []
-    for L in h2_copies.copies:
-        if all(
-            any(L.edges & R.edges == {e} for R in h1_by_edge.get(e, ()))
-            for e in L.edges
-        ):
-            good.append(L)
-    return CopySet(pair.h2, tuple(good))
+    return CopySet(pair.h2, _anchored(h1_by_edge, enumerate_copies(g, pair.h2).copies))
 
 
 def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
     """Pinned/anchored verdicts with per-edge failure witnesses."""
     h1_by_edge = enumerate_copies(g, pair.h1).by_edge()
-    h2_by_edge = enumerate_copies(g, pair.h2).by_edge()
-    anchored_set = anchored_copies(g, pair)
+    h2_copies = enumerate_copies(g, pair.h2)
+    h2_by_edge = h2_copies.by_edge()
+    anchored_set = CopySet(pair.h2, _anchored(h1_by_edge, h2_copies.copies))
     anchored_by_edge = anchored_set.by_edge()
 
     pinned_failures = []
@@ -368,15 +368,18 @@ class PatternCopy:
 
 @dataclass(frozen=True)
 class BlockerDecomposition:
+    """members_of maps every edge of graph to the ascending indices of the
+    members that contain it."""
+
     graph: Graph
     members: tuple[Copy, ...]
-    per_edge_count: dict[Edge, int]
+    members_of: dict[Edge, tuple[int, ...]]
     nontrivial_copies: tuple[PatternCopy, ...]
 
     @property
     def covered_once(self) -> bool:
         """Every edge in exactly one member (the decomposition is clean)."""
-        return all(c == 1 for c in self.per_edge_count.values())
+        return all(len(ms) == 1 for ms in self.members_of.values())
 
     @property
     def sparse(self) -> bool:
@@ -384,39 +387,77 @@ class BlockerDecomposition:
         return not self.nontrivial_copies
 
 
-def blocker_decomposition(
-    g: Graph, pair: PairSpec, blockers: Sequence[Graph]
-) -> BlockerDecomposition:
-    """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies."""
+DecompositionParts = tuple[
+    tuple[Copy, ...], dict[Edge, tuple[int, ...]], tuple[PatternCopy, ...]
+]
+
+
+def decompose_copies(
+    edges: Iterable[Edge],
+    blocker_copies: Iterable[Copy],
+    h1_copies: Iterable[Copy],
+    h2_copies: Iterable[Copy],
+    clean_only: bool = False,
+) -> DecompositionParts | None:
+    """The members, members_of and nontrivial_copies of a BlockerDecomposition
+    of the graph with these edges, from the copies it contains.
+
+    With clean_only, return None as soon as the decomposition cannot be
+    clean and sparse: coverage is checked first, and the h1/h2 copies are
+    scanned for straddlers only once every edge lies in exactly one member.
+    The h1/h2 copies are iterated only when there are members (no copy can
+    touch two otherwise), so lazy iterables cost nothing then.
+    """
     pool: dict[frozenset[Edge], Copy] = {}
-    for pattern in blockers:
-        for c in enumerate_copies(g, pattern).copies:
-            pool.setdefault(c.edges, c)
+    for c in blocker_copies:
+        pool.setdefault(c.edges, c)
     maximal: list[Copy] = []
     for c in sorted(pool.values(), key=lambda c: (-len(c.edges), c.sort_key())):
         if not any(c.edges < kept.edges for kept in maximal):
             maximal.append(c)
     members = tuple(sorted(maximal, key=Copy.sort_key))
 
-    per_edge_count = {e: 0 for e in g.edges}
-    touching: dict[Edge, list[int]] = {e: [] for e in g.edges}
+    index: dict[Edge, list[int]] = {e: [] for e in edges}
     for mi, mem in enumerate(members):
         for e in mem.edges:
-            per_edge_count[e] += 1
-            touching[e].append(mi)
+            index[e].append(mi)
+    members_of = {e: tuple(ms) for e, ms in index.items()}
+    if clean_only and any(len(ms) != 1 for ms in members_of.values()):
+        return None
 
     nontrivial: list[PatternCopy] = []
-    seen_edge_sets: set[frozenset[Edge]] = set()
-    for kind, pattern in (("h1", pair.h1), ("h2", pair.h2)):
-        for c in enumerate_copies(g, pattern).copies:
-            if c.edges in seen_edge_sets:
-                continue
-            touched = {mi for e in c.edges for mi in touching[e]}
-            if len(touched) >= 2:
-                seen_edge_sets.add(c.edges)
-                nontrivial.append(PatternCopy(kind, c))
-    nontrivial.sort(key=lambda pc: (pc.kind, pc.copy.sort_key()))
-    return BlockerDecomposition(g, members, per_edge_count, tuple(nontrivial))
+    if members:
+        seen_edge_sets: set[frozenset[Edge]] = set()
+        for kind, copies in (("h1", h1_copies), ("h2", h2_copies)):
+            for c in copies:
+                if c.edges in seen_edge_sets:
+                    continue
+                touched = {mi for e in c.edges for mi in members_of[e]}
+                if len(touched) >= 2:
+                    if clean_only:
+                        return None
+                    seen_edge_sets.add(c.edges)
+                    nontrivial.append(PatternCopy(kind, c))
+        nontrivial.sort(key=lambda pc: (pc.kind, pc.copy.sort_key()))
+    return members, members_of, tuple(nontrivial)
+
+
+def _lazy_copies(g: Graph, pattern: Graph) -> Iterator[Copy]:
+    yield from enumerate_copies(g, pattern).copies
+
+
+def blocker_decomposition(
+    g: Graph, pair: PairSpec, blockers: Sequence[Graph]
+) -> BlockerDecomposition:
+    """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies."""
+    parts = decompose_copies(
+        g.edges,
+        (c for pattern in blockers for c in enumerate_copies(g, pattern).copies),
+        _lazy_copies(g, pair.h1),
+        _lazy_copies(g, pair.h2),
+    )
+    assert parts is not None
+    return BlockerDecomposition(g, *parts)
 
 
 @dataclass(frozen=True)
@@ -435,17 +476,17 @@ class MemberColoringResult:
 
 
 def color_by_members(
-    g: Graph,
+    decomp: BlockerDecomposition,
     pair: PairSpec,
-    blockers: Sequence[Graph],
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> MemberColoringResult:
-    """Color each maximal blocker member locally and take the union.
+    """Color each maximal blocker member of decomp.graph locally and take
+    the union.
 
-    Precondition (checked): g decomposes cleanly (every edge in exactly one
-    member) with no straddling h1/h2 copies. Local validity then composes.
+    Precondition (checked): the decomposition is clean (every edge in
+    exactly one member) with no straddling h1/h2 copies. Local validity
+    then composes.
     """
-    decomp = blocker_decomposition(g, pair, blockers)
     if not (decomp.covered_once and decomp.sparse):
         raise ValueError("host is not a cleanly-covered sparse union of blocker members")
     assignment: dict[Edge, str] = {}
@@ -464,4 +505,4 @@ def color_by_members(
         assert res.coloring is not None
         for (u, v), c in res.coloring.assignment.items():
             assignment[norm_edge(back[u], back[v])] = c
-    return MemberColoringResult(True, Coloring(g, assignment), None, None, decomp)
+    return MemberColoringResult(True, Coloring(decomp.graph, assignment), None, None, decomp)

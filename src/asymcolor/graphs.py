@@ -68,10 +68,6 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
 # named graphs used all over the tests and the CLI examples
 
 
-def empty_graph(n: int = 0) -> Graph:
-    return graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return graph(n, itertools.combinations(range(n), 2))
 
@@ -133,23 +129,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return graph(len(verts), edges), index
 
 
-def subgraph_from_edges(vertex_count: int, edges: Iterable[Edge]) -> Graph:
-    """A graph on the full 0..vertex_count-1 namespace with just these edges."""
-    return graph(vertex_count, edges)
-
-
 def extract_from_edges(edges: Iterable[Edge], isolated: Iterable[int] = ()) -> tuple[Graph, dict[int, int]]:
     """Relabel an edge set (plus optional isolated vertices) to a compact Graph."""
     edges = [norm_edge(*e) for e in edges]
     verts = sorted({v for e in edges for v in e} | set(isolated))
     index = {v: i for i, v in enumerate(verts)}
     return graph(len(verts), [(index[u], index[v]) for u, v in edges]), index
-
-
-def graph_union(a: Graph, b: Graph) -> Graph:
-    """Union of two graphs over a shared vertex namespace."""
-    n = max(a.vertex_count, b.vertex_count)
-    return graph(n, list(a.edges) + list(b.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -294,54 +279,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_two_connected(g: Graph) -> bool:
-    """True iff g has >= 3 vertices, is connected, and has no cut vertex."""
-    if g.vertex_count < 3:
-        return False
-    if not is_connected(g):
-        return False
-    return not _articulation_points(g)
-
-
-def _articulation_points(g: Graph) -> set[int]:
-    adj = adjacency_sets(g)
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    points: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = u
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[u]:
-                    low[u] = min(low[u], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        points.add(p)
-        if root_children >= 2:
-            points.add(root)
-    return points
+    """True iff g has >= 3 vertices, is connected, and has no cut vertex,
+    that is, it is connected and forms a single block."""
+    return g.vertex_count >= 3 and is_connected(g) and len(block_decomposition(g)) == 1
 
 
 def block_decomposition(g: Graph) -> list[tuple[Edge, ...]]:
@@ -629,25 +569,3 @@ def parse_graph6(text: str) -> Graph:
                 edges.append((i, j))
             k += 1
     return graph(n, edges)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse "u v" pairs, one per line; blank lines and #-comments ignored."""
-    edges = []
-    top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex in {raw!r}")
-        top = max(top, u, v)
-        edges.append((u, v))
-    return graph(top + 1, edges)

@@ -24,7 +24,7 @@ from math import log
 from typing import Literal, Sequence
 
 from .density import PairSpec, density_slack
-from .families import anchored_copies, blocker_decomposition
+from .families import BlockerDecomposition, anchored_copies, family_report
 from .graphs import (
     Copy,
     CopySet,
@@ -37,7 +37,6 @@ from .graphs import (
     extract_from_edges,
     graph,
     norm_edge,
-    subgraph_from_edges,
 )
 
 Variant = Literal["grow", "grow_alt"]
@@ -210,21 +209,8 @@ def eligible_edge(f: Graph, pair: PairSpec, variant: Variant = "grow") -> Edge |
     The choice is pinned down isomorphism-invariantly: map the candidates
     through f's canonical labelling and take the least image.
     """
-    if variant == "grow":
-        covered: set[Edge] = set()
-        for cp in anchored_copies(f, pair).copies:
-            covered |= cp.edges
-        pool = [e for e in f.edges if e not in covered]
-    else:
-        h1_by_edge = enumerate_copies(f, pair.h1).by_edge()
-        pinned: set[Edge] = set()
-        for cp in enumerate_copies(f, pair.h2).copies:
-            for e in cp.edges:
-                if e in pinned:
-                    continue
-                if any(cp.edges & r.edges == {e} for r in h1_by_edge.get(e, ())):
-                    pinned.add(e)
-        pool = [e for e in f.edges if e not in pinned]
+    report = family_report(f, pair)
+    pool = report.anchored_failures if variant == "grow" else report.pinned_failures
     if not pool:
         return None
     _, mapping = canonical_form(f)
@@ -318,7 +304,7 @@ def extend_anchored(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     )
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
     _extend_anchored(f_edges, f_verts, norm_edge(*e), ctx)
-    return subgraph_from_edges(host.vertex_count, f_edges)
+    return graph(host.vertex_count, f_edges)
 
 
 def extend_alt(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
@@ -332,7 +318,7 @@ def extend_alt(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     )
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
     _extend_alt(f_edges, f_verts, norm_edge(*e), ctx)
-    return subgraph_from_edges(host.vertex_count, f_edges)
+    return graph(host.vertex_count, f_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +400,17 @@ def _special_return(
 
 
 def _grow(
-    host: Graph, pair: PairSpec, blockers: Sequence[Graph], variant: Variant
+    decomp: BlockerDecomposition, pair: PairSpec, variant: Variant
 ) -> tuple[Graph, GrowTrace]:
+    host = decomp.graph
     if host.edge_count == 0:
         raise GrowError("empty host has no seed edge")
 
-    if blockers:
-        decomp = blocker_decomposition(host, pair, blockers)
-        members = decomp.members
-    else:
-        decomp, members = None, ()
-    edge_members: dict[Edge, list[Copy]] = {
-        e: [m for m in members if e in m.edges] for e in host.edges
-    }
-
-    if all(len(edge_members[e]) == 1 for e in host.edges):
+    members, members_of = decomp.members, decomp.members_of
+    if all(len(members_of[e]) == 1 for e in host.edges):
         # every edge on exactly one catalog member: return the members a
         # straddling copy touches
-        if decomp is None or not decomp.nontrivial_copies:
+        if not decomp.nontrivial_copies:
             raise GrowError(
                 "every edge lies on exactly one catalog member but no copy of "
                 "h1 or h2 straddles two members; the host is a sparse member "
@@ -440,16 +419,16 @@ def _grow(
         straddler = decomp.nontrivial_copies[0].copy
         union: set[Edge] = set()
         for e in sorted(straddler.edges):
-            for m in edge_members[e]:
-                union |= m.edges
+            for mi in members_of[e]:
+                union |= members[mi].edges
         return _special_return("special_case_1", union, pair)
 
-    shared = next((e for e in sorted(host.edges) if len(edge_members[e]) >= 2), None)
+    shared = next((e for e in sorted(host.edges) if len(members_of[e]) >= 2), None)
     if shared is not None:
-        m1, m2 = edge_members[shared][:2]
+        m1, m2 = (members[mi] for mi in members_of[shared][:2])
         return _special_return("special_case_2", set(m1.edges | m2.edges), pair)
 
-    seed_edge = min(e for e in host.edges if not edge_members[e])
+    seed_edge = min(e for e in host.edges if not members_of[e])
     h1_copies = enumerate_copies(host, pair.h1)
     ctx = _HostContext(host, pair, h1_copies, h1_copies.by_edge())
     if variant == "grow":
@@ -560,19 +539,16 @@ def _mapped_eligible(
     return norm_edge(back[e[0]], back[e[1]])
 
 
-def grow(
-    host: Graph, pair: PairSpec, blockers: Sequence[Graph] = ()
-) -> tuple[Graph, GrowTrace]:
-    """Grow a witness in a residual where every edge rides an anchored h2-copy."""
-    return _grow(host, pair, blockers, "grow")
+def grow(decomp: BlockerDecomposition, pair: PairSpec) -> tuple[Graph, GrowTrace]:
+    """Grow a witness in decomp.graph, a residual where every edge rides an
+    anchored h2-copy, given its blocker decomposition."""
+    return _grow(decomp, pair, "grow")
 
 
-def grow_alt(
-    host: Graph, pair: PairSpec, blockers: Sequence[Graph] = ()
-) -> tuple[Graph, GrowTrace]:
+def grow_alt(decomp: BlockerDecomposition, pair: PairSpec) -> tuple[Graph, GrowTrace]:
     """Growth variant for the equal-density case: extend by one side of a
     copy pair instead of a whole anchored bundle."""
-    return _grow(host, pair, blockers, "grow_alt")
+    return _grow(decomp, pair, "grow_alt")
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +603,7 @@ class FlowerAttachment:
 
     def union_graph(self) -> Graph:
         verts = self.all_vertices()
-        return subgraph_from_edges(max(verts) + 1, self.all_edges())
+        return graph(max(verts) + 1, self.all_edges())
 
 
 def _is_copy_of(cp: Copy, pattern: Graph) -> bool:

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
-from .colorer import ColorerInternalError, asym_edge_color, check_stuck_state
+from .colorer import asym_edge_color, check_stuck_state
 from .density import PairSpec
 from .families import (
     DEFAULT_ORACLE_BUDGET,
     ColoringSearch,
     enumerate_blockers,
-    verify_coloring,
     has_valid_coloring,
 )
 from .graphs import Graph, emit_graph6, graph
@@ -186,13 +185,14 @@ class TrialResult:
 def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> TrialResult:
     """One seeded trial in the configured mode.
 
-    The colorer always runs. A colored outcome is re-checked by the
-    independent verifier on the spot (a failure is an internal invariant
-    violation, not a result). In the oracle modes a stuck trial is
-    adjudicated by the exhaustive searcher, so the outcome says whether
-    the graph was genuinely uncolorable or the greedy just missed. In
-    FullPipeline the stuck residual is structurally verified and then
-    grown; growth failure is recorded, not raised, because the growth
+    The colorer always runs, and a coloring it returns has passed the
+    independent verifier (a failure raises ColorerInternalError, an
+    internal invariant violation, not a result). In the oracle modes a
+    stuck trial is adjudicated by the exhaustive searcher, so the outcome
+    says whether the graph was genuinely uncolorable or the greedy just
+    missed. In FullPipeline the stuck residual is structurally verified
+    and then grown from the audit's blocker decomposition; growth failure
+    is recorded, not raised, because the growth
     loop's success argument presumes an empty blocker family and pairs
     like the triangle/triangle one genuinely do not have that.
 
@@ -213,12 +213,6 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
     grow_error = None
 
     if colorer.status == "colored":
-        check = verify_coloring(colorer.coloring, pair)
-        if not check.ok:
-            raise ColorerInternalError(
-                f"colored outcome fails the independent verifier: {check.kind}",
-                colorer.trace,
-            )
         outcome: Outcome = "colored"
     else:
         if config.mode == "ColorOnly":
@@ -231,10 +225,10 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
                 "budget_exceeded": "budget_exceeded",
             }[oracle.status]
         if config.mode == "FullPipeline":
-            check_stuck_state(colorer, pair)
+            audit = check_stuck_state(colorer, pair)
             grower = grow if pair.case == "strict" else grow_alt
             try:
-                _, trace = grower(colorer.residual, pair, blockers)
+                _, trace = grower(audit.decomposition, pair)
                 summary = summarize_trace(trace)
             except GrowError as err:
                 grow_error = str(err)

@@ -26,7 +26,12 @@ from asymcolor.density import (
     m2_asym,
     m2_density,
 )
-from asymcolor.families import enumerate_blockers, has_valid_coloring, verify_coloring
+from asymcolor.families import (
+    blocker_decomposition,
+    enumerate_blockers,
+    has_valid_coloring,
+    verify_coloring,
+)
 from asymcolor.graphs import (
     canonical_key,
     complete_bipartite,
@@ -259,7 +264,7 @@ def test_criterion_6_slack_accounting():
         # a deterministic stuck instance keeps the audit non-vacuous even
         # if every sampled trial colors
         pair = build_pair_spec(complete_graph(3), complete_graph(3))
-        _, trace = grow_alt(complete_graph(6), pair, ())
+        _, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
         assert trace.steps[0].lambda_before == 2 - 1 / pair.m2_h2 == Fraction(3, 2)
         for s in trace.steps:
             if s.degenerate:

@@ -175,15 +175,22 @@ def test_trial_full_pipeline(capsys, tmp_path):
     assert (tmp_path / "grow_trace.jsonl").exists()
 
 
-def test_trial_mode_aliases_agree(capsys):
-    argv = ["trial", "--h1", "K4", "--h2", "C4", "--n", "12", "--b", "1/4", "--seed", "9"]
-    rc, out1, _ = run_cli(capsys, *argv, "--mode", "color")
-    assert rc == 0
-    rc, out2, _ = run_cli(capsys, *argv, "--mode", "ColorOnly")
-    assert rc == 0
-    one, two = json.loads(out1), json.loads(out2)
-    one.pop("wall_ms"), two.pop("wall_ms")
-    assert one == two
+def test_flags_a_subcommand_ignores_are_rejected(capsys):
+    # --seed only on trial/sweep, --out only where artifacts are written,
+    # and --mode takes only the short names
+    for argv in (
+        ["density", "--h1", "K4", "--seed", "1"],
+        ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--out", "x"],
+        ["families", "--h1", "K3", "--h2", "K3", "--out", "x"],
+        ["regular-cert", "--grid", "4", "4", "--seed", "1"],
+        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
+        ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
+        ["trial", "--h1", "K4", "--h2", "C4", "--n", "12", "--b", "1/4", "--mode", "ColorOnly"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_sweep_csv_stdout_matches_flushed_file(capsys, tmp_path):

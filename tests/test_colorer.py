@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from asymcolor import colorer
 from asymcolor.colorer import (
     ColorerInternalError,
     UncolorableMemberError,
@@ -13,6 +14,8 @@ from asymcolor.density import build_pair_spec
 from asymcolor.families import (
     BLUE,
     RED,
+    blocker_decomposition,
+    color_by_members,
     enumerate_blockers,
     has_valid_coloring,
     verify_coloring,
@@ -21,7 +24,6 @@ from asymcolor.graphs import (
     complete_graph,
     cycle_graph,
     graph,
-    subgraph_from_edges,
 )
 
 
@@ -121,7 +123,7 @@ def test_k6_sticks_immediately(k3k3_setup):
     assert len(out.live_anchors) == 20
     report = check_stuck_state(out, pair)
     assert report.anchored
-    assert not (report.covered_once and report.sparse)
+    assert not (report.decomposition.covered_once and report.decomposition.sparse)
 
 
 def test_k6_sticks_without_catalog(k3k3_setup):
@@ -131,7 +133,7 @@ def test_k6_sticks_without_catalog(k3k3_setup):
     out = asym_edge_color(complete_graph(6), pair, ())
     assert out.status == "stuck"
     report = check_stuck_state(out, pair)
-    assert not report.covered_once
+    assert not report.decomposition.covered_once
 
 
 def test_check_stuck_rejects_colored_outcome():
@@ -200,6 +202,35 @@ def test_soundness_k3k3_random(k3k3_setup):
             check_stuck_state(out, pair)
 
 
+def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
+    # The guard decomposes the residual from the colorer's live-filtered
+    # copies; the decomposition it hands to color_by_members must equal one
+    # computed from scratch on the residual.
+    handed = []
+
+    def spy(decomp, pair, budget):
+        handed.append(decomp)
+        return color_by_members(decomp, pair, budget)
+
+    monkeypatch.setattr(colorer, "color_by_members", spy)
+    k3k3, blockers = k3k3_setup
+    cases = [(k3k3, blockers, gnp(12, 0.4, 7000 + s)) for s in range(30)]
+    cases += [(pair_k4c4(), (), gnp(12, 0.3, 8000 + s)) for s in range(30)]
+    colored = with_members = 0
+    for pair, catalog, g in cases:
+        handed.clear()
+        out = asym_edge_color(g, pair, catalog)
+        if out.status != "colored":
+            continue
+        deleted = {ev.edge for ev in out.trace if ev.action == "delete_edge"}
+        residual = graph(g.vertex_count, set(g.edges) - deleted)
+        (decomp,) = handed
+        assert decomp == blocker_decomposition(residual, pair, catalog)
+        colored += 1
+        with_members += bool(decomp.members)
+    assert colored == 50 and with_members == 14
+
+
 def test_flower_host_colored():
     # central C4, one K4 glued on each central edge
     edges = list(cycle_graph(4).edges)
@@ -266,4 +297,4 @@ def test_stuck_residual_feeds_forward(k3k3_setup):
     pair, blockers = k3k3_setup
     out = asym_edge_color(complete_graph(6), pair, blockers)
     assert out.residual.vertex_count == 6
-    assert subgraph_from_edges(6, out.residual.edges).edges == out.residual.edges
+    assert graph(6, out.residual.edges).edges == out.residual.edges

@@ -24,7 +24,6 @@ from asymcolor.graphs import (
     complete_graph,
     cycle_graph,
     graph,
-    graph_union,
     octahedron_graph,
 )
 
@@ -329,7 +328,7 @@ def test_decomposition_vacuous_family():
     pair = pair_k3c4()
     d = blocker_decomposition(complete_graph(4), pair, [])
     assert d.members == ()
-    assert all(c == 0 for c in d.per_edge_count.values())
+    assert all(not ms for ms in d.members_of.values())
     assert not d.covered_once
     assert d.sparse
     empty = blocker_decomposition(graph(3), pair, [])
@@ -347,7 +346,7 @@ def test_decomposition_shared_edge_counts():
     pair = pair_k3c4()
     d = blocker_decomposition(two_k4_sharing_edge(), pair, [complete_graph(4)])
     assert len(d.members) == 2
-    assert d.per_edge_count[(0, 1)] == 2
+    assert len(d.members_of[(0, 1)]) == 2
     assert not d.covered_once
     # the triangle 0-1-4 has edges in both members
     assert not d.sparse
@@ -365,26 +364,27 @@ def test_decomposition_maximality():
 
 def test_color_by_members_disjoint_union():
     pair = pair_k3c4()
-    res = color_by_members(two_disjoint_k4(), pair, [complete_graph(4)])
+    res = color_by_members(blocker_decomposition(two_disjoint_k4(), pair, [complete_graph(4)]), pair)
     assert res.ok
     assert verify_coloring(res.coloring, pair).ok
 
 
 def test_color_by_members_empty_graph():
-    res = color_by_members(graph(0), pair_k3c4(), [])
+    res = color_by_members(blocker_decomposition(graph(0), pair_k3c4(), []), pair_k3c4())
     assert res.ok and res.coloring.is_total()
 
 
 def test_color_by_members_precondition():
     with pytest.raises(ValueError):
-        color_by_members(two_k4_sharing_edge(), pair_k3c4(), [complete_graph(4)])
+        pair = pair_k3c4()
+        color_by_members(blocker_decomposition(two_k4_sharing_edge(), pair, [complete_graph(4)]), pair)
 
 
 def test_color_by_members_surfaces_uncolorable_member():
     # synthetic family containing K6 for the triangle pair: the member itself
     # has no valid coloring and that comes back as a finding, not a crash
     pair = pair_k3k3()
-    res = color_by_members(complete_graph(6), pair, [complete_graph(6)])
+    res = color_by_members(blocker_decomposition(complete_graph(6), pair, [complete_graph(6)]), pair)
     assert not res.ok
     assert res.coloring is None
     assert "no valid coloring" in res.finding

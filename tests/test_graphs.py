@@ -21,14 +21,12 @@ from asymcolor.graphs import (
     enumerate_embeddings,
     extract_from_edges,
     graph,
-    graph_union,
     graphs_up_to,
     induced_subgraph,
     is_connected,
     is_two_connected,
     nonisomorphic_graphs,
     octahedron_graph,
-    parse_edge_list,
     parse_graph6,
     path_graph,
 )
@@ -73,14 +71,6 @@ def test_named_graphs():
     assert cube_graph().degree_sequence() == (3,) * 8
     assert octahedron_graph().degree_sequence() == (4,) * 6
     assert octahedron_graph().edge_count == 12
-
-
-def test_union_shared_namespace():
-    a = graph(4, [(0, 1), (1, 2)])
-    b = graph(5, [(1, 2), (3, 4)])
-    u = graph_union(a, b)
-    assert u.vertex_count == 5
-    assert u.edges == ((0, 1), (1, 2), (3, 4))
 
 
 def test_induced_subgraph_relabels():
@@ -359,12 +349,3 @@ def test_graph6_rejects_bad_input():
     assert two.value.position == 1
     with pytest.raises(Graph6Error):
         parse_graph6("A" + chr(63 + 1))  # nonzero padding for K2-bar... n=2 pad bits
-
-
-def test_parse_edge_list():
-    g = parse_edge_list("0 1\n# comment\n1 2\n\n2 0\n")
-    assert g == complete_graph(3)
-    with pytest.raises(ValueError):
-        parse_edge_list("0 1 2")
-    with pytest.raises(ValueError):
-        parse_edge_list("0 x")

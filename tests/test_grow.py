@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcolor.density import build_pair_spec, density_slack
+from asymcolor.families import blocker_decomposition
 from asymcolor.graphs import (
     Copy,
     canonical_form,
@@ -16,7 +17,6 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
     norm_edge,
-    subgraph_from_edges,
 )
 from asymcolor.grow import (
     FlowerError,
@@ -183,7 +183,7 @@ def test_eligible_edge_isomorphism_invariant():
 
 def test_extend_anchored_one_step_on_rook():
     host = rook4()
-    row0 = subgraph_from_edges(16, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    row0 = graph(16, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     out = extend_anchored(row0, (0, 1), host, pair_k4c4())
     assert out.edge_count == 24
     assert row0.edge_set() <= out.edge_set() <= host.edge_set()
@@ -193,7 +193,7 @@ def test_extend_anchored_one_step_on_rook():
 
 def test_extend_alt_one_step_on_k6():
     host = complete_graph(6)
-    seed = subgraph_from_edges(6, [(0, 1), (0, 2), (1, 2)])
+    seed = graph(6, [(0, 1), (0, 2), (1, 2)])
     out = extend_alt(seed, (0, 1), host, pair_k3k3())
     assert out.edge_set() == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
 
@@ -204,7 +204,7 @@ def test_extend_alt_one_step_on_k6():
 
 def test_grow_rook_hits_iteration_cap():
     pair = pair_k4c4()
-    final, trace = grow(rook4(), pair, ())
+    final, trace = grow(blocker_decomposition(rook4(), pair, ()), pair)
     assert trace.outcome == "hit_iteration_cap"
     assert [s.kind for s in trace.steps] == ["extend_anchored", "absorb_h1", "absorb_h1"]
     assert [s.degenerate for s in trace.steps] == [False, True, True]
@@ -229,8 +229,8 @@ def test_grow_rook_hits_iteration_cap():
 def test_grow_padded_rook_hits_density_guard():
     # same clique grid, but enough spare vertices to lift the iteration cap
     pair = pair_k4c4()
-    host = subgraph_from_edges(60, rook4().edges)
-    final, trace = grow(host, pair, ())
+    host = graph(60, rook4().edges)
+    final, trace = grow(blocker_decomposition(host, pair, ()), pair)
     assert trace.outcome == "hit_density_guard"
     assert [s.kind for s in trace.steps] == [
         "extend_anchored",
@@ -248,7 +248,7 @@ def test_grow_padded_rook_hits_density_guard():
 
 def test_grow_alt_k6_frozen_trace():
     pair = pair_k3k3()
-    final, trace = grow_alt(complete_graph(6), pair, ())
+    final, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
     assert trace.outcome == "hit_iteration_cap"
     assert [s.kind for s in trace.steps] == ["extend_alt", "extend_alt"]
     assert [s.alt_branch for s in trace.steps] == ["r", "r"]
@@ -266,12 +266,14 @@ def test_grow_alt_k6_frozen_trace():
 def test_grow_alt_raises_when_subgraph_closes():
     # on K8 with no catalog the loop reaches K4, which is pin-closed, while
     # the iteration cap still allows another step
+    pair = pair_k3k3()
     with pytest.raises(GrowError, match="eligible"):
-        grow_alt(complete_graph(8), pair_k3k3(), ())
+        grow_alt(blocker_decomposition(complete_graph(8), pair, ()), pair)
 
 
 def test_grow_special_case_two_members_share_an_edge():
-    final, trace = grow(complete_graph(6), pair_k3k3(), [complete_graph(4)])
+    pair = pair_k3k3()
+    final, trace = grow(blocker_decomposition(complete_graph(6), pair, [complete_graph(4)]), pair)
     assert trace.outcome == "special_case"
     assert trace.steps[0].kind == "special_case_2"
     expected = graph(5, [e for e in complete_graph(5).edges if e != (3, 4)])
@@ -291,23 +293,27 @@ def test_grow_special_case_straddling_triangle():
     # three edge-disjoint K4 members whose shared corners carry a triangle:
     # every edge is covered once, and the straddler pulls in all three members
     host = triple_k4()
-    final, trace = grow(host, pair_k3k3(), [complete_graph(4)])
+    pair = pair_k3k3()
+    decomp = blocker_decomposition(host, pair, [complete_graph(4)])
+    final, trace = grow(decomp, pair)
     assert trace.outcome == "special_case"
     assert trace.steps[0].kind == "special_case_1"
     assert final.edge_count == 18
     assert canonical_key(final) == canonical_key(host)
-    alt_final, alt_trace = grow_alt(host, pair_k3k3(), [complete_graph(4)])
+    alt_final, alt_trace = grow_alt(decomp, pair)
     assert alt_trace.steps[0].kind == "special_case_1"
     assert canonical_key(alt_final) == canonical_key(final)
 
 
 def test_grow_empty_host_raises():
+    pair = pair_k3k3()
     with pytest.raises(GrowError, match="seed"):
-        grow(graph(4), pair_k3k3(), ())
+        grow(blocker_decomposition(graph(4), pair, ()), pair)
 
 
 def test_grow_trace_serializes():
-    _, trace = grow_alt(complete_graph(6), pair_k3k3(), ())
+    pair = pair_k3k3()
+    _, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
     for step in trace.steps:
         row = json.loads(json.dumps(step.to_dict()))
         assert set(row) == {

@@ -1,13 +1,14 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcolor.density import build_pair_spec
-from asymcolor.families import enumerate_blockers
-from asymcolor.graphs import complete_graph, cycle_graph
+from asymcolor.families import blocker_decomposition, enumerate_blockers
+from asymcolor.graphs import complete_graph, cycle_graph, emit_graph6
 from asymcolor.grow import grow, grow_alt
 from asymcolor.harness import (
     CSV_HEADER,
@@ -194,7 +195,7 @@ def test_trial_result_serializes(k3k3_setup):
 
 def test_summarize_trace_frozen_k6_alt():
     pair = pair_k3k3()
-    _, trace = grow_alt(complete_graph(6), pair, ())
+    _, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
     s = summarize_trace(trace)
     assert s.steps == 2
     assert s.degenerate_count == 1
@@ -206,10 +207,38 @@ def test_summarize_trace_frozen_k6_alt():
 
 
 def test_summarize_trace_special_case():
-    _, trace = grow(complete_graph(6), pair_k3k3(), [complete_graph(4)])
+    pair = pair_k3k3()
+    _, trace = grow(blocker_decomposition(complete_graph(6), pair, [complete_graph(4)]), pair)
     s = summarize_trace(trace)
     assert s.steps == 1 and s.degenerate_count == 0 and s.min_drop is None
     assert s.outcome == "special_case"
+
+
+def test_full_pipeline_trials_match_golden():
+    # TrialResult.to_dict() without wall_ms, plus the grown witness and its
+    # host edges, for three FullPipeline K3/K3 cells: special-case returns
+    # from the bound-6 catalog, the growth loop next to bound-5 members, and
+    # the loop and its errors with an empty bound-3 catalog. The data was
+    # captured when growth still decomposed the residual itself, so it pins
+    # growth from the audited decomposition to that output.
+    golden = Path(__file__).parent / "data" / "growth_golden.jsonl"
+    expected = [json.loads(line) for line in golden.read_text().splitlines()]
+    pair = pair_k3k3()
+    got = []
+    for bound, n, b in ((6, 16, "3/2"), (5, 20, "1"), (3, 16, "3/2")):
+        report = sweep(
+            pair, [n], [Fraction(b)], trials=20, seed=20260816, mode="FullPipeline",
+            budget=20_000, a_hat_bound=bound, keep_results=True,
+        )
+        for i, r in enumerate(report.results):
+            row = r.to_dict()
+            del row["wall_ms"]
+            if r.grow_trace is not None:
+                row["grow_final"] = emit_graph6(r.grow_trace.final)
+                row["grow_host_edges"] = r.grow_trace.host_edges
+            cell = f"bound={bound} n={n} b={b}"
+            got.append(json.loads(json.dumps({"cell": cell, "trial": i, "result": row})))
+    assert got == expected
 
 
 # --- sweeps -----------------------------------------------------------------

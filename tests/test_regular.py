@@ -16,7 +16,6 @@ from asymcolor.graphs import (
     complete_graph,
     cube_graph,
     cycle_graph,
-    empty_graph,
     graph,
     nonisomorphic_graphs,
     octahedron_graph,
@@ -312,7 +311,7 @@ def test_three_regular_graphs_on_six_vertices():
 
 def test_min_degree_bound_check():
     p = params(3, 2, 3, 2)
-    assert min_degree_bound_check(empty_graph(), p)  # vacuous
+    assert min_degree_bound_check(graph(0), p)  # vacuous
     check = min_degree_bound_check(complete_graph(6), p)
     assert check
     assert check.density == Fraction(15, 6)
