@@ -24,7 +24,7 @@ from .families import (
     blocker_decomposition,
     color_by_members,
     decompose_copies,
-    family_report,
+    report_from_copies,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
@@ -156,12 +156,11 @@ def asym_edge_color(
                     return True
         return False
 
-    def anchored_in_residual(li: int) -> Edge | None:
-        """First edge of tracked copy li with no uniquely-intersecting live
-        h1-copy; None when fully anchored."""
-        L = h2.copies[li]
-        for e in sorted(L.edges):
-            if not any(L.edges & R.edges == {e} for R in h1.alive_through(e)):
+    def unmet_edge(l_edges: frozenset[Edge]) -> Edge | None:
+        """First edge e of an h2-copy that no live h1-copy meets in exactly
+        {e}; None when every edge is so met (the copy is anchored)."""
+        for e in sorted(l_edges):
+            if not any(l_edges & R.edges == {e} for R in h1.alive_through(e)):
                 return e
         return None
 
@@ -205,7 +204,7 @@ def asym_edge_color(
                 break
         if not fired:
             for li in list(tracked):
-                bad = anchored_in_residual(li)
+                bad = unmet_edge(h2.copies[li].edges)
                 if bad is not None:
                     stack.append(StackEntry("h2copy", copy_edges=h2.copies[li].edges))
                     tracked.remove(li)
@@ -220,10 +219,17 @@ def asym_edge_color(
             return ColorerOutcome("stuck", None, residual, live_anchors, tuple(trace), tuple(blockers))
         assert len(live) + len(tracked) < measure  # the loop must shrink
 
-    # hand the sparse, cleanly-covered residual to the member-wise colorer
+    # hand the sparse, cleanly-covered residual to the member-wise colorer,
+    # with its h1/h2 copies as the live-filtered input copies
     residual = graph(g.vertex_count, live)
     log("handoff")
-    base = color_by_members(BlockerDecomposition(residual, *clean), pair, budget)
+    decomp = BlockerDecomposition(
+        residual,
+        *clean,
+        CopySet(pair.h1, tuple(h1.alive_all())),
+        CopySet(pair.h2, tuple(h2.alive_all())),
+    )
+    base = color_by_members(decomp, pair, budget)
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)
@@ -240,11 +246,7 @@ def asym_edge_color(
             L_edges = entry.copy_edges
             if not all(assignment.get(f) == BLUE for f in L_edges):
                 continue
-            flip = None
-            for f in sorted(L_edges):
-                if not any(L_edges & R.edges == {f} for R in h1.alive_through(f)):
-                    flip = f
-                    break
+            flip = unmet_edge(L_edges)
             if flip is None:
                 raise ColorerInternalError(
                     "fully-blue tracked copy with every edge uniquely intersected; "
@@ -276,14 +278,17 @@ class StuckReport:
 def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
     """Independently verify what a Stuck outcome promises: the residual is in
     the anchored family and is not a cleanly-covered sparse union. The
-    residual's copies are enumerated afresh, not taken from the colorer;
-    the report carries the resulting blocker decomposition."""
+    residual's copies are enumerated afresh, not taken from the colorer,
+    once each: one blocker decomposition holds its h1/h2 copy sets, the
+    family verdicts are read from those sets, and the report carries the
+    decomposition for growth."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
     if residual.edge_count == 0:
         raise ColorerInternalError("stuck with an empty residual", outcome.trace)
-    report = family_report(residual, pair)
+    decomp = blocker_decomposition(residual, pair, outcome.blockers)
+    report = report_from_copies(residual, decomp.h1_copies, decomp.h2_copies)
     if not report.anchored:
         raise ColorerInternalError(
             f"stuck residual is not anchored; failures {report.anchored_failures}",
@@ -293,7 +298,6 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
     for L in outcome.live_anchors.copies:
         if L.edges not in anchored_sets:
             raise ColorerInternalError("a live tracked copy is not anchored", outcome.trace)
-    decomp = blocker_decomposition(residual, pair, outcome.blockers)
     if decomp.covered_once and decomp.sparse:
         raise ColorerInternalError(
             "stuck residual is already a cleanly-covered sparse union", outcome.trace

@@ -12,13 +12,15 @@ theory, renamed for what it checks):
 - a "blocker" is a 2-connected graph of max density at most m2_pair + epsilon
   that is anchored (strict case) or pinned (equal case);
 - a blocker decomposition splits a host into maximal blocker-subgraphs and
-  classifies copies of h1/h2 as trivial (inside one member) or not.
+  classifies copies of h1/h2 as trivial (inside one member) or not; it
+  carries the host's h1 and h2 copy sets, so the pinned/anchored verdicts
+  (report_from_copies) and growth read them without enumerating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .density import PairSpec, m_density
 from .graphs import (
@@ -101,10 +103,6 @@ class ColoringSearch:
     status: SearchStatus
     coloring: Coloring | None
     nodes_expanded: int
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BUDGET) -> ColoringSearch:
@@ -210,28 +208,30 @@ def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BU
                 best, best_score = e, score
         return best
 
-    def search() -> bool:
-        nonlocal nodes
+    # depth-first search with an explicit stack: one frame per branched edge
+    # above the current node, holding the edge, the number of colours tried
+    # there and the trail of the assignment in force
+    frames: list[tuple[int, int, list[int]]] = []
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _BudgetHit
-        e = pick()
+            return ColoringSearch("budget_exceeded", None, nodes)
+        e, k = pick(), 0
         if e is None:
-            return True
-        for c in (RED, BLUE):
-            trail: list[int] = []
-            if assign(e, c, trail):
-                if search():
-                    return True
+            break
+        while True:
+            while k == 2:  # both colours failed at e: back up one level
+                if not frames:
+                    return ColoringSearch("invalid", None, nodes)
+                e, k, trail = frames.pop()
+                undo(trail)
+            trail = []
+            k += 1
+            if assign(e, (RED, BLUE)[k - 1], trail):
+                frames.append((e, k, trail))
+                break
             undo(trail)
-        return False
 
-    try:
-        found = search()
-    except _BudgetHit:
-        return ColoringSearch("budget_exceeded", None, nodes)
-    if not found:
-        return ColoringSearch("invalid", None, nodes)
     out = Coloring(g, {edges[i]: color[i] for i in range(n_e) if color[i] is not None})
     # the searcher never leaves an edge both unforced and unbranched
     assert out.is_total()
@@ -253,27 +253,19 @@ class FamilyReport:
     anchor_of: dict[Edge, Copy]
 
 
-def _anchored(h1_by_edge: dict[Edge, list[Copy]], h2_copies: Iterable[Copy]) -> tuple[Copy, ...]:
-    return tuple(
-        L
-        for L in h2_copies
-        if all(any(L.edges & R.edges == {e} for R in h1_by_edge.get(e, ())) for e in L.edges)
-    )
-
-
-def anchored_copies(g: Graph, pair: PairSpec) -> CopySet:
-    """Copies L of h2 whose every edge e satisfies E(L) & E(R) == {e} for
-    some copy R of h1."""
-    h1_by_edge = enumerate_copies(g, pair.h1).by_edge()
-    return CopySet(pair.h2, _anchored(h1_by_edge, enumerate_copies(g, pair.h2).copies))
-
-
-def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
-    """Pinned/anchored verdicts with per-edge failure witnesses."""
-    h1_by_edge = enumerate_copies(g, pair.h1).by_edge()
-    h2_copies = enumerate_copies(g, pair.h2)
+def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
+    """Pinned/anchored verdicts with per-edge failure witnesses, from all
+    copies of h1 and of h2 in g."""
+    h1_by_edge = h1_copies.by_edge()
     h2_by_edge = h2_copies.by_edge()
-    anchored_set = CopySet(pair.h2, _anchored(h1_by_edge, h2_copies.copies))
+    anchored_set = CopySet(
+        h2_copies.pattern,
+        tuple(
+            L
+            for L in h2_copies.copies
+            if all(any(L.edges & R.edges == {e} for R in h1_by_edge.get(e, ())) for e in L.edges)
+        ),
+    )
     anchored_by_edge = anchored_set.by_edge()
 
     pinned_failures = []
@@ -301,6 +293,11 @@ def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
     return FamilyReport(
         g, pinned, anchored, anchored_set, tuple(pinned_failures), tuple(anchored_failures), anchor_of
     )
+
+
+def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
+    """Pinned/anchored verdicts of g, enumerating its h1 and h2 copies."""
+    return report_from_copies(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2))
 
 
 def is_blocker(a: Graph, pair: PairSpec) -> bool:
@@ -369,12 +366,15 @@ class PatternCopy:
 @dataclass(frozen=True)
 class BlockerDecomposition:
     """members_of maps every edge of graph to the ascending indices of the
-    members that contain it."""
+    members that contain it; h1_copies and h2_copies are all copies of h1
+    and h2 in graph, the sets the straddler scan read."""
 
     graph: Graph
     members: tuple[Copy, ...]
     members_of: dict[Edge, tuple[int, ...]]
     nontrivial_copies: tuple[PatternCopy, ...]
+    h1_copies: CopySet
+    h2_copies: CopySet
 
     @property
     def covered_once(self) -> bool:
@@ -442,22 +442,21 @@ def decompose_copies(
     return members, members_of, tuple(nontrivial)
 
 
-def _lazy_copies(g: Graph, pattern: Graph) -> Iterator[Copy]:
-    yield from enumerate_copies(g, pattern).copies
-
-
 def blocker_decomposition(
     g: Graph, pair: PairSpec, blockers: Sequence[Graph]
 ) -> BlockerDecomposition:
-    """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies."""
+    """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies,
+    and the h1/h2 copy sets of g, each enumerated once."""
+    h1_copies = enumerate_copies(g, pair.h1)
+    h2_copies = enumerate_copies(g, pair.h2)
     parts = decompose_copies(
         g.edges,
         (c for pattern in blockers for c in enumerate_copies(g, pattern).copies),
-        _lazy_copies(g, pair.h1),
-        _lazy_copies(g, pair.h2),
+        h1_copies.copies,
+        h2_copies.copies,
     )
     assert parts is not None
-    return BlockerDecomposition(g, *parts)
+    return BlockerDecomposition(g, *parts, h1_copies, h2_copies)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,12 @@ from math import log
 from typing import Literal, Sequence
 
 from .density import PairSpec, density_slack
-from .families import BlockerDecomposition, anchored_copies, family_report
+from .families import (
+    BlockerDecomposition,
+    blocker_decomposition,
+    family_report,
+    report_from_copies,
+)
 from .graphs import (
     Copy,
     CopySet,
@@ -33,7 +38,6 @@ from .graphs import (
     adjacency_sets,
     canonical_form,
     canonical_key,
-    enumerate_copies,
     extract_from_edges,
     graph,
     norm_edge,
@@ -217,24 +221,17 @@ def eligible_edge(f: Graph, pair: PairSpec, variant: Variant = "grow") -> Edge |
     return min(pool, key=lambda e: norm_edge(mapping[e[0]], mapping[e[1]]))
 
 
-@dataclass
-class _HostContext:
-    host: Graph
-    pair: PairSpec
-    h1_copies: CopySet
-    h1_by_edge: dict[Edge, list[Copy]]
-    anchored: CopySet | None = None     # grow variant
-    h2_copies: CopySet | None = None    # grow_alt variant
-
-
 def _extend_anchored(
-    f_edges: set[Edge], f_verts: set[int], e: Edge, ctx: _HostContext
+    f_edges: set[Edge],
+    f_verts: set[int],
+    e: Edge,
+    h1_by_edge: dict[Edge, list[Copy]],
+    anchored: CopySet,
 ) -> tuple[tuple[int, ...], tuple[tuple[Edge, tuple[int, ...]], ...]]:
     """Attach the least anchored h2-copy of the host through e, then pin each
     new edge with an h1-copy meeting that copy in exactly this edge.  Mutates
     f in place; returns the overlap geometry for degeneracy classification."""
-    assert ctx.anchored is not None
-    l_copy = next((cp for cp in ctx.anchored.copies if e in cp.edges), None)
+    l_copy = next((cp for cp in anchored.copies if e in cp.edges), None)
     if l_copy is None:
         raise GrowError(
             f"no anchored h2-copy of the host passes through {e}; "
@@ -247,7 +244,7 @@ def _extend_anchored(
     pendant_overlaps = []
     for e2 in fresh:
         r_copy = next(
-            (r for r in ctx.h1_by_edge.get(e2, ()) if l_copy.edges & r.edges == {e2}),
+            (r for r in h1_by_edge.get(e2, ()) if l_copy.edges & r.edges == {e2}),
             None,
         )
         if r_copy is None:
@@ -262,16 +259,19 @@ def _extend_anchored(
 
 
 def _extend_alt(
-    f_edges: set[Edge], f_verts: set[int], e: Edge, ctx: _HostContext
+    f_edges: set[Edge],
+    f_verts: set[int],
+    e: Edge,
+    h1_by_edge: dict[Edge, list[Copy]],
+    h2_copies: CopySet,
 ) -> tuple[str, tuple[int, ...]]:
     """Attach one side of the least (h2-copy, h1-copy) pair meeting in exactly
     {e}: the h2 side if it is not yet inside f, otherwise the h1 side."""
-    assert ctx.h2_copies is not None
     chosen_pair = None
-    for l_copy in ctx.h2_copies.copies:
+    for l_copy in h2_copies.copies:
         if e not in l_copy.edges:
             continue
-        for r_copy in ctx.h1_by_edge.get(e, ()):
+        for r_copy in h1_by_edge.get(e, ()):
             if l_copy.edges & r_copy.edges == {e}:
                 chosen_pair = (l_copy, r_copy)
                 break
@@ -295,29 +295,18 @@ def _extend_alt(
 
 def extend_anchored(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     """One anchored-extension step as a pure graph map (f, host share labels)."""
-    ctx = _HostContext(
-        host,
-        pair,
-        h1c := enumerate_copies(host, pair.h1),
-        h1c.by_edge(),
-        anchored=anchored_copies(host, pair),
-    )
+    d = blocker_decomposition(host, pair, ())
+    anchored = report_from_copies(host, d.h1_copies, d.h2_copies).anchored_copies
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_anchored(f_edges, f_verts, norm_edge(*e), ctx)
+    _extend_anchored(f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), anchored)
     return graph(host.vertex_count, f_edges)
 
 
 def extend_alt(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     """One copy-pair extension step as a pure graph map (f, host share labels)."""
-    ctx = _HostContext(
-        host,
-        pair,
-        h1c := enumerate_copies(host, pair.h1),
-        h1c.by_edge(),
-        h2_copies=enumerate_copies(host, pair.h2),
-    )
+    d = blocker_decomposition(host, pair, ())
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_alt(f_edges, f_verts, norm_edge(*e), ctx)
+    _extend_alt(f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), d.h2_copies)
     return graph(host.vertex_count, f_edges)
 
 
@@ -429,14 +418,15 @@ def _grow(
         return _special_return("special_case_2", set(m1.edges | m2.edges), pair)
 
     seed_edge = min(e for e in host.edges if not members_of[e])
-    h1_copies = enumerate_copies(host, pair.h1)
-    ctx = _HostContext(host, pair, h1_copies, h1_copies.by_edge())
+    h1_copies = decomp.h1_copies
+    h1_by_edge = h1_copies.by_edge()
+    # the h2-copies a step may attach: the anchored ones for grow, all for grow_alt
     if variant == "grow":
-        ctx.anchored = anchored_copies(host, pair)
+        attachable = report_from_copies(host, h1_copies, decomp.h2_copies).anchored_copies
     else:
-        ctx.h2_copies = enumerate_copies(host, pair.h2)
+        attachable = decomp.h2_copies
 
-    seed = next((r for r in ctx.h1_by_edge.get(seed_edge, ())), None)
+    seed = next((r for r in h1_by_edge.get(seed_edge, ())), None)
     if seed is None:
         raise GrowError(
             f"seed edge {seed_edge} lies on no h1-copy; the host is not copy-covered"
@@ -470,7 +460,9 @@ def _grow(
                 f_verts |= absorbed.vertices
             else:
                 e = _mapped_eligible(extracted, index, pair, "grow", steps)
-                l_overlap, pendants = _extend_anchored(f_edges, f_verts, e, ctx)
+                l_overlap, pendants = _extend_anchored(
+                    f_edges, f_verts, e, h1_by_edge, attachable
+                )
                 kwargs = {
                     "kind": "extend_anchored",
                     "anchor_edge": e,
@@ -479,7 +471,7 @@ def _grow(
                 }
         else:
             e = _mapped_eligible(extracted, index, pair, "grow_alt", steps)
-            branch, overlap = _extend_alt(f_edges, f_verts, e, ctx)
+            branch, overlap = _extend_alt(f_edges, f_verts, e, h1_by_edge, attachable)
             kwargs = {
                 "kind": "extend_alt",
                 "anchor_edge": e,

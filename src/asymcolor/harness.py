@@ -191,10 +191,11 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
     stuck trial is adjudicated by the exhaustive searcher, so the outcome
     says whether the graph was genuinely uncolorable or the greedy just
     missed. In FullPipeline the stuck residual is structurally verified
-    and then grown from the audit's blocker decomposition; growth failure
-    is recorded, not raised, because the growth
-    loop's success argument presumes an empty blocker family and pairs
-    like the triangle/triangle one genuinely do not have that.
+    and then grown from the audit's blocker decomposition, whose h1/h2
+    copy sets both the audit and growth read, so the residual's copies are
+    enumerated once; growth failure is recorded, not raised, because the
+    growth loop's success argument presumes an empty blocker family and
+    pairs like the triangle/triangle one genuinely do not have that.
 
     blockers may be shared across trials to amortize the catalog; by
     default they are enumerated at the config's bound.

@@ -79,6 +79,14 @@ def test_oracle_valid_and_invalid(capsys):
     assert json.loads(out)["status"] == "invalid"
 
 
+def test_oracle_on_a_deep_search_exits_zero(capsys):
+    rc, out, _ = run_cli(capsys, "oracle", "--h1", "K3", "--h2", "K3", "--graph", "K40,40")
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob["status"] == "valid"
+    assert len(blob["coloring"]) == 1600
+
+
 def test_color_stuck_on_k6(capsys):
     rc, out, _ = run_cli(
         capsys, "color", "--h1", "K3", "--h2", "K3", "--graph", "K6", "--a-hat-bound", "5"

@@ -9,7 +9,6 @@ from asymcolor.families import (
     BLUE,
     RED,
     Coloring,
-    anchored_copies,
     blocker_decomposition,
     color_by_members,
     enumerate_blockers,
@@ -21,6 +20,7 @@ from asymcolor.families import (
 from asymcolor.graphs import (
     Graph,
     canonical_key,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     graph,
@@ -138,6 +138,18 @@ def test_searcher_small_verdicts():
     assert empty.status == "valid" and empty.coloring.is_total()
 
 
+def test_searcher_deep_search_is_iterative():
+    # one branched edge per search level: K_{40,40} has 1600 edges and no
+    # triangle, so a search that recursed per edge would exceed Python's
+    # default recursion limit
+    k3 = pair_k3k3()
+    g = complete_bipartite(40, 40)
+    res = has_valid_coloring(g, k3)
+    assert res.status == "valid"
+    assert res.nodes_expanded == 1601
+    assert verify_coloring(res.coloring, k3).ok
+
+
 def test_searcher_budget():
     res = has_valid_coloring(complete_graph(6), pair_k3k3(), budget=5)
     assert res.status == "budget_exceeded"
@@ -173,20 +185,20 @@ def test_searcher_coherence_random():
 def test_anchored_copies_flower():
     pair = pair_k4c4()
     fl = flower_graph()
-    anchored = anchored_copies(fl, pair)
+    anchored = family_report(fl, pair).anchored_copies
     central = frozenset([(0, 1), (1, 2), (2, 3), (0, 3)])
     assert central in {c.edges for c in anchored.copies}
 
 
 def test_anchored_copies_c4_alone_empty():
-    assert len(anchored_copies(cycle_graph(4), pair_k4c4())) == 0
+    assert len(family_report(cycle_graph(4), pair_k4c4()).anchored_copies) == 0
 
 
 def test_anchored_copies_shared_edge_graph():
     pair = pair_k4c4()
     g = shared_edge_graph()
     outer = frozenset([(0, 1), (1, 4), (4, 5), (0, 5)])
-    anchored = {c.edges for c in anchored_copies(g, pair).copies}
+    anchored = {c.edges for c in family_report(g, pair).anchored_copies.copies}
     assert outer not in anchored
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymcolor import graphs, harness
+from asymcolor.colorer import check_stuck_state
 from asymcolor.density import build_pair_spec
 from asymcolor.families import blocker_decomposition, enumerate_blockers
 from asymcolor.graphs import complete_graph, cycle_graph, emit_graph6
@@ -239,6 +242,50 @@ def test_full_pipeline_trials_match_golden():
             cell = f"bound={bound} n={n} b={b}"
             got.append(json.loads(json.dumps({"cell": cell, "trial": i, "result": row})))
     assert got == expected
+
+
+def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypatch):
+    # The audit's blocker decomposition enumerates the residual's h1 and h2
+    # copies; the family verdicts and growth read them from there. The
+    # package modules import enumerate_copies by name, so every binding is
+    # wrapped.
+    pair, blockers = k3k3_setup
+    assert pair.h1 is not pair.h2
+    original = graphs.enumerate_copies
+    calls = []  # (host, pattern); holding the hosts keeps their ids apart
+
+    def counting(host, pattern):
+        calls.append((host, pattern))
+        return original(host, pattern)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("asymcolor.") and getattr(module, "enumerate_copies", None) is original:
+            monkeypatch.setattr(module, "enumerate_copies", counting)
+    audited = []
+
+    def audit(outcome, pair):
+        report = check_stuck_state(outcome, pair)
+        audited.append(report.decomposition)
+        return report
+
+    monkeypatch.setattr(harness, "check_stuck_state", audit)
+    looped = 0
+    b = Fraction(3, 2)
+    # the bound-6 catalog gives residuals with members (special-case
+    # returns), an empty one gives the growth loop
+    for catalog in (blockers, ()):
+        for t in range(8):
+            config = TrialConfig(
+                pair, n=16, b=b, seed=derive_seed(20260816, 16, b, t),
+                budget=20_000, mode="FullPipeline",
+            )
+            trace = run_trial(config, catalog).grow_trace
+            looped += trace is not None and trace.outcome != "special_case"
+    assert len(audited) >= 8 and looped >= 1
+    assert any(d.members for d in audited)
+    for decomp in audited:
+        for pattern in (pair.h1, pair.h2):
+            assert sum(h is decomp.graph and p is pattern for h, p in calls) == 1
 
 
 # --- sweeps -----------------------------------------------------------------
