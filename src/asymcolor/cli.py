@@ -1,10 +1,10 @@
 """Command line front end.
 
 A thin argparse layer over the library. Exit codes: 0 on success, 2 when
-the configuration is rejected (bad flags, malformed graphs, parameters
-out of range, a host that cannot be grown), 3 when an internal invariant
-or a certified claim is violated; code-3 failures name the offending
-object on stderr.
+the configuration is rejected (bad flags, malformed graphs, parameters out
+of range, a host that cannot be grown) or a run hits a resource limit
+(RecursionError, MemoryError), 3 when an internal invariant or a certified
+claim is violated; code-3 failures name the offending object on stderr.
 
 Graphs on the command line are either small named shapes (K5, C4, P6,
 K3,3, Q3, octahedron) or graph6 strings. The named forms win ties, which
@@ -497,6 +497,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as err:
+        print(f"error: resource limit ({err!r})", file=sys.stderr)
         return 2
     except UncolorableMemberError as err:
         print(f"counterexample: {err}", file=sys.stderr)

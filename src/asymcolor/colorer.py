@@ -24,7 +24,6 @@ from .families import (
     blocker_decomposition,
     color_by_members,
     decompose_copies,
-    report_from_copies,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
@@ -279,16 +278,16 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
     """Independently verify what a Stuck outcome promises: the residual is in
     the anchored family and is not a cleanly-covered sparse union. The
     residual's copies are enumerated afresh, not taken from the colorer,
-    once each: one blocker decomposition holds its h1/h2 copy sets, the
-    family verdicts are read from those sets, and the report carries the
-    decomposition for growth."""
+    once each: one blocker decomposition holds its h1/h2 copy sets and the
+    family report built from them, and the StuckReport carries the
+    decomposition, report included, for growth."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
     if residual.edge_count == 0:
         raise ColorerInternalError("stuck with an empty residual", outcome.trace)
     decomp = blocker_decomposition(residual, pair, outcome.blockers)
-    report = report_from_copies(residual, decomp.h1_copies, decomp.h2_copies)
+    report = decomp.report
     if not report.anchored:
         raise ColorerInternalError(
             f"stuck residual is not anchored; failures {report.anchored_failures}",

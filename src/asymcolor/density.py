@@ -1,9 +1,11 @@
 """Exact rational density measures and the pair bookkeeping built on them.
 
-Everything here returns Fraction; there are no tolerances in core math.
-The maximization routines iterate over vertex subsets and take all induced
-edges, which is sound because adding an edge at a fixed vertex set never
-lowers any of the measures involved. Witnesses are therefore induced.
+Everything here is exact (Fraction or int). The density test m(g) <= c is
+max_gain(g, c) == 0, one max-flow. The measures with a least maximizing
+witness (m_density, m2_density, m2_asym) and the balancedness tests
+iterate over vertex subsets and take all induced edges, which is sound
+because adding an edge at a fixed vertex set never lowers any of the
+measures involved. Witnesses are therefore induced.
 """
 
 from __future__ import annotations
@@ -162,6 +164,72 @@ def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
         sub, _ = induced_subgraph(h1, ())
         return Fraction(0), Witness((), sub)
     return _maximize(h1, _d2_asym_of(h2))
+
+
+# ---------------------------------------------------------------------------
+# the density test, by max-flow
+#
+# With c = p/q, maximising gain(S) = q*e(S) - p*|S| over vertex subsets is
+# the project-selection cut of Picard (1976): an edge yields q but needs
+# both endpoints, each vertex costs p, and max gain = q*|E| - mincut.
+
+
+def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
+    """Dinic's algorithm on arcs [head, residual capacity, reverse index]."""
+    total = 0
+    while True:
+        level = [-1] * len(adj)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for v, cap, _ in adj[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return total
+        iters = [0] * len(adj)
+
+        def push(u: int, limit: int) -> int:
+            if u == t:
+                return limit
+            while iters[u] < len(adj[u]):
+                arc = adj[u][iters[u]]
+                v, cap, rev = arc
+                if cap > 0 and level[v] == level[u] + 1:
+                    got = push(v, min(limit, cap))
+                    if got:
+                        arc[1] -= got
+                        adj[v][rev][1] += got
+                        return got
+                iters[u] += 1
+            return 0
+
+        while pushed := push(s, 1 << 62):
+            total += pushed
+
+
+def max_gain(g: Graph, c: Fraction) -> int:
+    """max over vertex subsets S of q*e(S) - p*|S|, where c = p/q >= 0 in
+    lowest terms; 0 at the empty set, so m(g) <= c exactly when this is 0."""
+    if c < 0:
+        raise ValueError(f"density bound must be non-negative, got {c}")
+    p, q = c.numerator, c.denominator
+    ecount = g.edge_count
+    source, sink = 0, 1 + ecount + g.vertex_count
+    adj: list[list[list[int]]] = [[] for _ in range(sink + 1)]
+
+    def add(u: int, v: int, cap: int) -> None:
+        adj[u].append([v, cap, len(adj[v])])
+        adj[v].append([u, 0, len(adj[u]) - 1])
+
+    for i, (u, v) in enumerate(g.edges):
+        add(source, 1 + i, q)
+        add(1 + i, 1 + ecount + u, q * ecount + 1)
+        add(1 + i, 1 + ecount + v, q * ecount + 1)
+    for v in range(g.vertex_count):
+        add(1 + ecount + v, sink, p)
+    return q * ecount - _max_flow(adj, source, sink)
 
 
 def density_profile(g: Graph) -> DensityProfile:

@@ -13,16 +13,17 @@ theory, renamed for what it checks):
   that is anchored (strict case) or pinned (equal case);
 - a blocker decomposition splits a host into maximal blocker-subgraphs and
   classifies copies of h1/h2 as trivial (inside one member) or not; it
-  carries the host's h1 and h2 copy sets, so the pinned/anchored verdicts
-  (report_from_copies) and growth read them without enumerating again.
+  carries the host's h1 and h2 copy sets and the pinned/anchored report
+  built from them once, which the stuck audit and growth both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
-from .density import PairSpec, m_density
+from .density import PairSpec, max_gain
 from .graphs import (
     Copy,
     CopySet,
@@ -300,13 +301,15 @@ def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
     return report_from_copies(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2))
 
 
+def _under_cap(g: Graph, pair: PairSpec) -> bool:
+    """m(g) <= m2_pair + epsilon, the blocker density cap."""
+    return max_gain(g, pair.m2_pair + pair.epsilon) == 0
+
+
 def is_blocker(a: Graph, pair: PairSpec) -> bool:
     """Case-dependent blocker test: 2-connected, m below the density cap,
     anchored (strict case) or pinned (equal case)."""
-    if not is_two_connected(a):
-        return False
-    m, _ = m_density(a)
-    if m > pair.m2_pair + pair.epsilon:
+    if not (is_two_connected(a) and _under_cap(a, pair)):
         return False
     report = family_report(a, pair)
     return report.anchored if pair.case == "strict" else report.pinned
@@ -341,13 +344,8 @@ def enumerate_blockers(
     Generation prunes by the density cap (m(g) <= m2_pair + epsilon survives
     vertex deletion, so the prune never loses a future blocker).
     """
-    cap = pair.m2_pair + pair.epsilon
-
-    def keep(g: Graph) -> bool:
-        return m_density(g)[0] <= cap
-
     entries = []
-    for g in graphs_up_to(max_vertices, keep=keep):
+    for g in graphs_up_to(max_vertices, keep=lambda g: _under_cap(g, pair)):
         if is_blocker(g, pair):
             entries.append(BlockerEntry(g, has_valid_coloring(g, pair, coloring_budget)))
     return BlockerCatalog(pair, max_vertices, tuple(entries))
@@ -367,7 +365,8 @@ class PatternCopy:
 class BlockerDecomposition:
     """members_of maps every edge of graph to the ascending indices of the
     members that contain it; h1_copies and h2_copies are all copies of h1
-    and h2 in graph, the sets the straddler scan read."""
+    and h2 in graph, the sets the straddler scan read, and report holds the
+    pinned/anchored verdicts of graph built from them on first use."""
 
     graph: Graph
     members: tuple[Copy, ...]
@@ -375,6 +374,10 @@ class BlockerDecomposition:
     nontrivial_copies: tuple[PatternCopy, ...]
     h1_copies: CopySet
     h2_copies: CopySet
+
+    @cached_property
+    def report(self) -> FamilyReport:
+        return report_from_copies(self.graph, self.h1_copies, self.h2_copies)
 
     @property
     def covered_once(self) -> bool:

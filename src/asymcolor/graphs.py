@@ -456,30 +456,29 @@ def canonical_key(g: Graph) -> tuple:
 def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
     """All non-isomorphic graphs on exactly n vertices (canonical forms).
 
-    `keep` optionally prunes the search: a graph failing keep is dropped and
-    never extended, so keep must be monotone under taking supergraphs on more
-    vertices (anything violating it keeps violating it when grown). Density
-    caps of the form e(G) <= c * v(G) + d qualify via the max-density argument.
+    `keep` optionally prunes the search. It is evaluated once per
+    isomorphism class, on the canonical form, so it must be
+    isomorphism-invariant; a class failing it is dropped and never extended,
+    so it must be monotone under taking supergraphs on more vertices
+    (anything violating it keeps violating it when grown). Density caps of
+    the form e(G) <= c * v(G) + d qualify via the max-density argument.
     """
-    level: dict[tuple, Graph] = {}
     start = graph(0)
     if n == 0:
         return [start] if keep is None or keep(start) else []
-    level[canonical_key(start)] = start
+    level = [start]
     for size in range(1, n + 1):
-        nxt: dict[tuple, Graph] = {}
-        for g in level.values():
+        seen: dict[tuple[Edge, ...], Graph | None] = {}  # None: dropped by keep
+        for g in level:
             for mask in range(1 << g.vertex_count):
                 edges = list(g.edges) + [
                     (i, g.vertex_count) for i in range(g.vertex_count) if (mask >> i) & 1
                 ]
-                cand = graph(size, edges)
-                if keep is not None and not keep(cand):
-                    continue
-                canon, _ = canonical_form(cand)
-                nxt[(canon.vertex_count, canon.edges)] = canon
-        level = nxt
-    return sorted(level.values(), key=lambda g: (g.edge_count, g.edges))
+                canon, _ = canonical_form(graph(size, edges))
+                if canon.edges not in seen:
+                    seen[canon.edges] = canon if keep is None or keep(canon) else None
+        level = [g for g in seen.values() if g is not None]
+    return sorted(level, key=lambda g: (g.edge_count, g.edges))
 
 
 def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:

@@ -23,12 +23,11 @@ from fractions import Fraction
 from math import log
 from typing import Literal, Sequence
 
-from .density import PairSpec, density_slack
+from .density import PairSpec, density_slack, max_gain
 from .families import (
     BlockerDecomposition,
     blocker_decomposition,
     family_report,
-    report_from_copies,
 )
 from .graphs import (
     Copy,
@@ -58,82 +57,14 @@ class GrowError(RuntimeError):
 # exact minimum slack over all subgraphs, by max-flow
 #
 # Minimisers of lambda are induced subgraphs without isolated vertices (an
-# extra edge lowers lambda, an isolated vertex raises it), so it suffices to
-# range over vertex subsets S with all induced edges.  Writing m2_pair = p/q,
-#     lambda(S) = |S| - e(S) * q / p = (p*|S| - q*e(S)) / p,
-# so minimising lambda is maximising gain(S) = q*e(S) - p*|S|.  That is the
-# classic project-selection cut: an edge yields q but needs both endpoints,
-# each vertex costs p.  max gain = q*|E| - mincut, exact in integers.
-
-
-class _FlowNet:
-    def __init__(self, n: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        n = len(self.adj)
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for arc in self.adj[u]:
-                    if arc[1] > 0 and level[arc[0]] < 0:
-                        level[arc[0]] = level[u] + 1
-                        queue.append(arc[0])
-            if level[t] < 0:
-                return total
-            iters = [0] * n
-
-            def push(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while iters[u] < len(self.adj[u]):
-                    arc = self.adj[u][iters[u]]
-                    v, cap, rev = arc
-                    if cap > 0 and level[v] == level[u] + 1:
-                        got = push(v, min(limit, cap))
-                        if got:
-                            arc[1] -= got
-                            self.adj[v][rev][1] += got
-                            return got
-                    iters[u] += 1
-                return 0
-
-            while True:
-                pushed = push(s, 1 << 62)
-                if not pushed:
-                    break
-                total += pushed
-
-
-def _max_gain(f: Graph, pair: PairSpec) -> int:
-    if f.edge_count == 0:
-        return 0
-    p = pair.m2_pair.numerator
-    q = pair.m2_pair.denominator
-    ecount = f.edge_count
-    n = f.vertex_count
-    net = _FlowNet(2 + ecount + n)
-    source, sink = 0, 1 + ecount + n
-    inf = q * ecount + 1
-    for i, (u, v) in enumerate(f.edges):
-        net.add(source, 1 + i, q)
-        net.add(1 + i, 1 + ecount + u, inf)
-        net.add(1 + i, 1 + ecount + v, inf)
-    for v in range(n):
-        net.add(1 + ecount + v, sink, p)
-    return q * ecount - net.max_flow(source, sink)
+# extra edge lowers lambda, an isolated vertex raises it).  With
+# m2_pair = p/q, lambda(S) = (p*|S| - q*e(S)) / p, so minimising lambda over
+# vertex subsets S is maximising density.max_gain's q*e(S) - p*|S|.
 
 
 def min_slack(f: Graph, pair: PairSpec) -> Fraction:
     """min over all subgraphs S of f of v(S) - e(S)/m2_pair (0 at the empty one)."""
-    return Fraction(-_max_gain(f, pair), pair.m2_pair.numerator)
+    return Fraction(-max_gain(f, pair.m2_pair), pair.m2_pair.numerator)
 
 
 def _minimising_witness(f: Graph, pair: PairSpec) -> tuple[Graph, tuple[int, ...]]:
@@ -144,9 +75,8 @@ def _minimising_witness(f: Graph, pair: PairSpec) -> tuple[Graph, tuple[int, ...
     only overestimate any completion, so pruning strictly below the flow
     optimum keeps every maximiser reachable.
     """
-    target = _max_gain(f, pair)
-    p = pair.m2_pair.numerator
-    q = pair.m2_pair.denominator
+    target = max_gain(f, pair.m2_pair)
+    p, q = pair.m2_pair.numerator, pair.m2_pair.denominator
     n = f.vertex_count
     adj = adjacency_sets(f)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
@@ -296,9 +226,10 @@ def _extend_alt(
 def extend_anchored(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     """One anchored-extension step as a pure graph map (f, host share labels)."""
     d = blocker_decomposition(host, pair, ())
-    anchored = report_from_copies(host, d.h1_copies, d.h2_copies).anchored_copies
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_anchored(f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), anchored)
+    _extend_anchored(
+        f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), d.report.anchored_copies
+    )
     return graph(host.vertex_count, f_edges)
 
 
@@ -421,10 +352,7 @@ def _grow(
     h1_copies = decomp.h1_copies
     h1_by_edge = h1_copies.by_edge()
     # the h2-copies a step may attach: the anchored ones for grow, all for grow_alt
-    if variant == "grow":
-        attachable = report_from_copies(host, h1_copies, decomp.h2_copies).anchored_copies
-    else:
-        attachable = decomp.h2_copies
+    attachable = decomp.report.anchored_copies if variant == "grow" else decomp.h2_copies
 
     seed = next((r for r in h1_by_edge.get(seed_edge, ())), None)
     if seed is None:

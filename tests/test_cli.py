@@ -253,6 +253,23 @@ def test_exit_3_on_invariant_violation(capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+@pytest.mark.parametrize(
+    "limit",
+    [RecursionError("maximum recursion depth exceeded"), MemoryError()],
+    ids=lambda e: type(e).__name__,
+)
+def test_exit_2_on_a_resource_limit(capsys, monkeypatch, limit):
+    # RecursionError is a RuntimeError, but a Python resource limit is not
+    # an invariant violation
+    def boom(args):
+        raise limit
+
+    monkeypatch.setattr(cli, "cmd_density", boom)
+    rc, _, err = run_cli(capsys, "density", "--h1", "K4")
+    assert rc == 2
+    assert err.startswith("error: resource limit (") and type(limit).__name__ in err
+
+
 def test_exit_3_names_an_uncolorable_member(capsys, monkeypatch):
     def boom(g, pair, blockers, budget):
         raise UncolorableMemberError(SimpleNamespace(finding="member C~ has no valid coloring"))

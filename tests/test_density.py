@@ -19,6 +19,7 @@ from asymcolor.density import (
     m2_asym,
     m2_density,
     m_density,
+    max_gain,
 )
 from asymcolor.graphs import (
     Graph,
@@ -121,6 +122,22 @@ def test_witnesses_achieve_maxima():
 def test_subset_limit_guard():
     with pytest.raises(ValueError):
         m_density(graph(21))
+
+
+def test_max_gain_matches_subset_scan():
+    # the caps 201/100 and 113/50 are m2_pair + epsilon of K3/K3 and K4/C4
+    caps = [F(1, 2), F(1), F(3, 2), F(201, 100), F(113, 50), F(5, 2)]
+    rng = random.Random(20260816)
+    pool = graphs_up_to(6) + [random_graph(rng, n, 0.5) for n in range(1, 13) for _ in range(2)]
+    for g in pool:
+        counts = list(all_subgraph_counts(g))
+        m, _ = m_density(g)
+        for c in caps:
+            gain = max_gain(g, c)
+            assert gain == max(c.denominator * e - c.numerator * v for v, e in counts), (g.edges, c)
+            assert (gain == 0) == (m <= c), (g.edges, c)
+    with pytest.raises(ValueError):
+        max_gain(complete_graph(3), F(-1))
 
 
 # ---------------------------------------------------------------------------

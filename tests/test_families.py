@@ -23,6 +23,7 @@ from asymcolor.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     graph,
     octahedron_graph,
 )
@@ -314,9 +315,19 @@ def exhaustive_m(g: Graph) -> Fraction:
     return best
 
 
+def test_enumerate_blockers_k3k3_frozen_catalogs():
+    pair = pair_k3k3()
+    assert len(enumerate_blockers(pair, 5).members) == 3
+    cat = enumerate_blockers(pair, 7)
+    assert [emit_graph6(g) for g in cat.members] == [
+        "C~", "D^{", "D~{", "E`~w", "E}lw", "ER~w", "EF~w", "F`N^w", "F_N~w"
+    ]
+    assert all(e.search.status == "valid" for e in cat.entries)
+
+
 def test_enumerate_blockers_k4c4_empty():
-    cat = enumerate_blockers(pair_k4c4(), 6)
-    assert cat.members == ()
+    for bound in (6, 7):
+        assert enumerate_blockers(pair_k4c4(), bound).members == ()
 
 
 def test_enumerate_blockers_below_h2_size():

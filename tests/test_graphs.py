@@ -288,12 +288,20 @@ def test_generation_is_pairwise_nonisomorphic():
 
 
 def test_generation_with_density_cap():
-    # keep only graphs with e <= v: every graph kept satisfies it and the
-    # triangle-with-chords family is gone
-    gs = nonisomorphic_graphs(5, keep=lambda g: g.edge_count <= g.vertex_count)
-    assert all(g.edge_count <= g.vertex_count for g in gs)
-    full = [g for g in nonisomorphic_graphs(5) if g.edge_count <= g.vertex_count]
-    assert len(gs) == len(full)
+    # keep only graphs with e <= v: the pruned search finds exactly the
+    # graphs that satisfy it, and keep sees each isomorphism class once, as
+    # its canonical form
+    for n in range(7):
+        seen = []
+
+        def keep(g):
+            seen.append(g)
+            return g.edge_count <= g.vertex_count
+
+        gs = nonisomorphic_graphs(n, keep=keep)
+        assert all(canonical_form(g)[0] == g for g in seen)
+        assert len(set(seen)) == len(seen)
+        assert gs == [g for g in nonisomorphic_graphs(n) if g.edge_count <= g.vertex_count]
 
 
 def test_graphs_up_to_includes_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcolor import graphs, harness
+from asymcolor import families, graphs, harness
 from asymcolor.colorer import check_stuck_state
 from asymcolor.density import build_pair_spec
 from asymcolor.families import blocker_decomposition, enumerate_blockers
@@ -246,46 +246,59 @@ def test_full_pipeline_trials_match_golden():
 
 def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypatch):
     # The audit's blocker decomposition enumerates the residual's h1 and h2
-    # copies; the family verdicts and growth read them from there. The
-    # package modules import enumerate_copies by name, so every binding is
-    # wrapped.
+    # copies and builds the pinned/anchored report from them once; the audit
+    # and growth (grow reads the anchored copies in the strict case) both
+    # read them from there. The package modules import these functions by
+    # name, so every binding is wrapped.
     pair, blockers = k3k3_setup
-    assert pair.h1 is not pair.h2
-    original = graphs.enumerate_copies
-    calls = []  # (host, pattern); holding the hosts keeps their ids apart
+    k4c4 = pair_k4c4()
+    assert pair.h1 is not pair.h2 and k4c4.case == "strict"
+    originals = {
+        "enumerate_copies": graphs.enumerate_copies,
+        "report_from_copies": families.report_from_copies,
+    }
+    calls = {name: [] for name in originals}  # holding the graphs keeps their ids apart
 
-    def counting(host, pattern):
-        calls.append((host, pattern))
-        return original(host, pattern)
+    def counting(name):
+        def wrapper(g, *rest):
+            calls[name].append((g, *rest))
+            return originals[name](g, *rest)
 
-    for name, module in sorted(sys.modules.items()):
-        if name.startswith("asymcolor.") and getattr(module, "enumerate_copies", None) is original:
-            monkeypatch.setattr(module, "enumerate_copies", counting)
+        return wrapper
+
+    for name, original in originals.items():
+        for mod_name, module in sorted(sys.modules.items()):
+            if mod_name.startswith("asymcolor.") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name))
     audited = []
 
     def audit(outcome, pair):
         report = check_stuck_state(outcome, pair)
-        audited.append(report.decomposition)
+        audited.append((report.decomposition, pair))
         return report
 
     monkeypatch.setattr(harness, "check_stuck_state", audit)
-    looped = 0
-    b = Fraction(3, 2)
-    # the bound-6 catalog gives residuals with members (special-case
-    # returns), an empty one gives the growth loop
-    for catalog in (blockers, ()):
+    looped = strict_grown = 0
+    # the bound-6 K3/K3 catalog gives residuals with members (special-case
+    # returns), an empty one gives the growth loop; K4/C4 at b=2 sticks on
+    # 5 of 8 trials at n=12 and 8 of 8 at n=16, all grown by grow
+    cells = [(pair, catalog, 16, Fraction(3, 2)) for catalog in (blockers, ())]
+    cells += [(k4c4, (), n, Fraction(2)) for n in (12, 16)]
+    for cell_pair, catalog, n, b in cells:
         for t in range(8):
             config = TrialConfig(
-                pair, n=16, b=b, seed=derive_seed(20260816, 16, b, t),
+                cell_pair, n=n, b=b, seed=derive_seed(20260816, n, b, t),
                 budget=20_000, mode="FullPipeline",
             )
             trace = run_trial(config, catalog).grow_trace
             looped += trace is not None and trace.outcome != "special_case"
-    assert len(audited) >= 8 and looped >= 1
-    assert any(d.members for d in audited)
-    for decomp in audited:
-        for pattern in (pair.h1, pair.h2):
-            assert sum(h is decomp.graph and p is pattern for h, p in calls) == 1
+            strict_grown += trace is not None and cell_pair is k4c4
+    assert len(audited) >= 8 and looped >= 1 and strict_grown >= 8
+    assert any(d.members for d, _ in audited)
+    for decomp, audited_pair in audited:
+        for pattern in (audited_pair.h1, audited_pair.h2):
+            assert sum(h is decomp.graph and p is pattern for h, p in calls["enumerate_copies"]) == 1
+        assert sum(g is decomp.graph for g, *_ in calls["report_from_copies"]) == 1
 
 
 # --- sweeps -----------------------------------------------------------------
