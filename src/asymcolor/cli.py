@@ -96,6 +96,20 @@ def parse_graph_arg(text: str) -> Graph:
     return parse_graph6(s)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
@@ -256,11 +270,7 @@ def cmd_color(args) -> int:
 def cmd_grow(args) -> int:
     pair = _pair_from(args)
     host = parse_graph_arg(args.graph)
-    blockers = (
-        enumerate_blockers(pair, args.a_hat_bound, args.budget).members
-        if args.a_hat_bound > 0
-        else ()
-    )
+    blockers = enumerate_blockers(pair, args.a_hat_bound, args.budget).members
     variant = args.variant
     if variant == "auto":
         variant = "anchored" if pair.case == "strict" else "alt"
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair_args.add_argument("--epsilon", type=Fraction, default=None, help="slack, default 1/100")
 
     budget_arg = argparse.ArgumentParser(add_help=False)
-    budget_arg.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    budget_arg.add_argument("--budget", type=_positive, default=DEFAULT_ORACLE_BUDGET)
 
     top = argparse.ArgumentParser(prog="asymcolor")
     sub = top.add_subparsers(dest="command", required=True)
@@ -421,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "families", parents=[common, pair_args, budget_arg], help="enumerate the blocker catalog"
     )
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_A_HAT_BOUND)
+    p.add_argument("--max-vertices", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser(
@@ -434,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "color", parents=[common, out_arg, pair_args, budget_arg], help="run the stack colorer"
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--a-hat-bound", type=int, default=DEFAULT_A_HAT_BOUND)
+    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser(
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--variant", choices=("auto", "anchored", "alt"), default="auto")
-    p.add_argument("--a-hat-bound", type=int, default=DEFAULT_A_HAT_BOUND)
+    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser(
@@ -453,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=Fraction, required=True)
     p.add_argument("--mode", choices=tuple(_MODES), default="oracle")
-    p.add_argument("--a-hat-bound", type=int, default=DEFAULT_A_HAT_BOUND)
+    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser(
@@ -463,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 12,16,20")
     p.add_argument("--b", type=_fraction_list, default=_fraction_list(DEFAULT_B_GRID))
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--mode", choices=tuple(_MODES), default="color")
-    p.add_argument("--a-hat-bound", type=int, default=DEFAULT_A_HAT_BOUND)
+    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.add_argument("--csv-timing", action="store_true", help="real mean_ms in the CSV (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 

@@ -2,7 +2,7 @@
 the member-wise colorer, then replay the stack re-adding edges blue and
 flipping one edge red on each fully-blue tracked copy.
 
-The tracked copy list starts as all h2-copies of the input and only ever
+The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
 copy of a pattern in the residual is exactly a copy in the input whose edges
 all survive, every copy set is enumerated once up front and filtered by a
@@ -134,8 +134,7 @@ def asym_edge_color(
     h2 = _LiveCopies(g, pair.h2, live)
     blocker_sets = [_LiveCopies(g, b, live) for b in blockers]
 
-    tracked: list[int] = list(range(len(h2.copies)))  # indices into h2.copies
-    tracked_set = set(tracked)
+    tracked: set[int] = set(range(len(h2.copies)))  # indices into h2.copies
     stack: list[StackEntry] = []
     trace: list[TraceEvent] = []
     step = 0
@@ -147,7 +146,7 @@ def asym_edge_color(
 
     def pinned_by_tracked(e: Edge) -> bool:
         for li in h2.by_edge.get(e, ()):
-            if li not in tracked_set:
+            if li not in tracked:
                 continue
             L = h2.copies[li]
             for R in h1.alive_through(e):
@@ -186,10 +185,9 @@ def asym_edge_color(
         fired = False
         for e in sorted(live):
             if not pinned_by_tracked(e):
-                for li in [li for li in tracked if e in h2.copies[li].edges]:
+                for li in [li for li in h2.by_edge.get(e, ()) if li in tracked]:
                     stack.append(StackEntry("h2copy", copy_edges=h2.copies[li].edges))
-                    tracked.remove(li)
-                    tracked_set.discard(li)
+                    tracked.discard(li)
                     log("push_l", edge=e, l_copy=tuple(sorted(h2.copies[li].edges)))
                 stack.append(StackEntry("edge", edge=e))
                 live.discard(e)
@@ -202,12 +200,11 @@ def asym_edge_color(
                 fired = True
                 break
         if not fired:
-            for li in list(tracked):
+            for li in sorted(tracked):
                 bad = unmet_edge(h2.copies[li].edges)
                 if bad is not None:
                     stack.append(StackEntry("h2copy", copy_edges=h2.copies[li].edges))
-                    tracked.remove(li)
-                    tracked_set.discard(li)
+                    tracked.discard(li)
                     log("retire_l", edge=bad, l_copy=tuple(sorted(h2.copies[li].edges)))
                     fired = True
                     break

@@ -5,10 +5,12 @@ colorer, the growth procedures) works over this module's Graph type. Graphs
 are immutable, vertices are 0..n-1, and edges are stored as a sorted tuple of
 sorted pairs so that iteration order is deterministic everywhere.
 
-A "copy" of a pattern inside a host is a subgraph image; copies are
-deduplicated by edge image (two embeddings that differ only by a pattern
-automorphism are the same copy). This is the semantics all family and colorer
-code relies on.
+An embedding is a vertex map, a tuple of host vertices, found by a
+backtracking search over host bitmasks in a fixed order. A "copy" of a
+pattern inside a host is a subgraph image; copies are deduplicated by edge
+image (two embeddings that differ only by a pattern automorphism are the same
+copy), and a copy's witness vertex set comes from its first embedding. This
+is the semantics all family and colorer code relies on.
 """
 
 from __future__ import annotations
@@ -142,20 +144,6 @@ def extract_from_edges(edges: Iterable[Edge], isolated: Iterable[int] = ()) -> t
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """An injective vertex map carrying every pattern edge to a host edge."""
-
-    host: Graph
-    pattern: Graph
-    vertex_map: tuple[int, ...]
-
-    @property
-    def edge_image(self) -> frozenset[Edge]:
-        vm = self.vertex_map
-        return frozenset(norm_edge(vm[u], vm[v]) for u, v in self.pattern.edges)
-
-
-@dataclass(frozen=True)
 class Copy:
     """One subgraph copy: the image edge set plus a witness vertex set."""
 
@@ -200,46 +188,44 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[Embedding]:
-    """Yield every embedding of pattern into host (subgraph, not induced)."""
-    if pattern.vertex_count == 0:
-        yield Embedding(host, pattern, ())
-        return
-    if pattern.vertex_count > host.vertex_count:
-        return
+def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield every embedding of pattern into host (subgraph, not induced):
+    the injective vertex map, as the tuple of host images of pattern
+    vertices 0..k-1, that carries every pattern edge to a host edge.
+
+    Pattern vertices are placed in `_pattern_order`. Each one's candidates
+    are one AND of bitmasks: free host vertices, host vertices of large
+    enough degree, and the neighbourhoods of the images of its placed
+    neighbours. They are tried lowest bit first; that order fixes which
+    embedding of a copy comes first, and so its witness vertex set.
+    """
     hmask = adjacency_masks(host)
     hdeg = host.degree_sequence()
     pdeg = pattern.degree_sequence()
     padj = adjacency_sets(pattern)
     order = _pattern_order(pattern)
-    pos_of = {v: i for i, v in enumerate(order)}
+    fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in set(pdeg)}
+    steps = [
+        (pv, fit[pdeg[pv]], [q for q in padj[pv] if q in order[:depth]])
+        for depth, pv in enumerate(order)
+    ]
+    assignment = [-1] * pattern.vertex_count
 
-    assignment: list[int] = [-1] * pattern.vertex_count
-    used = [False] * host.vertex_count
-
-    def backtrack(depth: int) -> Iterator[Embedding]:
-        if depth == len(order):
-            yield Embedding(host, pattern, tuple(assignment))
+    def backtrack(depth: int, free: int) -> Iterator[tuple[int, ...]]:
+        if depth == len(steps):
+            yield tuple(assignment)
             return
-        pv = order[depth]
-        anchors = [(assignment[q], q) for q in padj[pv] if pos_of[q] < depth]
-        for hv in range(host.vertex_count):
-            if used[hv] or hdeg[hv] < pdeg[pv]:
-                continue
-            ok = True
-            for hu, _ in anchors:
-                if not (hmask[hu] >> hv) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[hv] = True
-            assignment[pv] = hv
-            yield from backtrack(depth + 1)
-            used[hv] = False
-            assignment[pv] = -1
+        pv, cand, anchors = steps[depth]
+        cand &= free
+        for q in anchors:
+            cand &= hmask[assignment[q]]
+        while cand:
+            low = cand & -cand
+            assignment[pv] = low.bit_length() - 1
+            yield from backtrack(depth + 1, free ^ low)
+            cand ^= low
 
-    yield from backtrack(0)
+    yield from backtrack(0, (1 << host.vertex_count) - 1)
 
 
 def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
@@ -251,10 +237,10 @@ def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
     found: dict[frozenset[Edge], Copy] = {}
-    for emb in enumerate_embeddings(host, pattern):
-        image = emb.edge_image
+    for vm in enumerate_embeddings(host, pattern):
+        image = frozenset(norm_edge(vm[u], vm[v]) for u, v in pattern.edges)
         if image not in found:
-            found[image] = Copy(image, frozenset(emb.vertex_map))
+            found[image] = Copy(image, frozenset(vm))
     copies = tuple(sorted(found.values(), key=Copy.sort_key))
     return CopySet(pattern, copies)
 
@@ -453,9 +439,11 @@ def canonical_key(g: Graph) -> tuple:
 # exhaustive generation of small graphs up to isomorphism
 
 
-def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
-    """All non-isomorphic graphs on exactly n vertices (canonical forms).
+def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
+    """Non-isomorphic graphs on 0..n vertices (canonical forms), by order.
 
+    Each order is built once, from the one below, and sorted by (edge
+    count, edges).
     `keep` optionally prunes the search. It is evaluated once per
     isomorphism class, on the canonical form, so it must be
     isomorphism-invariant; a class failing it is dropped and never extended,
@@ -463,10 +451,11 @@ def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) ->
     (anything violating it keeps violating it when grown). Density caps of
     the form e(G) <= c * v(G) + d qualify via the max-density argument.
     """
+    if n < 0:
+        raise ValueError(f"vertex count {n} < 0")
     start = graph(0)
-    if n == 0:
-        return [start] if keep is None or keep(start) else []
-    level = [start]
+    level = [start] if keep is None or keep(start) else []
+    out = list(level)
     for size in range(1, n + 1):
         seen: dict[tuple[Edge, ...], Graph | None] = {}  # None: dropped by keep
         for g in level:
@@ -477,16 +466,17 @@ def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) ->
                 canon, _ = canonical_form(graph(size, edges))
                 if canon.edges not in seen:
                     seen[canon.edges] = canon if keep is None or keep(canon) else None
-        level = [g for g in seen.values() if g is not None]
-    return sorted(level, key=lambda g: (g.edge_count, g.edges))
-
-
-def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
-    """Non-isomorphic graphs on 0..n vertices, concatenated by order."""
-    out: list[Graph] = []
-    for k in range(n + 1):
-        out.extend(nonisomorphic_graphs(k, keep))
+        level = sorted(
+            (g for g in seen.values() if g is not None), key=lambda g: (g.edge_count, g.edges)
+        )
+        out.extend(level)
     return out
+
+
+def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
+    """All non-isomorphic graphs on exactly n vertices: the last order of
+    `graphs_up_to(n, keep)`, with the same contract for `keep`."""
+    return [g for g in graphs_up_to(n, keep) if g.vertex_count == n]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ class TrialConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.a_hat_bound < 0:
+            raise ValueError(f"a_hat_bound = {self.a_hat_bound} < 0")
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,27 @@ def test_exit_2_on_bad_input(capsys):
     assert rc == 2 and "cannot grow" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--h1", "K3", "--h2", "K3", "--max-vertices", "-1"],
+        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--a-hat-bound", "-1"],
+        ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--a-hat-bound", "-1"],
+        ["trial", "--h1", "K3", "--h2", "K3", "--n", "8", "--b", "1", "--a-hat-bound", "-2"],
+        ["sweep", "--h1", "K3", "--h2", "K3", "--n", "8", "--a-hat-bound", "-1"],
+        ["sweep", "--h1", "K3", "--h2", "K3", "--n", "8", "--trials", "-3"],
+        ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "0"],
+        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_exit_2_on_an_out_of_range_count(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >=" in capsys.readouterr().err
+
+
 def test_exit_3_on_invariant_violation(capsys, monkeypatch):
     def boom(g):
         raise AssertionError("broken invariant")

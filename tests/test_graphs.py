@@ -147,6 +147,53 @@ def test_pattern_without_edges_rejected():
         enumerate_copies(complete_graph(3), graph(2))
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        complete_graph(3),
+        complete_graph(4),
+        complete_graph(5),
+        cycle_graph(4),
+        cycle_graph(5),
+        complete_bipartite(3, 3),
+        cube_graph(),
+    ],
+    ids=["K3", "K4", "K5", "C4", "C5", "K3,3", "Q3"],
+)
+def test_copies_match_networkx_monomorphisms(pattern):
+    # networkx's VF2 matcher is the independent slow path: its subgraph
+    # monomorphisms are the embeddings, and their edge images the copies.
+    # Each sparse host gets one planted copy, so no pattern is checked only
+    # on hosts without copies.
+    rng = random.Random(2027 + pattern.edge_count)
+    for n, p in ((12, 0.4), (25, 0.15), (40, 0.08)):
+        sample = random_graph(rng, n, p)
+        plant = rng.sample(range(n), pattern.vertex_count)
+        host = graph(n, list(sample.edges) + [(plant[u], plant[v]) for u, v in pattern.edges])
+        images = set()
+        monomorphisms = 0
+        matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(host), to_nx(pattern))
+        for m in matcher.subgraph_monomorphisms_iter():
+            inv = {pv: hv for hv, pv in m.items()}
+            images.add(frozenset(tuple(sorted((inv[u], inv[v]))) for u, v in pattern.edges))
+            monomorphisms += 1
+        copies = enumerate_copies(host, pattern).copies
+        assert [c.edges for c in copies] == sorted(images, key=sorted)
+        assert all(c.vertices == {v for e in c.edges for v in e} for c in copies)
+        assert sum(1 for _ in enumerate_embeddings(host, pattern)) == monomorphisms
+
+
+def test_copy_witness_is_the_first_embedding():
+    # an isolated pattern vertex goes to the lowest free host vertex, so the
+    # witness vertex sets are pinned by the enumeration order
+    copies = enumerate_copies(path_graph(5), graph(3, [(0, 1)])).copies
+    assert [sorted(c.edges) for c in copies] == [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
+    assert [sorted(c.vertices) for c in copies] == [[0, 1, 2], [0, 1, 2], [0, 2, 3], [0, 3, 4]]
+    assert next(enumerate_embeddings(path_graph(5), graph(3, [(0, 1)]))) == (0, 1, 2)
+    assert list(enumerate_embeddings(graph(2), graph(0))) == [()]
+    assert list(enumerate_embeddings(graph(2), graph(3))) == []
+
+
 def test_embeddings_count_automorphisms():
     # the number of embeddings of a pattern into itself equals |Aut|
     assert sum(1 for _ in enumerate_embeddings(cycle_graph(5), cycle_graph(5))) == 10
@@ -302,6 +349,17 @@ def test_generation_with_density_cap():
         assert all(canonical_form(g)[0] == g for g in seen)
         assert len(set(seen)) == len(seen)
         assert gs == [g for g in nonisomorphic_graphs(n) if g.edge_count <= g.vertex_count]
+    # graphs_up_to builds each order once, so keep still sees every class once
+    seen = []
+    gs = graphs_up_to(6, keep=keep)
+    assert len(set(seen)) == len(seen)
+    assert gs == [g for g in graphs_up_to(6) if g.edge_count <= g.vertex_count]
+
+
+def test_generation_rejects_a_negative_order():
+    for generate in (nonisomorphic_graphs, graphs_up_to):
+        with pytest.raises(ValueError):
+            generate(-1)
 
 
 def test_graphs_up_to_includes_small():

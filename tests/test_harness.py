@@ -114,6 +114,8 @@ def test_trial_config_validation():
         TrialConfig(pair, 10, Fraction(1, 2), seed=2**64)
     with pytest.raises(ValueError, match="budget"):
         TrialConfig(pair, 10, Fraction(1, 2), seed=0, budget=0)
+    with pytest.raises(ValueError, match="a_hat_bound"):
+        TrialConfig(pair, 10, Fraction(1, 2), seed=0, a_hat_bound=-1)
 
 
 def test_run_trial_colored_below_threshold():
