@@ -6,7 +6,11 @@ The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
 copy of a pattern in the residual is exactly a copy in the input whose edges
 all survive, every copy set is enumerated once up front and filtered by a
-dead-edge counter, never re-enumerated.
+dead-edge counter, never re-enumerated; kills, revivals and the per-edge
+queries read each set's own per-edge index. The outcome carries the input's
+h1 and h2 copy sets, which the stuck oracle searches instead of enumerating
+the input again. The stuck audit (check_stuck_state) still enumerates the
+residual's copies afresh: it is the independent check.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class ColorerOutcome:
     live_anchors: CopySet | None
     trace: tuple[TraceEvent, ...]
     blockers: tuple[Graph, ...]
+    h1_copies: CopySet  # every copy of h1 and of h2 in the input
+    h2_copies: CopySet
 
 
 class ColorerInternalError(Exception):
@@ -88,32 +94,27 @@ class UncolorableMemberError(Exception):
 
 
 class _LiveCopies:
-    """Copies of a pattern in the input, filtered by surviving edges."""
+    """Copies of a pattern in the input (all), filtered by surviving edges:
+    missing[i] counts the dead edges of all.copies[i]."""
 
     def __init__(self, host: Graph, pattern: Graph, live: set[Edge]):
-        self.copies = enumerate_copies(host, pattern).copies
-        self.by_edge: dict[Edge, list[int]] = {}
-        for i, c in enumerate(self.copies):
-            for e in c.edges:
-                self.by_edge.setdefault(e, []).append(i)
-        self.missing = [sum(1 for e in c.edges if e not in live) for c in self.copies]
+        self.all = enumerate_copies(host, pattern)
+        self.missing = [sum(1 for e in c.edges if e not in live) for c in self.all.copies]
 
     def kill(self, e: Edge):
-        for i in self.by_edge.get(e, ()):
+        for i in self.all.index.get(e, ()):
             self.missing[i] += 1
 
     def revive(self, e: Edge):
-        for i in self.by_edge.get(e, ()):
+        for i in self.all.index.get(e, ()):
             self.missing[i] -= 1
 
-    def alive(self, i: int) -> bool:
-        return self.missing[i] == 0
-
     def alive_through(self, e: Edge):
-        return (self.copies[i] for i in self.by_edge.get(e, ()) if self.missing[i] == 0)
+        copies = self.all.copies
+        return (copies[i] for i in self.all.index.get(e, ()) if self.missing[i] == 0)
 
     def alive_all(self):
-        return (c for i, c in enumerate(self.copies) if self.missing[i] == 0)
+        return (c for i, c in enumerate(self.all.copies) if self.missing[i] == 0)
 
 
 def asym_edge_color(
@@ -134,7 +135,7 @@ def asym_edge_color(
     h2 = _LiveCopies(g, pair.h2, live)
     blocker_sets = [_LiveCopies(g, b, live) for b in blockers]
 
-    tracked: set[int] = set(range(len(h2.copies)))  # indices into h2.copies
+    tracked: set[int] = set(range(len(h2.all)))  # positions in h2.all
     stack: list[StackEntry] = []
     trace: list[TraceEvent] = []
     step = 0
@@ -145,10 +146,10 @@ def asym_edge_color(
         step += 1
 
     def pinned_by_tracked(e: Edge) -> bool:
-        for li in h2.by_edge.get(e, ()):
+        for li in h2.all.index.get(e, ()):
             if li not in tracked:
                 continue
-            L = h2.copies[li]
+            L = h2.all.copies[li]
             for R in h1.alive_through(e):
                 if L.edges & R.edges == {e}:
                     return True
@@ -185,10 +186,11 @@ def asym_edge_color(
         fired = False
         for e in sorted(live):
             if not pinned_by_tracked(e):
-                for li in [li for li in h2.by_edge.get(e, ()) if li in tracked]:
-                    stack.append(StackEntry("h2copy", copy_edges=h2.copies[li].edges))
+                for li in [li for li in h2.all.index.get(e, ()) if li in tracked]:
+                    L_edges = h2.all.copies[li].edges
+                    stack.append(StackEntry("h2copy", copy_edges=L_edges))
                     tracked.discard(li)
-                    log("push_l", edge=e, l_copy=tuple(sorted(h2.copies[li].edges)))
+                    log("push_l", edge=e, l_copy=tuple(sorted(L_edges)))
                 stack.append(StackEntry("edge", edge=e))
                 live.discard(e)
                 h1.kill(e)
@@ -201,18 +203,21 @@ def asym_edge_color(
                 break
         if not fired:
             for li in sorted(tracked):
-                bad = unmet_edge(h2.copies[li].edges)
+                L_edges = h2.all.copies[li].edges
+                bad = unmet_edge(L_edges)
                 if bad is not None:
-                    stack.append(StackEntry("h2copy", copy_edges=h2.copies[li].edges))
+                    stack.append(StackEntry("h2copy", copy_edges=L_edges))
                     tracked.discard(li)
-                    log("retire_l", edge=bad, l_copy=tuple(sorted(h2.copies[li].edges)))
+                    log("retire_l", edge=bad, l_copy=tuple(sorted(L_edges)))
                     fired = True
                     break
         if not fired:
             log("stuck")
             residual = graph(g.vertex_count, live)
-            live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in sorted(tracked)))
-            return ColorerOutcome("stuck", None, residual, live_anchors, tuple(trace), tuple(blockers))
+            live_anchors = CopySet(pair.h2, tuple(h2.all.copies[li] for li in sorted(tracked)))
+            return ColorerOutcome(
+                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1.all, h2.all
+            )
         assert len(live) + len(tracked) < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
@@ -261,7 +266,9 @@ def asym_edge_color(
     check = verify_coloring(coloring, pair)
     if not check.ok:
         raise ColorerInternalError(f"final coloring invalid: {check}", trace)
-    return ColorerOutcome("colored", coloring, None, None, tuple(trace), tuple(blockers))
+    return ColorerOutcome(
+        "colored", coloring, None, None, tuple(trace), tuple(blockers), h1.all, h2.all
+    )
 
 
 @dataclass(frozen=True)

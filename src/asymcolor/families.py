@@ -107,7 +107,15 @@ class ColoringSearch:
 
 
 def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BUDGET) -> ColoringSearch:
-    """Backtracking search for a total coloring with no red h1 and no blue h2.
+    """Backtracking search for a total coloring with no red h1 and no blue h2,
+    enumerating the copies of h1 and h2 in g; see search_from_copies."""
+    return search_from_copies(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2), budget)
+
+
+def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget: int) -> ColoringSearch:
+    """Backtracking search for a total coloring of g in which no copy in
+    h1_copies is all red and no copy in h2_copies is all blue, given all
+    copies of h1 and of h2 in g.
 
     Propagation: a copy of h1 with all but one edge red forces its last edge
     blue, and dually for h2. Branching picks an edge in the tightest live
@@ -118,28 +126,20 @@ def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BU
     edges = g.edges
     n_e = len(edges)
     idx = {e: i for i, e in enumerate(edges)}
-    h1_sets = [
-        tuple(sorted(idx[e] for e in c.edges))
-        for c in (enumerate_copies(g, pair.h1).copies if pair.h1.edge_count and n_e else ())
+    # one list of copies: those of h1, which must not go all red, then those
+    # of h2, which must not go all blue; on[e] lists the copies through the
+    # edge at position e, h1's first, each kind in its set's order
+    sets = [tuple(sorted(idx[e] for e in c.edges)) for c in h1_copies.copies + h2_copies.copies]
+    shift = len(h1_copies)
+    bad = [RED] * shift + [BLUE] * len(h2_copies)
+    on = [
+        h1_copies.index.get(e, ()) + tuple(shift + ci for ci in h2_copies.index.get(e, ()))
+        for e in edges
     ]
-    h2_sets = [
-        tuple(sorted(idx[e] for e in c.edges))
-        for c in (enumerate_copies(g, pair.h2).copies if pair.h2.edge_count and n_e else ())
-    ]
-    edge_h1: list[list[int]] = [[] for _ in range(n_e)]
-    edge_h2: list[list[int]] = [[] for _ in range(n_e)]
-    for ci, cs in enumerate(h1_sets):
-        for e in cs:
-            edge_h1[e].append(ci)
-    for ci, cs in enumerate(h2_sets):
-        for e in cs:
-            edge_h2[e].append(ci)
 
     color: list[str | None] = [None] * n_e
-    un1 = [len(c) for c in h1_sets]
-    un2 = [len(c) for c in h2_sets]
-    mono1 = [0] * len(h1_sets)  # red counts
-    mono2 = [0] * len(h2_sets)  # blue counts
+    un = [len(c) for c in sets]  # uncolored edges per copy
+    mono = [0] * len(sets)  # edges per copy in its bad colour
     nodes = 0
 
     def assign(e0: int, c0: str, trail: list[int]) -> bool:
@@ -154,43 +154,28 @@ def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BU
             trail.append(e)
             # update every counter before any conflict return, so undo (which
             # reverses complete updates) stays in sync
-            for ci in edge_h1[e]:
-                un1[ci] -= 1
-                if c == RED:
-                    mono1[ci] += 1
-            for ci in edge_h2[e]:
-                un2[ci] -= 1
-                if c == BLUE:
-                    mono2[ci] += 1
-            if c == RED:
-                for ci in edge_h1[e]:
-                    k = len(h1_sets[ci])
-                    if mono1[ci] == k:
-                        return False
-                    if un1[ci] == 1 and mono1[ci] == k - 1:
-                        f = next(x for x in h1_sets[ci] if color[x] is None)
-                        queue.append((f, BLUE))
-            else:
-                for ci in edge_h2[e]:
-                    k = len(h2_sets[ci])
-                    if mono2[ci] == k:
-                        return False
-                    if un2[ci] == 1 and mono2[ci] == k - 1:
-                        f = next(x for x in h2_sets[ci] if color[x] is None)
-                        queue.append((f, RED))
+            for ci in on[e]:
+                un[ci] -= 1
+                if c == bad[ci]:
+                    mono[ci] += 1
+            for ci in on[e]:
+                if c != bad[ci]:
+                    continue
+                k = len(sets[ci])
+                if mono[ci] == k:
+                    return False
+                if un[ci] == 1 and mono[ci] == k - 1:
+                    f = next(x for x in sets[ci] if color[x] is None)
+                    queue.append((f, BLUE if c == RED else RED))
         return True
 
     def undo(trail: list[int]):
         for e in reversed(trail):
             c = color[e]
-            for ci in edge_h1[e]:
-                un1[ci] += 1
-                if c == RED:
-                    mono1[ci] -= 1
-            for ci in edge_h2[e]:
-                un2[ci] += 1
-                if c == BLUE:
-                    mono2[ci] -= 1
+            for ci in on[e]:
+                un[ci] += 1
+                if c == bad[ci]:
+                    mono[ci] -= 1
             color[e] = None
 
     def pick() -> int | None:
@@ -199,12 +184,9 @@ def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BU
             if color[e] is not None:
                 continue
             score = n_e + 1
-            for ci in edge_h1[e]:
-                if mono1[ci] == len(h1_sets[ci]) - un1[ci]:  # all assigned are red
-                    score = min(score, un1[ci])
-            for ci in edge_h2[e]:
-                if mono2[ci] == len(h2_sets[ci]) - un2[ci]:
-                    score = min(score, un2[ci])
+            for ci in on[e]:
+                if mono[ci] == len(sets[ci]) - un[ci]:  # all assigned are the bad colour
+                    score = min(score, un[ci])
             if best_score is None or score < best_score:
                 best, best_score = e, score
         return best
@@ -257,24 +239,19 @@ class FamilyReport:
 def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
     """Pinned/anchored verdicts with per-edge failure witnesses, from all
     copies of h1 and of h2 in g."""
-    h1_by_edge = h1_copies.by_edge()
-    h2_by_edge = h2_copies.by_edge()
     anchored_set = CopySet(
         h2_copies.pattern,
         tuple(
             L
             for L in h2_copies.copies
-            if all(any(L.edges & R.edges == {e} for R in h1_by_edge.get(e, ())) for e in L.edges)
+            if all(any(L.edges & R.edges == {e} for R in h1_copies.through(e)) for e in L.edges)
         ),
     )
-    anchored_by_edge = anchored_set.by_edge()
 
     pinned_failures = []
     for e in g.edges:
         pinned_here = any(
-            L.edges & R.edges == {e}
-            for L in h2_by_edge.get(e, ())
-            for R in h1_by_edge.get(e, ())
+            L.edges & R.edges == {e} for L in h2_copies.through(e) for R in h1_copies.through(e)
         )
         if not pinned_here:
             pinned_failures.append(e)
@@ -282,9 +259,9 @@ def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> Fami
     anchor_of: dict[Edge, Copy] = {}
     anchored_failures = []
     for e in g.edges:
-        hosts = anchored_by_edge.get(e)
+        hosts = anchored_set.through(e)
         if hosts:
-            anchor_of[e] = min(hosts, key=Copy.sort_key)
+            anchor_of[e] = hosts[0]
         else:
             anchored_failures.append(e)
 

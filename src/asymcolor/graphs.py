@@ -16,7 +16,9 @@ is the semantics all family and colorer code relies on.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -156,18 +158,31 @@ class Copy:
 
 @dataclass(frozen=True)
 class CopySet:
+    """Copies of pattern, in ascending `Copy.sort_key` order.
+
+    index maps every edge on some copy to the positions of the copies
+    through it, ascending, so through(e) lists those copies in the order of
+    copies. The index is built on first use: a set nobody queries costs
+    nothing.
+    """
+
     pattern: Graph
     copies: tuple[Copy, ...]
 
     def __len__(self) -> int:
         return len(self.copies)
 
-    def by_edge(self) -> dict[Edge, list[Copy]]:
-        index: dict[Edge, list[Copy]] = {}
-        for c in self.copies:
+    @cached_property
+    def index(self) -> dict[Edge, tuple[int, ...]]:
+        positions: dict[Edge, list[int]] = defaultdict(list)
+        for i, c in enumerate(self.copies):
             for e in c.edges:
-                index.setdefault(e, []).append(c)
-        return index
+                positions[e].append(i)
+        return {e: tuple(ps) for e, ps in positions.items()}
+
+    def through(self, e: Edge) -> tuple[Copy, ...]:
+        """The copies that contain edge e, () when none does."""
+        return tuple(self.copies[i] for i in self.index.get(e, ()))
 
 
 def _pattern_order(pattern: Graph) -> list[int]:

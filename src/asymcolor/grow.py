@@ -155,13 +155,13 @@ def _extend_anchored(
     f_edges: set[Edge],
     f_verts: set[int],
     e: Edge,
-    h1_by_edge: dict[Edge, list[Copy]],
+    h1_copies: CopySet,
     anchored: CopySet,
 ) -> tuple[tuple[int, ...], tuple[tuple[Edge, tuple[int, ...]], ...]]:
     """Attach the least anchored h2-copy of the host through e, then pin each
     new edge with an h1-copy meeting that copy in exactly this edge.  Mutates
     f in place; returns the overlap geometry for degeneracy classification."""
-    l_copy = next((cp for cp in anchored.copies if e in cp.edges), None)
+    l_copy = next(iter(anchored.through(e)), None)
     if l_copy is None:
         raise GrowError(
             f"no anchored h2-copy of the host passes through {e}; "
@@ -173,10 +173,7 @@ def _extend_anchored(
     f_verts |= l_copy.vertices
     pendant_overlaps = []
     for e2 in fresh:
-        r_copy = next(
-            (r for r in h1_by_edge.get(e2, ()) if l_copy.edges & r.edges == {e2}),
-            None,
-        )
+        r_copy = next((r for r in h1_copies.through(e2) if l_copy.edges & r.edges == {e2}), None)
         if r_copy is None:
             raise GrowError(
                 f"no h1-copy of the host meets the attached h2-copy in exactly {e2}; "
@@ -192,21 +189,20 @@ def _extend_alt(
     f_edges: set[Edge],
     f_verts: set[int],
     e: Edge,
-    h1_by_edge: dict[Edge, list[Copy]],
+    h1_copies: CopySet,
     h2_copies: CopySet,
 ) -> tuple[str, tuple[int, ...]]:
     """Attach one side of the least (h2-copy, h1-copy) pair meeting in exactly
     {e}: the h2 side if it is not yet inside f, otherwise the h1 side."""
-    chosen_pair = None
-    for l_copy in h2_copies.copies:
-        if e not in l_copy.edges:
-            continue
-        for r_copy in h1_by_edge.get(e, ()):
-            if l_copy.edges & r_copy.edges == {e}:
-                chosen_pair = (l_copy, r_copy)
-                break
-        if chosen_pair:
-            break
+    chosen_pair = next(
+        (
+            (l_copy, r_copy)
+            for l_copy in h2_copies.through(e)
+            for r_copy in h1_copies.through(e)
+            if l_copy.edges & r_copy.edges == {e}
+        ),
+        None,
+    )
     if chosen_pair is None:
         raise GrowError(
             f"no copy pair of the host meets in exactly {e}; "
@@ -227,9 +223,7 @@ def extend_anchored(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     """One anchored-extension step as a pure graph map (f, host share labels)."""
     d = blocker_decomposition(host, pair, ())
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_anchored(
-        f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), d.report.anchored_copies
-    )
+    _extend_anchored(f_edges, f_verts, norm_edge(*e), d.h1_copies, d.report.anchored_copies)
     return graph(host.vertex_count, f_edges)
 
 
@@ -237,7 +231,7 @@ def extend_alt(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
     """One copy-pair extension step as a pure graph map (f, host share labels)."""
     d = blocker_decomposition(host, pair, ())
     f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_alt(f_edges, f_verts, norm_edge(*e), d.h1_copies.by_edge(), d.h2_copies)
+    _extend_alt(f_edges, f_verts, norm_edge(*e), d.h1_copies, d.h2_copies)
     return graph(host.vertex_count, f_edges)
 
 
@@ -350,11 +344,10 @@ def _grow(
 
     seed_edge = min(e for e in host.edges if not members_of[e])
     h1_copies = decomp.h1_copies
-    h1_by_edge = h1_copies.by_edge()
     # the h2-copies a step may attach: the anchored ones for grow, all for grow_alt
     attachable = decomp.report.anchored_copies if variant == "grow" else decomp.h2_copies
 
-    seed = next((r for r in h1_by_edge.get(seed_edge, ())), None)
+    seed = next(iter(h1_copies.through(seed_edge)), None)
     if seed is None:
         raise GrowError(
             f"seed edge {seed_edge} lies on no h1-copy; the host is not copy-covered"
@@ -388,9 +381,7 @@ def _grow(
                 f_verts |= absorbed.vertices
             else:
                 e = _mapped_eligible(extracted, index, pair, "grow", steps)
-                l_overlap, pendants = _extend_anchored(
-                    f_edges, f_verts, e, h1_by_edge, attachable
-                )
+                l_overlap, pendants = _extend_anchored(f_edges, f_verts, e, h1_copies, attachable)
                 kwargs = {
                     "kind": "extend_anchored",
                     "anchor_edge": e,
@@ -399,7 +390,7 @@ def _grow(
                 }
         else:
             e = _mapped_eligible(extracted, index, pair, "grow_alt", steps)
-            branch, overlap = _extend_alt(f_edges, f_verts, e, h1_by_edge, attachable)
+            branch, overlap = _extend_alt(f_edges, f_verts, e, h1_copies, attachable)
             kwargs = {
                 "kind": "extend_alt",
                 "anchor_edge": e,

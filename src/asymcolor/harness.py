@@ -29,7 +29,7 @@ from .families import (
     DEFAULT_ORACLE_BUDGET,
     ColoringSearch,
     enumerate_blockers,
-    has_valid_coloring,
+    search_from_copies,
 )
 from .graphs import Graph, emit_graph6, graph
 from .grow import GrowError, GrowTrace, grow, grow_alt
@@ -192,12 +192,16 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
     internal invariant violation, not a result). In the oracle modes a
     stuck trial is adjudicated by the exhaustive searcher, so the outcome
     says whether the graph was genuinely uncolorable or the greedy just
-    missed. In FullPipeline the stuck residual is structurally verified
-    and then grown from the audit's blocker decomposition, whose h1/h2
-    copy sets both the audit and growth read, so the residual's copies are
-    enumerated once; growth failure is recorded, not raised, because the
-    growth loop's success argument presumes an empty blocker family and
-    pairs like the triangle/triangle one genuinely do not have that.
+    missed. The searcher reads the sample's h1/h2 copy sets from the
+    colorer's outcome, so the sample's copies are enumerated once.
+
+    In FullPipeline the stuck residual is structurally verified and then
+    grown from the audit's blocker decomposition. The audit enumerates the
+    residual's copies afresh, as an independent check, and growth reads
+    the audit's copy sets, so the residual's copies are enumerated once
+    too. Growth failure is recorded, not raised, because the growth loop's
+    success argument presumes an empty blocker family and pairs like the
+    triangle/triangle one genuinely do not have that.
 
     blockers may be shared across trials to amortize the catalog; by
     default they are enumerated at the config's bound.
@@ -221,7 +225,7 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
         if config.mode == "ColorOnly":
             outcome = "stuck"
         else:
-            oracle = has_valid_coloring(g, pair, config.budget)
+            oracle = search_from_copies(g, colorer.h1_copies, colorer.h2_copies, config.budget)
             outcome = {
                 "valid": "oracle_valid",
                 "invalid": "oracle_invalid",
@@ -340,6 +344,8 @@ def sweep(
     keep_results retains every TrialResult (traces included), which the
     invariant-audit tests want and long sweeps do not.
     """
+    if trials < 0:
+        raise ValueError(f"trials = {trials} < 0")
     blockers = enumerate_blockers(pair, a_hat_bound, budget).members
     cells = []
     kept = []

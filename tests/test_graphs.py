@@ -166,6 +166,7 @@ def test_copies_match_networkx_monomorphisms(pattern):
     # Each sparse host gets one planted copy, so no pattern is checked only
     # on hosts without copies.
     rng = random.Random(2027 + pattern.edge_count)
+    bare = 0  # host edges on no copy
     for n, p in ((12, 0.4), (25, 0.15), (40, 0.08)):
         sample = random_graph(rng, n, p)
         plant = rng.sample(range(n), pattern.vertex_count)
@@ -177,10 +178,18 @@ def test_copies_match_networkx_monomorphisms(pattern):
             inv = {pv: hv for hv, pv in m.items()}
             images.add(frozenset(tuple(sorted((inv[u], inv[v]))) for u, v in pattern.edges))
             monomorphisms += 1
-        copies = enumerate_copies(host, pattern).copies
+        copy_set = enumerate_copies(host, pattern)
+        copies = copy_set.copies
         assert [c.edges for c in copies] == sorted(images, key=sorted)
         assert all(c.vertices == {v for e in c.edges for v in e} for c in copies)
         assert sum(1 for _ in enumerate_embeddings(host, pattern)) == monomorphisms
+        # the per-edge index: the copies through each host edge, in copy
+        # order, and () for an edge on no copy
+        for e in host.edges:
+            through = [c.edges for c in copy_set.through(e)]
+            assert through == [image for image in sorted(images, key=sorted) if e in image]
+            bare += not through
+    assert bare > 0
 
 
 def test_copy_witness_is_the_first_embedding():

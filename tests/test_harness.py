@@ -247,8 +247,10 @@ def test_full_pipeline_trials_match_golden():
 
 
 def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypatch):
-    # The audit's blocker decomposition enumerates the residual's h1 and h2
-    # copies and builds the pinned/anchored report from them once; the audit
+    # The colorer enumerates the sample's h1 and h2 copies, and the stuck
+    # oracle searches those sets. The audit's blocker decomposition
+    # enumerates the residual's h1 and h2 copies afresh and builds the
+    # pinned/anchored report from them once; the audit
     # and growth (grow reads the anchored copies in the strict case) both
     # read them from there. The package modules import these functions by
     # name, so every binding is wrapped.
@@ -276,10 +278,18 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
 
     def audit(outcome, pair):
         report = check_stuck_state(outcome, pair)
-        audited.append((report.decomposition, pair))
+        audited.append((samples[-1], report.decomposition, pair))
         return report
 
     monkeypatch.setattr(harness, "check_stuck_state", audit)
+    original_sample = harness.sample_gnp
+    samples = []
+
+    def sample(*args):
+        samples.append(original_sample(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(harness, "sample_gnp", sample)
     looped = strict_grown = 0
     # the bound-6 K3/K3 catalog gives residuals with members (special-case
     # returns), an empty one gives the growth loop; K4/C4 at b=2 sticks on
@@ -296,14 +306,22 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
             looped += trace is not None and trace.outcome != "special_case"
             strict_grown += trace is not None and cell_pair is k4c4
     assert len(audited) >= 8 and looped >= 1 and strict_grown >= 8
-    assert any(d.members for d, _ in audited)
-    for decomp, audited_pair in audited:
+    assert any(d.members for _, d, _ in audited)
+    for sample_graph, decomp, audited_pair in audited:
         for pattern in (audited_pair.h1, audited_pair.h2):
-            assert sum(h is decomp.graph and p is pattern for h, p in calls["enumerate_copies"]) == 1
+            # the sample by the colorer alone (the stuck oracle reuses its
+            # copies), the residual by the audit alone
+            for host in (sample_graph, decomp.graph):
+                assert sum(h is host and p is pattern for h, p in calls["enumerate_copies"]) == 1
         assert sum(g is decomp.graph for g, *_ in calls["report_from_copies"]) == 1
 
 
 # --- sweeps -----------------------------------------------------------------
+
+
+def test_sweep_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        sweep(pair_k3k3(), [8], [Fraction(1)], trials=-3, seed=1, a_hat_bound=3)
 
 
 def test_sweep_counters_partition_trials():
