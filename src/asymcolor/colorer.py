@@ -11,6 +11,11 @@ queries read each set's own per-edge index. The outcome carries the input's
 h1 and h2 copy sets, which the stuck oracle searches instead of enumerating
 the input again. The stuck audit (check_stuck_state) still enumerates the
 residual's copies afresh: it is the independent check.
+
+After each deletion a guard builds the residual's BlockerDecomposition from
+the live copies and reads covered_once and sparse, unless some live edge has
+no live blocker copy through it (it lies in no member, so the residual is not
+clean); the decomposition that passes is handed to the member-wise colorer.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .families import (
     MemberColoringResult,
     blocker_decomposition,
     color_by_members,
-    decompose_copies,
+    decomposition_from_copies,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
@@ -163,22 +168,24 @@ def asym_edge_color(
                 return e
         return None
 
-    # the loop runs until the residual is a cleanly-covered sparse union of
-    # blocker members; clean holds that decomposition once it is
-    guard_dirty = True
-    clean = None
-    while True:
-        if guard_dirty:
-            clean = decompose_copies(
-                live,
-                (c for bs in blocker_sets for c in bs.alive_all()),
-                h1.alive_all(),
-                h2.alive_all(),
-                clean_only=True,
-            )
-            guard_dirty = False
-        if clean is not None:
-            break
+    def clean_residual() -> BlockerDecomposition | None:
+        """The residual's blocker decomposition, from the live copies, when it
+        is a clean sparse union of blocker members; None otherwise. An edge
+        on no live blocker copy lies in no member, so then none is built."""
+        if not all(any(next(bs.alive_through(e), None) for bs in blocker_sets) for e in live):
+            return None
+        decomp = decomposition_from_copies(
+            graph(g.vertex_count, live),
+            (c for bs in blocker_sets for c in bs.alive_all()),
+            CopySet(pair.h1, tuple(h1.alive_all())),
+            CopySet(pair.h2, tuple(h2.alive_all())),
+        )
+        return decomp if decomp.covered_once and decomp.sparse else None
+
+    # the guard runs whenever live changes; the loop stops at the first
+    # residual it finds clean, and that decomposition is handed off
+    clean = clean_residual()
+    while clean is None:
         measure = len(live) + len(tracked)
         # every tracked copy must still be fully alive in the residual
         assert all(h2.missing[li] == 0 for li in tracked)
@@ -198,7 +205,7 @@ def asym_edge_color(
                 for bs in blocker_sets:
                     bs.kill(e)
                 log("delete_edge", edge=e)
-                guard_dirty = True
+                clean = clean_residual()
                 fired = True
                 break
         if not fired:
@@ -222,15 +229,8 @@ def asym_edge_color(
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
     # with its h1/h2 copies as the live-filtered input copies
-    residual = graph(g.vertex_count, live)
     log("handoff")
-    decomp = BlockerDecomposition(
-        residual,
-        *clean,
-        CopySet(pair.h1, tuple(h1.alive_all())),
-        CopySet(pair.h2, tuple(h2.alive_all())),
-    )
-    base = color_by_members(decomp, pair, budget)
+    base = color_by_members(clean, pair, budget)
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)

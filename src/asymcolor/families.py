@@ -13,8 +13,11 @@ theory, renamed for what it checks):
   that is anchored (strict case) or pinned (equal case);
 - a blocker decomposition splits a host into maximal blocker-subgraphs and
   classifies copies of h1/h2 as trivial (inside one member) or not; it
-  carries the host's h1 and h2 copy sets and the pinned/anchored report
-  built from them once, which the stuck audit and growth both read.
+  carries the host's h1 and h2 copy sets, and builds the straddling copies
+  and the pinned/anchored report from them on first use, which the stuck
+  audit and growth both read. Its covered_once and sparse are the one test
+  of "a clean sparse union of blocker members": the colorer's guard, the
+  stuck audit, member coloring and growth all read them.
 """
 
 from __future__ import annotations
@@ -250,10 +253,8 @@ def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> Fami
 
     pinned_failures = []
     for e in g.edges:
-        pinned_here = any(
-            L.edges & R.edges == {e} for L in h2_copies.through(e) for R in h1_copies.through(e)
-        )
-        if not pinned_here:
+        rs = h1_copies.through(e)
+        if not any(L.edges & R.edges == {e} for L in h2_copies.through(e) for R in rs):
             pinned_failures.append(e)
 
     anchor_of: dict[Edge, Copy] = {}
@@ -342,19 +343,33 @@ class PatternCopy:
 class BlockerDecomposition:
     """members_of maps every edge of graph to the ascending indices of the
     members that contain it; h1_copies and h2_copies are all copies of h1
-    and h2 in graph, the sets the straddler scan read, and report holds the
-    pinned/anchored verdicts of graph built from them on first use."""
+    and h2 in graph, from which the straddling copies and the pinned/anchored
+    report are built on first use. covered_once and sparse together are the
+    one test of "graph is a clean sparse union of blocker members"."""
 
     graph: Graph
     members: tuple[Copy, ...]
     members_of: dict[Edge, tuple[int, ...]]
-    nontrivial_copies: tuple[PatternCopy, ...]
     h1_copies: CopySet
     h2_copies: CopySet
 
     @cached_property
     def report(self) -> FamilyReport:
         return report_from_copies(self.graph, self.h1_copies, self.h2_copies)
+
+    @cached_property
+    def nontrivial_copies(self) -> tuple[PatternCopy, ...]:
+        """The h1- then h2-copies, each set in its copy order, that touch two
+        or more members; one copy per edge set."""
+        seen: set[frozenset[Edge]] = set()
+        out: list[PatternCopy] = []
+        for kind, copies in (("h1", self.h1_copies), ("h2", self.h2_copies)):
+            for c in copies.copies:
+                touched = {mi for e in c.edges for mi in self.members_of[e]}
+                if len(touched) >= 2 and c.edges not in seen:
+                    seen.add(c.edges)
+                    out.append(PatternCopy(kind, c))
+        return tuple(out)
 
     @property
     def covered_once(self) -> bool:
@@ -367,27 +382,12 @@ class BlockerDecomposition:
         return not self.nontrivial_copies
 
 
-DecompositionParts = tuple[
-    tuple[Copy, ...], dict[Edge, tuple[int, ...]], tuple[PatternCopy, ...]
-]
-
-
-def decompose_copies(
-    edges: Iterable[Edge],
-    blocker_copies: Iterable[Copy],
-    h1_copies: Iterable[Copy],
-    h2_copies: Iterable[Copy],
-    clean_only: bool = False,
-) -> DecompositionParts | None:
-    """The members, members_of and nontrivial_copies of a BlockerDecomposition
-    of the graph with these edges, from the copies it contains.
-
-    With clean_only, return None as soon as the decomposition cannot be
-    clean and sparse: coverage is checked first, and the h1/h2 copies are
-    scanned for straddlers only once every edge lies in exactly one member.
-    The h1/h2 copies are iterated only when there are members (no copy can
-    touch two otherwise), so lazy iterables cost nothing then.
-    """
+def decomposition_from_copies(
+    g: Graph, blocker_copies: Iterable[Copy], h1_copies: CopySet, h2_copies: CopySet
+) -> BlockerDecomposition:
+    """The blocker decomposition of g, from the blocker copies in g (any
+    patterns, in any order) and all copies of h1 and of h2 in g: the
+    members are the maximal blocker copies, one per edge set."""
     pool: dict[frozenset[Edge], Copy] = {}
     for c in blocker_copies:
         pool.setdefault(c.edges, c)
@@ -397,29 +397,12 @@ def decompose_copies(
             maximal.append(c)
     members = tuple(sorted(maximal, key=Copy.sort_key))
 
-    index: dict[Edge, list[int]] = {e: [] for e in edges}
+    index: dict[Edge, list[int]] = {e: [] for e in g.edges}
     for mi, mem in enumerate(members):
         for e in mem.edges:
             index[e].append(mi)
     members_of = {e: tuple(ms) for e, ms in index.items()}
-    if clean_only and any(len(ms) != 1 for ms in members_of.values()):
-        return None
-
-    nontrivial: list[PatternCopy] = []
-    if members:
-        seen_edge_sets: set[frozenset[Edge]] = set()
-        for kind, copies in (("h1", h1_copies), ("h2", h2_copies)):
-            for c in copies:
-                if c.edges in seen_edge_sets:
-                    continue
-                touched = {mi for e in c.edges for mi in members_of[e]}
-                if len(touched) >= 2:
-                    if clean_only:
-                        return None
-                    seen_edge_sets.add(c.edges)
-                    nontrivial.append(PatternCopy(kind, c))
-        nontrivial.sort(key=lambda pc: (pc.kind, pc.copy.sort_key()))
-    return members, members_of, tuple(nontrivial)
+    return BlockerDecomposition(g, members, members_of, h1_copies, h2_copies)
 
 
 def blocker_decomposition(
@@ -427,16 +410,12 @@ def blocker_decomposition(
 ) -> BlockerDecomposition:
     """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies,
     and the h1/h2 copy sets of g, each enumerated once."""
-    h1_copies = enumerate_copies(g, pair.h1)
-    h2_copies = enumerate_copies(g, pair.h2)
-    parts = decompose_copies(
-        g.edges,
+    return decomposition_from_copies(
+        g,
         (c for pattern in blockers for c in enumerate_copies(g, pattern).copies),
-        h1_copies.copies,
-        h2_copies.copies,
+        enumerate_copies(g, pair.h1),
+        enumerate_copies(g, pair.h2),
     )
-    assert parts is not None
-    return BlockerDecomposition(g, *parts, h1_copies, h2_copies)
 
 
 @dataclass(frozen=True)

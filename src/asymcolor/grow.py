@@ -194,11 +194,12 @@ def _extend_alt(
 ) -> tuple[str, tuple[int, ...]]:
     """Attach one side of the least (h2-copy, h1-copy) pair meeting in exactly
     {e}: the h2 side if it is not yet inside f, otherwise the h1 side."""
+    r_copies = h1_copies.through(e)
     chosen_pair = next(
         (
             (l_copy, r_copy)
             for l_copy in h2_copies.through(e)
-            for r_copy in h1_copies.through(e)
+            for r_copy in r_copies
             if l_copy.edges & r_copy.edges == {e}
         ),
         None,
@@ -321,10 +322,10 @@ def _grow(
         raise GrowError("empty host has no seed edge")
 
     members, members_of = decomp.members, decomp.members_of
-    if all(len(members_of[e]) == 1 for e in host.edges):
+    if decomp.covered_once:
         # every edge on exactly one catalog member: return the members a
         # straddling copy touches
-        if not decomp.nontrivial_copies:
+        if decomp.sparse:
             raise GrowError(
                 "every edge lies on exactly one catalog member but no copy of "
                 "h1 or h2 straddles two members; the host is a sparse member "

@@ -346,6 +346,10 @@ def sweep(
     """
     if trials < 0:
         raise ValueError(f"trials = {trials} < 0")
+    if min(ns, default=1) < 1:
+        raise ValueError(f"n = {min(ns)} < 1")
+    if min(bs, default=1) <= 0:
+        raise ValueError(f"b = {min(bs)} must be positive")
     blockers = enumerate_blockers(pair, a_hat_bound, budget).members
     cells = []
     kept = []

@@ -235,6 +235,11 @@ def test_exit_2_on_bad_input(capsys):
     assert rc == 2 and "error:" in err
     rc, _, err = run_cli(capsys, "trial", "--h1", "K3", "--h2", "K3", "--n", "0", "--b", "1")
     assert rc == 2
+    for n in ("-5", "0"):
+        rc, _, err = run_cli(
+            capsys, "sweep", "--h1", "K3", "--h2", "K3", "--n", n, "--b", "1", "--trials", "1"
+        )
+        assert rc == 2 and "n = " in err
     rc, _, err = run_cli(capsys, "regular-cert", "--v1", "4", "--l1", "3")
     assert rc == 2 and "--v2" in err
     rc, _, err = run_cli(

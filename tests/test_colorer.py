@@ -225,7 +225,8 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
         deleted = {ev.edge for ev in out.trace if ev.action == "delete_edge"}
         residual = graph(g.vertex_count, set(g.edges) - deleted)
         (decomp,) = handed
-        assert decomp == blocker_decomposition(residual, pair, catalog)
+        fresh = blocker_decomposition(residual, pair, catalog)
+        assert decomp == fresh and decomp.nontrivial_copies == fresh.nontrivial_copies
         colored += 1
         with_members += bool(decomp.members)
     assert colored == 50 and with_members == 14

@@ -371,10 +371,24 @@ def test_decomposition_shared_edge_counts():
     assert len(d.members) == 2
     assert len(d.members_of[(0, 1)]) == 2
     assert not d.covered_once
-    # the triangle 0-1-4 has edges in both members
+    # every triangle and 4-cycle through the shared edge, or across the two
+    # K4s, has edges in both members; h1 copies come first, each kind in
+    # copy order (growth's special case 1 reads the first)
     assert not d.sparse
-    kinds = {pc.kind for pc in d.nontrivial_copies}
-    assert "h1" in kinds
+    assert [(pc.kind, sorted(pc.copy.edges)) for pc in d.nontrivial_copies] == [
+        ("h1", [(0, 1), (0, 2), (1, 2)]),
+        ("h1", [(0, 1), (0, 3), (1, 3)]),
+        ("h1", [(0, 1), (0, 4), (1, 4)]),
+        ("h1", [(0, 1), (0, 5), (1, 5)]),
+        ("h2", [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        ("h2", [(0, 1), (0, 3), (1, 2), (2, 3)]),
+        ("h2", [(0, 1), (0, 4), (1, 5), (4, 5)]),
+        ("h2", [(0, 1), (0, 5), (1, 4), (4, 5)]),
+        ("h2", [(0, 2), (0, 4), (1, 2), (1, 4)]),
+        ("h2", [(0, 2), (0, 5), (1, 2), (1, 5)]),
+        ("h2", [(0, 3), (0, 4), (1, 3), (1, 4)]),
+        ("h2", [(0, 3), (0, 5), (1, 3), (1, 5)]),
+    ]
 
 
 def test_decomposition_maximality():

@@ -324,6 +324,17 @@ def test_sweep_rejects_negative_trials():
         sweep(pair_k3k3(), [8], [Fraction(1)], trials=-3, seed=1, a_hat_bound=3)
 
 
+@pytest.mark.parametrize(
+    "n, b", [(-5, Fraction(1)), (0, Fraction(1)), (8, Fraction(0)), (8, Fraction(-1, 2))]
+)
+def test_sweep_rejects_bad_n_and_b(n, b):
+    # checked before the catalog is built, even for an empty sweep, as
+    # TrialConfig checks them
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="n = |b = "):
+            sweep(pair_k3k3(), [8, n], [Fraction(1, 2), b], trials=trials, seed=1, a_hat_bound=3)
+
+
 def test_sweep_counters_partition_trials():
     pair = pair_k3k3()
     bs = [Fraction(1, 4), Fraction(1, 2)]
