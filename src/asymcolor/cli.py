@@ -345,6 +345,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regular_cert(args) -> int:
+    if args.confirm is not None and args.enumerate is None:
+        raise ValueError("--confirm needs --enumerate")
     if args.grid is not None:
         v1_max, v2_max = args.grid
         rows = []
@@ -382,7 +384,7 @@ def cmd_regular_cert(args) -> int:
             epsilon = result.epsilon_star if isinstance(result, EmptinessCertificate) else None
             pair = build_pair_spec(h1, h2, epsilon) if epsilon else build_pair_spec(h1, h2)
         enum = enumerate_a_hat(
-            params, args.enumerate, pair=pair, confirm_to=args.confirm, budget=args.budget
+            params, args.enumerate, pair=pair, confirm_to=args.confirm or 0, budget=args.budget
         )
         payload["a_hat"] = {
             "vertex_bound": enum.vertex_bound,
@@ -490,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=int, default=None)
     p.add_argument("--h1", default=None, help="optional concrete graph to validate")
     p.add_argument("--h2", default=None)
-    p.add_argument("--grid", type=int, nargs=2, metavar=("V1MAX", "V2MAX"), default=None)
-    p.add_argument("--enumerate", type=int, default=None, metavar="BOUND")
-    p.add_argument("--confirm", type=int, default=0, metavar="BOUND")
+    p.add_argument("--grid", type=_count, nargs=2, metavar=("V1MAX", "V2MAX"), default=None)
+    p.add_argument("--enumerate", type=_count, default=None, metavar="BOUND")
+    p.add_argument("--confirm", type=_count, default=None, metavar="BOUND", help="with --enumerate")
     p.set_defaults(func=cmd_regular_cert)
 
     return top

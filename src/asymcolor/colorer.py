@@ -187,9 +187,6 @@ def asym_edge_color(
     clean = clean_residual()
     while clean is None:
         measure = len(live) + len(tracked)
-        # every tracked copy must still be fully alive in the residual
-        assert all(h2.missing[li] == 0 for li in tracked)
-
         fired = False
         for e in sorted(live):
             if not pinned_by_tracked(e):
@@ -202,6 +199,9 @@ def asym_edge_color(
                 live.discard(e)
                 h1.kill(e)
                 h2.kill(e)
+                # every tracked copy must stay fully alive in the residual;
+                # only this kill raises missing, and only on copies through e
+                assert not any(li in tracked for li in h2.all.index.get(e, ()))
                 for bs in blocker_sets:
                     bs.kill(e)
                 log("delete_edge", edge=e)

@@ -242,18 +242,19 @@ class FamilyReport:
 def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
     """Pinned/anchored verdicts with per-edge failure witnesses, from all
     copies of h1 and of h2 in g."""
+    h1_through = {e: h1_copies.through(e) for e in g.edges}
     anchored_set = CopySet(
         h2_copies.pattern,
         tuple(
             L
             for L in h2_copies.copies
-            if all(any(L.edges & R.edges == {e} for R in h1_copies.through(e)) for e in L.edges)
+            if all(any(L.edges & R.edges == {e} for R in h1_through[e]) for e in L.edges)
         ),
     )
 
     pinned_failures = []
     for e in g.edges:
-        rs = h1_copies.through(e)
+        rs = h1_through[e]
         if not any(L.edges & R.edges == {e} for L in h2_copies.through(e) for R in rs):
             pinned_failures.append(e)
 

@@ -11,6 +11,11 @@ pattern inside a host is a subgraph image; copies are deduplicated by edge
 image (two embeddings that differ only by a pattern automorphism are the same
 copy), and a copy's witness vertex set comes from its first embedding. This
 is the semantics all family and colorer code relies on.
+
+Copy enumeration builds one vertex map per Aut(pattern)-orbit, not every
+automorphic image: symmetry-breaking conditions from a stabiliser chain of
+the pattern's automorphism group (Grochow & Kellis, RECOMB 2007) admit only
+each orbit's least map, and the first embedding of a copy is that map.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -203,7 +208,9 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+def enumerate_embeddings(
+    host: Graph, pattern: Graph, floors: Sequence[Sequence[int]] = ()
+) -> Iterator[tuple[int, ...]]:
     """Yield every embedding of pattern into host (subgraph, not induced):
     the injective vertex map, as the tuple of host images of pattern
     vertices 0..k-1, that carries every pattern edge to a host edge.
@@ -211,8 +218,13 @@ def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...
     Pattern vertices are placed in `_pattern_order`. Each one's candidates
     are one AND of bitmasks: free host vertices, host vertices of large
     enough degree, and the neighbourhoods of the images of its placed
-    neighbours. They are tried lowest bit first; that order fixes which
+    neighbours. They are tried lowest bit first, so maps come in
+    lexicographic order along `_pattern_order`; that order fixes which
     embedding of a copy comes first, and so its witness vertex set.
+
+    floors, when given, lists for each pattern vertex v the vertices placed
+    before it whose images v's image must exceed; one more AND each. Only
+    the maps that meet them are built.
     """
     hmask = adjacency_masks(host)
     hdeg = host.degree_sequence()
@@ -220,8 +232,9 @@ def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...
     padj = adjacency_sets(pattern)
     order = _pattern_order(pattern)
     fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in set(pdeg)}
+    floors = floors or [()] * pattern.vertex_count
     steps = [
-        (pv, fit[pdeg[pv]], [q for q in padj[pv] if q in order[:depth]])
+        (pv, fit[pdeg[pv]], [q for q in padj[pv] if q in order[:depth]], floors[pv])
         for depth, pv in enumerate(order)
     ]
     assignment = [-1] * pattern.vertex_count
@@ -230,10 +243,12 @@ def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...
         if depth == len(steps):
             yield tuple(assignment)
             return
-        pv, cand, anchors = steps[depth]
+        pv, cand, anchors, above = steps[depth]
         cand &= free
         for q in anchors:
             cand &= hmask[assignment[q]]
+        for q in above:
+            cand &= -(2 << assignment[q])  # host vertices above q's image
         while cand:
             low = cand & -cand
             assignment[pv] = low.bit_length() - 1
@@ -243,16 +258,43 @@ def enumerate_embeddings(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...
     yield from backtrack(0, (1 << host.vertex_count) - 1)
 
 
+@lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
+def _orbit_floors(pattern: Graph) -> tuple[tuple[int, ...], ...]:
+    """Symmetry-breaking floors of pattern, in `enumerate_embeddings` form.
+
+    Walk `_pattern_order` down a stabiliser chain of Aut(pattern): at depth
+    k, every u != order[k] in the orbit of order[k] under the pointwise
+    stabiliser of order[0..k-1] gets floor order[k], that is φ(u) >
+    φ(order[k]). The least map φ of an Aut-orbit meets them: for σ in that
+    stabiliser with σ(order[k]) = u, φ∘σ agrees with φ before depth k and
+    has φ(u) at depth k. No other map of the orbit does: if φ∘σ met them
+    too, at the first depth k that σ moves, φ(σ(order[k])) would lie both
+    above and below φ(order[k]). Computed once per pattern, on first use.
+    """
+    group = list(enumerate_embeddings(pattern, pattern))
+    floors: list[list[int]] = [[] for _ in range(pattern.vertex_count)]
+    for v in _pattern_order(pattern):
+        for u in {sigma[v] for sigma in group} - {v}:
+            floors[u].append(v)
+        group = [sigma for sigma in group if sigma[v] == v]
+    return tuple(tuple(f) for f in floors)
+
+
 def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     """All copies of pattern in host, deduplicated by edge image.
 
-    The witness vertex set of a copy is taken from the first embedding found.
+    Only one vertex map per Aut(pattern)-orbit is built (`_orbit_floors`):
+    the orbit's least in enumeration order. The first embedding of an edge
+    image is the least of all maps with that image, so it is the least of
+    its own orbit and is built; it stays the copy's witness vertex set.
+    When pattern has isolated vertices two orbits can share an edge image,
+    so the dedup by edge image still applies.
     Copies are sorted by their edge tuple so iteration is deterministic.
     """
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
     found: dict[frozenset[Edge], Copy] = {}
-    for vm in enumerate_embeddings(host, pattern):
+    for vm in enumerate_embeddings(host, pattern, _orbit_floors(pattern)):
         image = frozenset(norm_edge(vm[u], vm[v]) for u, v in pattern.edges)
         if image not in found:
             found[image] = Copy(image, frozenset(vm))

@@ -259,6 +259,8 @@ def test_exit_2_on_bad_input(capsys):
         ["sweep", "--h1", "K3", "--h2", "K3", "--n", "8", "--trials", "-3"],
         ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "0"],
         ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "-1"],
+        ["regular-cert", "--grid", "4", "4", "--enumerate", "-1"],
+        ["regular-cert", "--v1", "5", "--l1", "4", "--v2", "4", "--l2", "3", "--confirm", "-2"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -267,6 +269,20 @@ def test_exit_2_on_an_out_of_range_count(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: must be >=" in capsys.readouterr().err
+
+
+def test_regular_cert_rejects_a_negative_grid_and_a_lone_confirm(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["regular-cert", "--grid", "-1", "-1"])
+    assert exc.value.code == 2
+    assert "argument --grid: must be >=" in capsys.readouterr().err
+    # --confirm only acts on an --enumerate run
+    for argv in (
+        ["regular-cert", "--v1", "5", "--l1", "4", "--v2", "4", "--l2", "3", "--confirm", "5"],
+        ["regular-cert", "--grid", "4", "4", "--confirm", "0"],
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "" and "--confirm needs --enumerate" in err
 
 
 def test_exit_3_on_invariant_violation(capsys, monkeypatch):

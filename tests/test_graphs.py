@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymcolor import graphs
+from asymcolor.density import build_pair_spec
+from asymcolor.families import enumerate_blockers
 from asymcolor.graphs import (
     Graph,
     Graph6Error,
+    _orbit_floors,
     block_decomposition,
     canonical_form,
     canonical_key,
@@ -37,6 +41,12 @@ def to_nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.vertex_count))
     h.add_edges_from(g.edges)
     return h
+
+
+def nx_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Aut(g) from networkx's VF2 matcher, each as the tuple of images."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+    return [tuple(m[v] for v in range(g.vertex_count)) for m in matcher.isomorphisms_iter()]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -167,6 +177,7 @@ def test_copies_match_networkx_monomorphisms(pattern):
     # on hosts without copies.
     rng = random.Random(2027 + pattern.edge_count)
     bare = 0  # host edges on no copy
+    automorphisms = len(nx_automorphisms(pattern))
     for n, p in ((12, 0.4), (25, 0.15), (40, 0.08)):
         sample = random_graph(rng, n, p)
         plant = rng.sample(range(n), pattern.vertex_count)
@@ -183,6 +194,9 @@ def test_copies_match_networkx_monomorphisms(pattern):
         assert [c.edges for c in copies] == sorted(images, key=sorted)
         assert all(c.vertices == {v for e in c.edges for v in e} for c in copies)
         assert sum(1 for _ in enumerate_embeddings(host, pattern)) == monomorphisms
+        # no pattern here has an isolated vertex, so each copy is one
+        # Aut(pattern)-orbit of monomorphisms
+        assert len(copies) * automorphisms == monomorphisms
         # the per-edge index: the copies through each host edge, in copy
         # order, and () for an edge on no copy
         for e in host.edges:
@@ -201,6 +215,93 @@ def test_copy_witness_is_the_first_embedding():
     assert next(enumerate_embeddings(path_graph(5), graph(3, [(0, 1)]))) == (0, 1, 2)
     assert list(enumerate_embeddings(graph(2), graph(0))) == [()]
     assert list(enumerate_embeddings(graph(2), graph(3))) == []
+
+
+def _check_orbit_representatives(monkeypatch, pattern: Graph) -> None:
+    # the slow path: every embedding, deduplicated by edge image, each copy
+    # witnessed by the vertices of its first embedding; each host gets one
+    # planted copy
+    rng = random.Random(4099 + 31 * pattern.vertex_count + pattern.edge_count)
+    automorphisms = nx_automorphisms(pattern)
+    original = graphs.enumerate_embeddings
+    built = []  # the maps enumerate_copies asks for
+
+    def recording(*args):
+        for vm in original(*args):
+            built.append(vm)
+            yield vm
+
+    _orbit_floors(pattern)  # the automorphism search, outside the recording
+    isolated = 0 in pattern.degree_sequence()
+    for n, p in ((9, 0.6), (14, 0.4), (20, 0.25)):
+        sample = random_graph(rng, n, p)
+        plant = rng.sample(range(n), pattern.vertex_count)
+        host = graph(n, list(sample.edges) + [(plant[u], plant[v]) for u, v in pattern.edges])
+        first: dict[frozenset, frozenset] = {}
+        least = []  # the first map of each Aut-orbit, in stream order
+        orbits = set()
+        for vm in enumerate_embeddings(host, pattern):
+            image = frozenset(tuple(sorted((vm[u], vm[v]))) for u, v in pattern.edges)
+            first.setdefault(image, frozenset(vm))
+            orbit = frozenset(tuple(vm[w] for w in sigma) for sigma in automorphisms)
+            if orbit not in orbits:
+                orbits.add(orbit)
+                least.append(vm)
+        expected = sorted(first.items(), key=lambda item: sorted(item[0]))
+        built.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs, "enumerate_embeddings", recording)
+            copies = enumerate_copies(host, pattern).copies
+        assert copies
+        assert [(c.edges, c.vertices) for c in copies] == expected
+        # exactly the least map of each orbit is built
+        assert built == least
+        # orbits only share an edge image through isolated pattern vertices
+        assert len(least) == len(copies) if not isolated else len(least) >= len(copies)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        complete_graph(3),
+        complete_graph(4),
+        cycle_graph(4),
+        complete_graph(5),
+        complete_bipartite(3, 3),
+        graph(3, [(0, 1)]),
+    ],
+    ids=["K3", "K4", "C4", "K5", "K3,3", "K2+K1"],
+)
+def test_orbit_representatives_match_the_full_embedding_stream(monkeypatch, pattern):
+    _check_orbit_representatives(monkeypatch, pattern)
+
+
+def test_orbit_representatives_of_the_k3k3_blocker_members(monkeypatch):
+    members = enumerate_blockers(build_pair_spec(complete_graph(3), complete_graph(3)), 6).members
+    assert len(members) >= 3
+    for member in members:
+        _check_orbit_representatives(monkeypatch, member)
+
+
+def test_automorphism_search_runs_once_per_pattern(monkeypatch):
+    original = graphs.enumerate_embeddings
+    searches = []
+
+    def counting(host, pattern, *rest):
+        if host == pattern:
+            searches.append(pattern)
+        return original(host, pattern, *rest)
+
+    monkeypatch.setattr(graphs, "enumerate_embeddings", counting)
+    _orbit_floors.cache_clear()
+    rng = random.Random(11)
+    patterns = [complete_graph(4), cycle_graph(5), graph(3, [(0, 1)])]
+    for n in (8, 10, 12):
+        host = random_graph(rng, n, 0.5)
+        for pattern in patterns:
+            enumerate_copies(host, pattern)
+            enumerate_copies(host, graph(pattern.vertex_count, pattern.edges))  # an equal Graph
+    assert searches == patterns
 
 
 def test_embeddings_count_automorphisms():
