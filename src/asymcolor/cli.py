@@ -348,6 +348,13 @@ def cmd_regular_cert(args) -> int:
     if args.confirm is not None and args.enumerate is None:
         raise ValueError("--confirm needs --enumerate")
     if args.grid is not None:
+        ignored = [
+            f"--{k}"
+            for k in ("v1", "l1", "v2", "l2", "h1", "h2", "enumerate")
+            if getattr(args, k) is not None
+        ]
+        if ignored:
+            raise ValueError(f"--grid does not combine with {', '.join(ignored)}")
         v1_max, v2_max = args.grid
         rows = []
         for p, result in certificate_grid(v1_max, v2_max):

@@ -100,11 +100,11 @@ class UncolorableMemberError(Exception):
 
 class _LiveCopies:
     """Copies of a pattern in the input (all), filtered by surviving edges:
-    missing[i] counts the dead edges of all.copies[i]."""
+    missing[i] counts the dead edges of all.copies[i], none at the start."""
 
-    def __init__(self, host: Graph, pattern: Graph, live: set[Edge]):
+    def __init__(self, host: Graph, pattern: Graph):
         self.all = enumerate_copies(host, pattern)
-        self.missing = [sum(1 for e in c.edges if e not in live) for c in self.all.copies]
+        self.missing = [0] * len(self.all.copies)
 
     def kill(self, e: Edge):
         for i in self.all.index.get(e, ()):
@@ -136,9 +136,9 @@ def asym_edge_color(
     member raises UncolorableMemberError.
     """
     live: set[Edge] = set(g.edges)
-    h1 = _LiveCopies(g, pair.h1, live)
-    h2 = _LiveCopies(g, pair.h2, live)
-    blocker_sets = [_LiveCopies(g, b, live) for b in blockers]
+    h1 = _LiveCopies(g, pair.h1)
+    h2 = _LiveCopies(g, pair.h2)
+    blocker_sets = [_LiveCopies(g, b) for b in blockers]
 
     tracked: set[int] = set(range(len(h2.all)))  # positions in h2.all
     stack: list[StackEntry] = []

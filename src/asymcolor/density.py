@@ -174,8 +174,13 @@ def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
 # both endpoints, each vertex costs p, and max gain = q*|E| - mincut.
 
 
-def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
-    """Dinic's algorithm on arcs [head, residual capacity, reverse index]."""
+def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> tuple[int, list[int]]:
+    """Dinic's algorithm on arcs [head, residual capacity, reverse index].
+
+    Returns the flow value and the last BFS level: the nodes with level >= 0
+    are those the final residual network reaches from s, the source side of
+    the minimum cut with the fewest nodes.
+    """
     total = 0
     while True:
         level = [-1] * len(adj)
@@ -187,7 +192,7 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[t] < 0:
-            return total
+            return total, level
         iters = [0] * len(adj)
 
         def push(u: int, limit: int) -> int:
@@ -212,6 +217,18 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
 def max_gain(g: Graph, c: Fraction) -> int:
     """max over vertex subsets S of q*e(S) - p*|S|, where c = p/q >= 0 in
     lowest terms; 0 at the empty set, so m(g) <= c exactly when this is 0."""
+    return least_max_gain_set(g, c)[0]
+
+
+def least_max_gain_set(g: Graph, c: Fraction) -> tuple[int, tuple[int, ...]]:
+    """max_gain(g, c) and the smallest vertex subset attaining it.
+
+    The gain is supermodular, so its maximisers are closed under
+    intersection and one of them lies inside all the others (Picard and
+    Queyranne 1982).  That one is the set of vertex nodes on the source
+    side of the minimal minimum cut, which the flow's residual network
+    reaches from the source.  It is empty when the maximum gain is 0.
+    """
     if c < 0:
         raise ValueError(f"density bound must be non-negative, got {c}")
     p, q = c.numerator, c.denominator
@@ -229,7 +246,9 @@ def max_gain(g: Graph, c: Fraction) -> int:
         add(1 + i, 1 + ecount + v, q * ecount + 1)
     for v in range(g.vertex_count):
         add(1 + ecount + v, sink, p)
-    return q * ecount - _max_flow(adj, source, sink)
+    flow, level = _max_flow(adj, source, sink)
+    reached = tuple(v for v in range(g.vertex_count) if level[1 + ecount + v] >= 0)
+    return q * ecount - flow, reached
 
 
 def density_profile(g: Graph) -> DensityProfile:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import log
 from typing import Literal, Sequence
 
-from .density import PairSpec, density_slack, max_gain
+from .density import PairSpec, density_slack, least_max_gain_set, max_gain
 from .families import (
     BlockerDecomposition,
     blocker_decomposition,
@@ -34,11 +34,11 @@ from .graphs import (
     CopySet,
     Edge,
     Graph,
-    adjacency_sets,
     canonical_form,
     canonical_key,
     extract_from_edges,
     graph,
+    induced_subgraph,
     norm_edge,
 )
 
@@ -59,7 +59,13 @@ class GrowError(RuntimeError):
 # Minimisers of lambda are induced subgraphs without isolated vertices (an
 # extra edge lowers lambda, an isolated vertex raises it).  With
 # m2_pair = p/q, lambda(S) = (p*|S| - q*e(S)) / p, so minimising lambda over
-# vertex subsets S is maximising density.max_gain's q*e(S) - p*|S|.
+# vertex subsets S is maximising density.max_gain's q*e(S) - p*|S|.  That
+# gain is supermodular, so its maximisers are closed under intersection and
+# their intersection M0 is itself one (Picard and Queyranne 1982), read off
+# the same flow's minimum cut by density.least_max_gain_set.  Every other
+# maximiser strictly contains M0, so M0 has the fewest vertices and is the
+# canonically least minimiser (canonical_key orders by vertex count first).
+# M0 is empty exactly when the minimum slack is 0.
 
 
 def min_slack(f: Graph, pair: PairSpec) -> Fraction:
@@ -68,63 +74,15 @@ def min_slack(f: Graph, pair: PairSpec) -> Fraction:
 
 
 def _minimising_witness(f: Graph, pair: PairSpec) -> tuple[Graph, tuple[int, ...]]:
-    """All gain-maximising vertex subsets, keeping the canonically least one.
-
-    Branch and bound over vertex inclusion.  The bound drops a vertex from
-    the active pool and forgets its edges; q*e(active) - p*|included| can
-    only overestimate any completion, so pruning strictly below the flow
-    optimum keeps every maximiser reachable.
-    """
-    target = max_gain(f, pair.m2_pair)
-    p, q = pair.m2_pair.numerator, pair.m2_pair.denominator
-    n = f.vertex_count
-    adj = adjacency_sets(f)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    active = [True] * n
-    included: set[int] = set()
-    state = {"union_edges": f.edge_count, "e_in": 0}
-    best: list[tuple] = []
-
-    def collect() -> None:
-        verts = sorted(included)
-        inside = [e for e in f.edges if e[0] in included and e[1] in included]
-        if inside:
-            sub, _ = extract_from_edges(inside)
-        else:
-            sub = graph(0)
-        key = (canonical_key(sub), tuple(verts))
-        if not best or key < best[0][0]:
-            best[:] = [(key, sub, tuple(verts))]
-
-    def rec(k: int) -> None:
-        if q * state["union_edges"] - p * len(included) < target:
-            return
-        if k == n:
-            if q * state["e_in"] - p * len(included) == target:
-                collect()
-            return
-        v = order[k]
-        gained = sum(1 for w in adj[v] if w in included)
-        included.add(v)
-        state["e_in"] += gained
-        rec(k + 1)
-        included.discard(v)
-        state["e_in"] -= gained
-        active[v] = False
-        lost = sum(1 for w in adj[v] if active[w])
-        state["union_edges"] -= lost
-        rec(k + 1)
-        active[v] = True
-        state["union_edges"] += lost
-
-    rec(0)
-    assert best, "flow optimum not met by any subset; gain bookkeeping is broken"
-    _, sub, verts = best[0]
-    return sub, verts
+    """The vertex set M0 contained in every slack minimiser, with the
+    subgraph of f it induces (graph(0) when M0 is empty)."""
+    _, verts = least_max_gain_set(f, pair.m2_pair)
+    return induced_subgraph(f, verts)[0], verts
 
 
 def minimising_subgraph(f: Graph, pair: PairSpec) -> Graph:
-    """The canonically least subgraph of f attaining the minimum slack."""
+    """The canonically least subgraph of f attaining the minimum slack: the
+    one on the vertex set M0 that every minimiser contains."""
     return _minimising_witness(f, pair)[0]
 
 
@@ -362,7 +320,10 @@ def _grow(
     while True:
         lam = Fraction(len(f_verts)) - Fraction(len(f_edges)) / pair.m2_pair
         extracted, index = extract_from_edges(f_edges)
-        if not (i < cap and min_slack(extracted, pair) > -pair.gamma):
+        if i >= cap:
+            break
+        gain, least = least_max_gain_set(extracted, pair.m2_pair)
+        if Fraction(-gain, pair.m2_pair.numerator) <= -pair.gamma:  # min_slack(F)
             break
         before_v, before_e = len(f_verts), len(f_edges)
         kwargs: dict = {}
@@ -417,14 +378,14 @@ def _grow(
         i += 1
 
     if i >= cap:
-        final, _ = extract_from_edges(f_edges)
+        final = extracted
         host_edges = tuple(sorted(f_edges))
         outcome = "hit_iteration_cap"
     else:
-        extracted, index = extract_from_edges(f_edges)
+        # the density guard fired on the flow just run: its cut holds M0
+        final, _ = induced_subgraph(extracted, least)
         back = {c: o for o, c in index.items()}
-        final, verts = _minimising_witness(extracted, pair)
-        chosen = {back[c] for c in verts}
+        chosen = {back[c] for c in least}
         host_edges = tuple(
             sorted(e for e in f_edges if e[0] in chosen and e[1] in chosen)
         )

@@ -199,6 +199,12 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys):
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+    # --grid prints the certificate table and reads no single-pair flag
+    rc, _, err = run_cli(
+        capsys, "regular-cert", "--grid", "2", "2", "--enumerate", "3", "--v1", "9", "--h1", "K5"
+    )
+    assert rc == 2
+    assert "--v1" in err and "--h1" in err and "--enumerate" in err
 
 
 def test_sweep_csv_stdout_matches_flushed_file(capsys, tmp_path):

@@ -16,6 +16,7 @@ from asymcolor.density import (
     d_density,
     density_profile,
     density_slack,
+    least_max_gain_set,
     m2_asym,
     m2_density,
     m_density,
@@ -126,16 +127,26 @@ def test_subset_limit_guard():
 
 def test_max_gain_matches_subset_scan():
     # the caps 201/100 and 113/50 are m2_pair + epsilon of K3/K3 and K4/C4
-    caps = [F(1, 2), F(1), F(3, 2), F(201, 100), F(113, 50), F(5, 2)]
+    caps = [F(0), F(1, 2), F(1), F(3, 2), F(201, 100), F(113, 50), F(5, 2)]
     rng = random.Random(20260816)
     pool = graphs_up_to(6) + [random_graph(rng, n, 0.5) for n in range(1, 13) for _ in range(2)]
     for g in pool:
-        counts = list(all_subgraph_counts(g))
+        subsets = [
+            (frozenset(verts), sum(1 for u, v in g.edges if u in verts and v in verts))
+            for k in range(g.vertex_count + 1)
+            for verts in map(set, itertools.combinations(range(g.vertex_count), k))
+        ]
         m, _ = m_density(g)
         for c in caps:
+            p, q = c.numerator, c.denominator
             gain = max_gain(g, c)
-            assert gain == max(c.denominator * e - c.numerator * v for v, e in counts), (g.edges, c)
+            assert gain == max(q * e - p * len(verts) for verts, e in subsets), (g.edges, c)
             assert (gain == 0) == (m <= c), (g.edges, c)
+            # the least maximiser: inside every maximiser, and one itself
+            maximisers = [verts for verts, e in subsets if q * e - p * len(verts) == gain]
+            least = frozenset.intersection(*maximisers)
+            assert least in maximisers, (g.edges, c)
+            assert least_max_gain_set(g, c) == (gain, tuple(sorted(least))), (g.edges, c)
     with pytest.raises(ValueError):
         max_gain(complete_graph(3), F(-1))
 

@@ -15,6 +15,7 @@ from asymcolor.graphs import (
     canonical_key,
     complete_graph,
     cycle_graph,
+    extract_from_edges,
     graph,
     norm_edge,
 )
@@ -22,6 +23,7 @@ from asymcolor.grow import (
     FlowerError,
     GrowError,
     GrowStep,
+    _minimising_witness,
     check_external_density,
     classify_iteration,
     eligible_edge,
@@ -115,21 +117,32 @@ def test_minimising_subgraph_extracts_densest_block():
     assert density_slack(out, pair_k3k3()) == Fraction(-3, 2)
 
 
+def planted_core(n, seed):
+    """A near-complete graph on vertices 0-5 inside a sparse one on n vertices."""
+    rng = random.Random(seed)
+    return graph(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < (0.95 if v < 6 else 0.35)],
+    )
+
+
 def test_minimising_subgraph_matches_exhaustive():
-    for seed in range(12):
-        g = gnp(6, 0.55, seed=100 + seed)
+    for seed in range(24):
+        if seed < 12:
+            g = gnp(6, 0.55, seed=100 + seed)
+        else:  # 7-9 vertices, where the witness is often a proper subset
+            g = planted_core(7 + seed % 3, seed=100 + seed)
         pair = pair_k3k3() if seed % 2 else pair_k4c4()
         best = slack_oracle(g, pair)
-        keys = []
+        keys, minimisers = [], []
         for r in range(g.vertex_count + 1):
             for sub in combinations(range(g.vertex_count), r):
                 inside = set(sub)
                 e_in = [e for e in g.edges if e[0] in inside and e[1] in inside]
                 lam = Fraction(r) - Fraction(len(e_in)) / pair.m2_pair
                 if lam == best:
+                    minimisers.append(frozenset(sub))
                     if e_in:
-                        from asymcolor.graphs import extract_from_edges
-
                         keys.append(canonical_key(extract_from_edges(e_in)[0]))
                     else:
                         keys.append(canonical_key(graph(len(inside))))
@@ -137,6 +150,10 @@ def test_minimising_subgraph_matches_exhaustive():
         # only matter when the empty graph itself is the minimiser
         out = minimising_subgraph(g, pair)
         assert canonical_key(out) == min(keys)
+        # the witness sits on the vertex set every minimiser contains
+        witness, verts = _minimising_witness(g, pair)
+        assert witness == out
+        assert verts == tuple(sorted(frozenset.intersection(*minimisers)))
 
 
 # ---------------------------------------------------------------------------
