@@ -103,6 +103,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -115,7 +124,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(x) for x in text.split(",") if x.strip()]
+    return [_fraction(x) for x in text.split(",") if x.strip()]
 
 
 def _pair_from(args):
@@ -423,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair_args = argparse.ArgumentParser(add_help=False)
     pair_args.add_argument("--h1", required=True, help="denser target: K5, C4, K3,3, Q3, or graph6")
     pair_args.add_argument("--h2", required=True, help="sparser target, same forms")
-    pair_args.add_argument("--epsilon", type=Fraction, default=None, help="slack, default 1/100")
+    pair_args.add_argument("--epsilon", type=_fraction, default=None, help="slack, default 1/100")
 
     budget_arg = argparse.ArgumentParser(add_help=False)
     budget_arg.add_argument("--budget", type=_positive, default=DEFAULT_ORACLE_BUDGET)
@@ -434,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", parents=[common], help="exact density measures")
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", default=None)
-    p.add_argument("--epsilon", type=Fraction, default=None)
+    p.add_argument("--epsilon", type=_fraction, default=None)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser(
@@ -470,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one seeded G(n,p) trial",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=Fraction, required=True)
+    p.add_argument("--b", type=_fraction, required=True)
     p.add_argument("--mode", choices=tuple(_MODES), default="oracle")
     p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_trial)

@@ -138,10 +138,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return graph(len(verts), edges), index
 
 
-def extract_from_edges(edges: Iterable[Edge], isolated: Iterable[int] = ()) -> tuple[Graph, dict[int, int]]:
-    """Relabel an edge set (plus optional isolated vertices) to a compact Graph."""
+def extract_from_edges(edges: Iterable[Edge]) -> tuple[Graph, dict[int, int]]:
+    """Relabel an edge set to a compact Graph on the vertices it touches."""
     edges = [norm_edge(*e) for e in edges]
-    verts = sorted({v for e in edges for v in e} | set(isolated))
+    verts = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(verts)}
     return graph(len(verts), [(index[u], index[v]) for u, v in edges]), index
 
@@ -306,77 +306,31 @@ def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
 # connectivity
 
 
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    adj = adjacency_sets(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
+def _connected_within(masks: list[int], alive: int) -> bool:
+    """True iff the vertices in bitmask `alive` induce a connected graph."""
+    reached = frontier = alive & -alive
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & alive & ~reached
+        reached |= frontier
+    return reached == alive
 
 
 def is_two_connected(g: Graph) -> bool:
-    """True iff g has >= 3 vertices, is connected, and has no cut vertex,
-    that is, it is connected and forms a single block."""
-    return g.vertex_count >= 3 and is_connected(g) and len(block_decomposition(g)) == 1
-
-
-def block_decomposition(g: Graph) -> list[tuple[Edge, ...]]:
-    """Maximal 2-connected blocks of g, each as its sorted edge tuple.
-
-    Bridges come out as single-edge blocks (two vertices, one edge). Isolated
-    vertices belong to no block. The blocks partition the edge set.
-    """
-    adj = adjacency_sets(g)
+    """True iff g has >= 3 vertices, is connected, and stays connected with
+    any one vertex deleted (it has no cut vertex)."""
     n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 0
-    blocks: list[tuple[Edge, ...]] = []
-    edge_stack: list[Edge] = []
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, iter(sorted(adj[root])))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = u
-                    edge_stack.append(norm_edge(u, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                elif w != parent[u] and disc[w] < disc[u]:
-                    edge_stack.append(norm_edge(u, w))
-                    low[u] = min(low[u], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= disc[p]:
-                        cut = norm_edge(p, u)
-                        comp = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            comp.append(e)
-                            if e == cut:
-                                break
-                        blocks.append(tuple(sorted(comp)))
-    return blocks
+    if n < 3:
+        return False
+    masks = adjacency_masks(g)
+    full = (1 << n) - 1
+    return _connected_within(masks, full) and all(
+        _connected_within(masks, full ^ (1 << v)) for v in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

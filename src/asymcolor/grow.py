@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import log
 from typing import Literal, Sequence
 
-from .density import PairSpec, density_slack, least_max_gain_set, max_gain
+from .density import PairSpec, density_slack, least_max_gain_set
 from .families import (
     BlockerDecomposition,
     blocker_decomposition,
@@ -51,39 +51,6 @@ class GrowError(RuntimeError):
     def __init__(self, message: str, steps: Sequence["GrowStep"] = ()):
         super().__init__(message)
         self.steps = tuple(steps)
-
-
-# ---------------------------------------------------------------------------
-# exact minimum slack over all subgraphs, by max-flow
-#
-# Minimisers of lambda are induced subgraphs without isolated vertices (an
-# extra edge lowers lambda, an isolated vertex raises it).  With
-# m2_pair = p/q, lambda(S) = (p*|S| - q*e(S)) / p, so minimising lambda over
-# vertex subsets S is maximising density.max_gain's q*e(S) - p*|S|.  That
-# gain is supermodular, so its maximisers are closed under intersection and
-# their intersection M0 is itself one (Picard and Queyranne 1982), read off
-# the same flow's minimum cut by density.least_max_gain_set.  Every other
-# maximiser strictly contains M0, so M0 has the fewest vertices and is the
-# canonically least minimiser (canonical_key orders by vertex count first).
-# M0 is empty exactly when the minimum slack is 0.
-
-
-def min_slack(f: Graph, pair: PairSpec) -> Fraction:
-    """min over all subgraphs S of f of v(S) - e(S)/m2_pair (0 at the empty one)."""
-    return Fraction(-max_gain(f, pair.m2_pair), pair.m2_pair.numerator)
-
-
-def _minimising_witness(f: Graph, pair: PairSpec) -> tuple[Graph, tuple[int, ...]]:
-    """The vertex set M0 contained in every slack minimiser, with the
-    subgraph of f it induces (graph(0) when M0 is empty)."""
-    _, verts = least_max_gain_set(f, pair.m2_pair)
-    return induced_subgraph(f, verts)[0], verts
-
-
-def minimising_subgraph(f: Graph, pair: PairSpec) -> Graph:
-    """The canonically least subgraph of f attaining the minimum slack: the
-    one on the vertex set M0 that every minimiser contains."""
-    return _minimising_witness(f, pair)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +199,7 @@ class GrowTrace:
     host_edges: tuple[Edge, ...]
 
 
-def classify_iteration(step: GrowStep, pair: PairSpec) -> str:
+def classify_iteration(step: GrowStep) -> str:
     """non_degenerate, degenerate_type_1 (whole-copy absorption),
     degenerate_type_2 (anchored extension re-used vertices) or
     degenerate_alt (copy-pair extension re-used vertices)."""
@@ -322,8 +289,10 @@ def _grow(
         extracted, index = extract_from_edges(f_edges)
         if i >= cap:
             break
+        # with m2_pair = p/q, the least slack over subgraphs S of F is
+        # -max_gain(F, m2_pair) / p, since lambda(S) = (p*|S| - q*e(S)) / p
         gain, least = least_max_gain_set(extracted, pair.m2_pair)
-        if Fraction(-gain, pair.m2_pair.numerator) <= -pair.gamma:  # min_slack(F)
+        if Fraction(-gain, pair.m2_pair.numerator) <= -pair.gamma:
             break
         before_v, before_e = len(f_verts), len(f_edges)
         kwargs: dict = {}
@@ -371,7 +340,7 @@ def _grow(
             added_edges=len(f_edges) - before_e,
             **kwargs,
         )
-        cls = classify_iteration(proto, pair)
+        cls = classify_iteration(proto)
         if cls != "non_degenerate":
             proto = GrowStep(**{**proto.__dict__, "degenerate": True})
         steps.append(proto)
@@ -382,7 +351,16 @@ def _grow(
         host_edges = tuple(sorted(f_edges))
         outcome = "hit_iteration_cap"
     else:
-        # the density guard fired on the flow just run: its cut holds M0
+        # The density guard fired on the flow just run, and its minimum cut
+        # holds M0.  Minimisers of lambda are induced subgraphs without
+        # isolated vertices (an extra edge lowers lambda, an isolated vertex
+        # raises it), so they are the vertex sets maximising the gain
+        # q*e(S) - p*|S|.  That gain is supermodular, so its maximisers are
+        # closed under intersection and their intersection M0 is itself one
+        # (Picard and Queyranne 1982).  Every other maximiser strictly
+        # contains M0, so M0 has the fewest vertices and induces the
+        # canonically least minimiser (canonical_key orders by vertex count
+        # first).
         final, _ = induced_subgraph(extracted, least)
         back = {c: o for o, c in index.items()}
         chosen = {back[c] for c in least}
@@ -555,14 +533,13 @@ def random_flower(
     pair: PairSpec,
     rng: random.Random,
     overlap: bool = False,
-    max_tries: int = 400,
 ) -> FlowerAttachment:
     """Sample an attachment; overlap=True keeps resampling until pendants
     share material (an instance outside the disjoint family)."""
     anchor = norm_edge(*anchor_edge)
     h1, h2 = pair.h1, pair.h2
     base_verts = set(range(base.vertex_count))
-    for _ in range(max_tries):
+    for _ in range(400):
         next_label = base.vertex_count
         h2_edges = list(h2.edges)
         a2, b2 = h2_edges[rng.randrange(len(h2_edges))]

@@ -329,41 +329,6 @@ def certificate_grid(
 
 
 @dataclass(frozen=True)
-class DegreeCheck:
-    """Truthy when the graph clears the blocker degree floor."""
-
-    ok: bool
-    required_degree: int
-    required_density: Fraction
-    density: Fraction
-    low_degree_vertex: int | None = None
-    low_degree: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def min_degree_bound_check(a: Graph, p: RegularPairParams) -> DegreeCheck:
-    """Check the structural floor a blocker member must clear.
-
-    Every vertex of such a graph lies on copies of both pattern graphs
-    overlapping in exactly one edge, so its degree is at least
-    l1 + l2 - 1 and the edge/vertex density is at least half that. A
-    failing graph is reported with its worst vertex. The graph with no
-    vertices passes vacuously.
-    """
-    need = p.l1 + p.l2 - 1
-    if a.vertex_count == 0:
-        return DegreeCheck(True, need, p.degree_floor, Fraction(0))
-    degrees = a.degree_sequence()
-    worst = min(range(a.vertex_count), key=lambda v: (degrees[v], v))
-    density = Fraction(a.edge_count, a.vertex_count)
-    if degrees[worst] < need:
-        return DegreeCheck(False, need, p.degree_floor, density, worst, degrees[worst])
-    return DegreeCheck(density >= p.degree_floor, need, p.degree_floor, density)
-
-
-@dataclass(frozen=True)
 class AHatEnumeration:
     """Blocker-family members up to a vertex bound, with a completeness
     verdict.

@@ -252,6 +252,16 @@ def test_exit_2_on_bad_input(capsys):
         capsys, "grow", "--h1", "K3", "--h2", "K3", "--graph", "P4", "--a-hat-bound", "0"
     )
     assert rc == 2 and "cannot grow" in err
+    for argv in (
+        ["trial", "--h1", "K3", "--h2", "K3", "--n", "10", "--b", "1/0"],
+        ["sweep", "--h1", "K3", "--h2", "K3", "--n", "10", "--b", "1/0"],
+        ["density", "--h1", "K3", "--h2", "K3", "--epsilon", "1/0"],
+    ):
+        # argparse rejects the value itself, before any subcommand runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

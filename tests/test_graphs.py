@@ -13,7 +13,6 @@ from asymcolor.graphs import (
     Graph,
     Graph6Error,
     _orbit_floors,
-    block_decomposition,
     canonical_form,
     canonical_key,
     complete_bipartite,
@@ -27,7 +26,6 @@ from asymcolor.graphs import (
     graph,
     graphs_up_to,
     induced_subgraph,
-    is_connected,
     is_two_connected,
     nonisomorphic_graphs,
     octahedron_graph,
@@ -327,32 +325,26 @@ def test_two_connected_basics():
 
 
 def test_connectivity_matches_networkx():
+    # networkx is the independent slow path: 2-connected means at least 3
+    # vertices, connected, and no articulation point
+    def check(g):
+        h = to_nx(g)
+        expected = g.vertex_count >= 3 and nx.is_connected(h) and not list(nx.articulation_points(h))
+        assert is_two_connected(g) == expected, (g.vertex_count, g.edges)
+
+    # every graph on 0-7 vertices, up to isomorphism (OEIS A000088)
+    every = graphs_up_to(7)
+    sizes = [sum(1 for g in every if g.vertex_count == n) for n in range(8)]
+    assert sizes == [1, 1, 2, 4, 11, 34, 156, 1044]
+    for g in every:
+        check(g)
     rng = random.Random(7)
     for _ in range(60):
-        g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.1, 0.7))
-        h = to_nx(g)
-        assert is_connected(g) == nx.is_connected(h)
-        expected = g.vertex_count >= 3 and nx.is_connected(h) and not list(nx.articulation_points(h))
-        assert is_two_connected(g) == expected
-
-
-def test_block_decomposition_matches_networkx():
-    rng = random.Random(8)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.1, 0.6))
-        got = {frozenset(b) for b in block_decomposition(g)}
-        want = set()
-        for comp in nx.biconnected_component_edges(to_nx(g)):
-            want.add(frozenset(tuple(sorted(e)) for e in comp))
-        assert got == want
-
-
-def test_blocks_partition_edges():
-    g = graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)])
-    blocks = block_decomposition(g)
-    all_edges = [e for b in blocks for e in b]
-    assert sorted(all_edges) == list(g.edges)
-    assert frozenset({(5, 6)}) in {frozenset(b) for b in blocks}  # bridge alone
+        check(random_graph(rng, rng.randint(3, 9), rng.uniform(0.1, 0.7)))
+    # larger hosts, sparse enough that many have a cut vertex
+    rng = random.Random(20)
+    for _ in range(12):
+        check(random_graph(rng, rng.randint(20, 30), rng.uniform(0.08, 0.3)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcolor.density import build_pair_spec, density_slack
+from asymcolor.density import build_pair_spec, density_slack, least_max_gain_set, max_gain
 from asymcolor.families import blocker_decomposition
 from asymcolor.graphs import (
     Copy,
@@ -17,13 +17,13 @@ from asymcolor.graphs import (
     cycle_graph,
     extract_from_edges,
     graph,
+    induced_subgraph,
     norm_edge,
 )
 from asymcolor.grow import (
     FlowerError,
     GrowError,
     GrowStep,
-    _minimising_witness,
     check_external_density,
     classify_iteration,
     eligible_edge,
@@ -33,8 +33,6 @@ from asymcolor.grow import (
     grow,
     grow_alt,
     make_flower,
-    min_slack,
-    minimising_subgraph,
     order_edges,
     random_flower,
     verify_overlap_density_gain,
@@ -84,14 +82,28 @@ def slack_oracle(g, pair):
 
 
 # ---------------------------------------------------------------------------
-# minimum slack and the minimising subgraph
+# minimum slack and the minimising subgraph, as the growth loop reads them
+# off one flow
+
+
+def flow_slack(g, pair):
+    """The least slack over subgraphs of g by the density guard's formula:
+    with m2_pair = p/q it is -max_gain(g, m2_pair) / p."""
+    return Fraction(-max_gain(g, pair.m2_pair), pair.m2_pair.numerator)
+
+
+def flow_witness(g, pair):
+    """The density witness the growth loop exits with: the least maximising
+    vertex set of the flow and the subgraph of g it induces."""
+    _, verts = least_max_gain_set(g, pair.m2_pair)
+    return induced_subgraph(g, verts)[0], verts
 
 
 def test_min_slack_frozen_values():
-    assert min_slack(graph(0), pair_k3k3()) == 0
-    assert min_slack(complete_graph(3), pair_k4c4()) == 0
-    assert min_slack(cycle_graph(4), pair_k4c4()) == 0
-    assert min_slack(complete_graph(6), pair_k3k3()) == Fraction(-3, 2)
+    assert flow_slack(graph(0), pair_k3k3()) == 0
+    assert flow_slack(complete_graph(3), pair_k4c4()) == 0
+    assert flow_slack(cycle_graph(4), pair_k4c4()) == 0
+    assert flow_slack(complete_graph(6), pair_k3k3()) == Fraction(-3, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,11 +112,11 @@ def test_min_slack_matches_exhaustive(seed):
     rng = random.Random(seed)
     g = gnp(rng.randrange(2, 8), rng.choice([0.3, 0.5, 0.8]), seed)
     pair = pair_k4c4() if seed % 2 else pair_k3k3()
-    assert min_slack(g, pair) == slack_oracle(g, pair)
+    assert flow_slack(g, pair) == slack_oracle(g, pair)
 
 
 def test_minimising_subgraph_empty_when_slack_zero():
-    out = minimising_subgraph(complete_graph(3), pair_k4c4())
+    out, _ = flow_witness(complete_graph(3), pair_k4c4())
     assert out.vertex_count == 0 and out.edge_count == 0
 
 
@@ -112,7 +124,7 @@ def test_minimising_subgraph_extracts_densest_block():
     # K6 with a triangle hung off one vertex; only the K6 goes negative
     edges = list(complete_graph(6).edges) + [(0, 6), (6, 7), (0, 7)]
     host = graph(8, edges)
-    out = minimising_subgraph(host, pair_k3k3())
+    out, _ = flow_witness(host, pair_k3k3())
     assert canonical_key(out) == canonical_key(complete_graph(6))
     assert density_slack(out, pair_k3k3()) == Fraction(-3, 2)
 
@@ -148,11 +160,10 @@ def test_minimising_subgraph_matches_exhaustive():
                         keys.append(canonical_key(graph(len(inside))))
         # isolated vertices never help, so the oracle's empty-edge entries
         # only matter when the empty graph itself is the minimiser
-        out = minimising_subgraph(g, pair)
+        out, verts = flow_witness(g, pair)
         assert canonical_key(out) == min(keys)
+        assert density_slack(out, pair) == best
         # the witness sits on the vertex set every minimiser contains
-        witness, verts = _minimising_witness(g, pair)
-        assert witness == out
         assert verts == tuple(sorted(frozenset.intersection(*minimisers)))
 
 
@@ -236,7 +247,7 @@ def test_grow_rook_hits_iteration_cap():
         assert (s.added_vertices, s.added_edges) == (2, 6)
     assert final.vertex_count == 16 and final.edge_count == 36
     assert set(trace.host_edges) <= rook4().edge_set()
-    assert [classify_iteration(s, pair) for s in trace.steps] == [
+    assert [classify_iteration(s) for s in trace.steps] == [
         "non_degenerate",
         "degenerate_type_1",
         "degenerate_type_1",
@@ -259,7 +270,7 @@ def test_grow_padded_rook_hits_density_guard():
     assert (trace.steps[-1].added_vertices, trace.steps[-1].added_edges) == (0, 6)
     assert final.vertex_count == 16 and final.edge_count == 42
     assert density_slack(final, pair) == Fraction(-8, 3)
-    assert min_slack(final, pair) == Fraction(-8, 3)
+    assert flow_slack(final, pair) == Fraction(-8, 3)
     assert set(trace.host_edges) <= host.edge_set() and len(trace.host_edges) == 42
 
 
@@ -274,7 +285,7 @@ def test_grow_alt_k6_frozen_trace():
     assert [s.lambda_after for s in trace.steps] == [Fraction(3, 2), Fraction(1)]
     assert [(s.added_vertices, s.added_edges) for s in trace.steps] == [(1, 2), (0, 1)]
     assert canonical_key(final) == canonical_key(complete_graph(4))
-    assert [classify_iteration(s, pair) for s in trace.steps] == [
+    assert [classify_iteration(s) for s in trace.steps] == [
         "non_degenerate",
         "degenerate_alt",
     ]
@@ -346,7 +357,6 @@ def test_grow_trace_serializes():
 
 
 def test_classify_iteration_synthetic_records():
-    pair = pair_k3k3()
     base = dict(
         index=0,
         degenerate=False,
@@ -362,7 +372,7 @@ def test_classify_iteration_synthetic_records():
         pendant_overlaps=(((1, 2), (1, 2, 3)),),
         **base,
     )
-    assert classify_iteration(bad_pendant, pair) == "degenerate_type_2"
+    assert classify_iteration(bad_pendant) == "degenerate_type_2"
     clean = GrowStep(
         kind="extend_anchored",
         anchor_edge=(0, 1),
@@ -370,7 +380,7 @@ def test_classify_iteration_synthetic_records():
         pendant_overlaps=(((1, 2), (1, 2)),),
         **base,
     )
-    assert classify_iteration(clean, pair) == "non_degenerate"
+    assert classify_iteration(clean) == "non_degenerate"
 
 
 # ---------------------------------------------------------------------------

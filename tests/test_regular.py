@@ -18,8 +18,6 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
     nonisomorphic_graphs,
-    octahedron_graph,
-    path_graph,
 )
 from asymcolor.regular import (
     EXCLUSION_CLIQUE_CYCLE,
@@ -35,7 +33,6 @@ from asymcolor.regular import (
     gap_lower_poly,
     gap_poly,
     m2_pair_regular,
-    min_degree_bound_check,
 )
 
 
@@ -309,20 +306,6 @@ def test_three_regular_graphs_on_six_vertices():
     assert not balancedness(prism(), "strictly_two_balanced")
 
 
-def test_min_degree_bound_check():
-    p = params(3, 2, 3, 2)
-    assert min_degree_bound_check(graph(0), p)  # vacuous
-    check = min_degree_bound_check(complete_graph(6), p)
-    assert check
-    assert check.density == Fraction(15, 6)
-    assert min_degree_bound_check(octahedron_graph(), p)
-    bad = min_degree_bound_check(path_graph(3), p)
-    assert not bad
-    assert bad.required_degree == 3
-    assert bad.low_degree_vertex == 0
-    assert bad.low_degree == 1
-
-
 def test_min_degree_bound_check_constructed_member():
     # the rook graph: four row-cliques and four column-cliques on a 4x4
     # grid, a pinned host for the complete-graph/4-cycle pair
@@ -334,10 +317,12 @@ def test_min_degree_bound_check_constructed_member():
         cells = [4 * r + c for r in range(4)]
         edges += [(a, b) for i, a in enumerate(cells) for b in cells[i + 1 :]]
     rook = graph(16, edges)
-    check = min_degree_bound_check(rook, params(4, 3, 4, 2))
-    assert check
-    assert check.required_degree == 4
-    assert check.density == 3
+    p = params(4, 3, 4, 2)
+    # it clears the floor a blocker member must: min degree >= l1 + l2 - 1,
+    # and so edge/vertex density >= degree_floor, half of that
+    assert p.l1 + p.l2 - 1 == 4
+    assert min(rook.degree_sequence()) == 6 >= p.l1 + p.l2 - 1
+    assert Fraction(rook.edge_count, rook.vertex_count) == 3 >= p.degree_floor == 2
 
 
 def test_enumerate_a_hat_certified_pairs():
