@@ -121,28 +121,39 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
     copies of h1 and of h2 in g.
 
     Propagation: a copy of h1 with all but one edge red forces its last edge
-    blue, and dually for h2. Branching picks an edge in the tightest live
-    copy. "invalid" is returned only after the search space is exhausted;
-    hitting the node budget is reported as its own outcome and must not be
-    read as either verdict.
+    blue, and dually for h2. Branching: a copy is live while none of its
+    colored edges has the copy's good colour (blue for h1, red for h2); an
+    edge's score is the least number of uncolored edges over the live copies
+    through it, or one more than the edge count if none is live; the search
+    branches on the least-index uncolored edge of least score, trying red
+    first. Node counts depend on this rule. "invalid" is returned only after
+    the search space is exhausted; hitting the node budget is reported as
+    its own outcome and must not be read as either verdict.
     """
     edges = g.edges
     n_e = len(edges)
     idx = {e: i for i, e in enumerate(edges)}
     # one list of copies: those of h1, which must not go all red, then those
-    # of h2, which must not go all blue; on[e] lists the copies through the
-    # edge at position e, h1's first, each kind in its set's order
+    # of h2, which must not go all blue. Colouring the edge at position e
+    # with c takes the copies in hits[c][0][e] a step towards their bad
+    # colour and kills those in hits[c][1][e]; each lists the copies through
+    # e of one kind, in its set's order
     sets = [tuple(sorted(idx[e] for e in c.edges)) for c in h1_copies.copies + h2_copies.copies]
     shift = len(h1_copies)
-    bad = [RED] * shift + [BLUE] * len(h2_copies)
-    on = [
-        h1_copies.index.get(e, ()) + tuple(shift + ci for ci in h2_copies.index.get(e, ()))
-        for e in edges
-    ]
+    on1 = [h1_copies.index.get(e, ()) for e in edges]
+    on2 = [tuple(shift + ci for ci in h2_copies.index.get(e, ())) for e in edges]
+    hits = {RED: (on1, on2), BLUE: (on2, on1)}
 
     color: list[str | None] = [None] * n_e
     un = [len(c) for c in sets]  # uncolored edges per copy
-    mono = [0] * len(sets)  # edges per copy in its bad colour
+    good = [0] * len(sets)  # edges per copy in its good colour
+    # at[k]: the live copies (good == 0) with k uncolored edges; assign and
+    # undo move a copy between buckets as they update its counters. A live
+    # copy with no uncolored edge is all in its bad colour, and one with one
+    # uncolored edge forces that edge the other way
+    at: list[set[int]] = [set() for _ in range(max(un, default=0) + 1)]
+    for ci, k in enumerate(un):
+        at[k].add(ci)
     nodes = 0
 
     def assign(e0: int, c0: str, trail: list[int]) -> bool:
@@ -155,44 +166,56 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
                 return False
             color[e] = c
             trail.append(e)
-            # update every counter before any conflict return, so undo (which
+            toward, away = hits[c]
+            for ci in away[e]:
+                u = un[ci]
+                un[ci] = u - 1
+                if not good[ci]:
+                    at[u].remove(ci)
+                good[ci] += 1
+            # update every counter before a conflict return, so undo (which
             # reverses complete updates) stays in sync
-            for ci in on[e]:
-                un[ci] -= 1
-                if c == bad[ci]:
-                    mono[ci] += 1
-            for ci in on[e]:
-                if c != bad[ci]:
-                    continue
-                k = len(sets[ci])
-                if mono[ci] == k:
-                    return False
-                if un[ci] == 1 and mono[ci] == k - 1:
-                    f = next(x for x in sets[ci] if color[x] is None)
-                    queue.append((f, BLUE if c == RED else RED))
+            ok = True
+            for ci in toward[e]:
+                u = un[ci] - 1
+                un[ci] = u
+                if not good[ci]:
+                    at[u + 1].remove(ci)
+                    at[u].add(ci)
+                    if u == 0:
+                        ok = False
+                    elif u == 1:
+                        f = next(x for x in sets[ci] if color[x] is None)
+                        queue.append((f, BLUE if c == RED else RED))
+            if not ok:
+                return False
         return True
 
     def undo(trail: list[int]):
         for e in reversed(trail):
-            c = color[e]
-            for ci in on[e]:
-                un[ci] += 1
-                if c == bad[ci]:
-                    mono[ci] -= 1
+            toward, away = hits[color[e]]
+            for ci in toward[e]:
+                u = un[ci]
+                un[ci] = u + 1
+                if not good[ci]:
+                    at[u].remove(ci)
+                    at[u + 1].add(ci)
+            for ci in away[e]:
+                u = un[ci] + 1
+                un[ci] = u
+                good[ci] -= 1
+                if not good[ci]:
+                    at[u].add(ci)
             color[e] = None
 
     def pick() -> int | None:
-        best, best_score = None, None
-        for e in range(n_e):
-            if color[e] is not None:
-                continue
-            score = n_e + 1
-            for ci in on[e]:
-                if mono[ci] == len(sets[ci]) - un[ci]:  # all assigned are the bad colour
-                    score = min(score, un[ci])
-            if best_score is None or score < best_score:
-                best, best_score = e, score
-        return best
+        # the edges of least score are the uncolored edges of the live copies
+        # with the fewest uncolored edges (at least one): read them off the
+        # first non-empty bucket; with no such copy every score ties
+        for k in range(1, len(at)):
+            if at[k]:
+                return min(x for ci in at[k] for x in sets[ci] if color[x] is None)
+        return color.index(None) if None in color else None
 
     # depth-first search with an explicit stack: one frame per branched edge
     # above the current node, holding the edge, the number of colours tried

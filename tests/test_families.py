@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,24 +10,29 @@ from asymcolor.families import (
     BLUE,
     RED,
     Coloring,
+    ColoringSearch,
     blocker_decomposition,
     color_by_members,
     enumerate_blockers,
     family_report,
     has_valid_coloring,
     is_blocker,
+    search_from_copies,
     verify_coloring,
 )
 from asymcolor.graphs import (
+    CopySet,
     Graph,
     canonical_key,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     emit_graph6,
+    enumerate_copies,
     graph,
     octahedron_graph,
 )
+from asymcolor.harness import derive_seed, edge_probability, sample_gnp
 
 F = Fraction
 
@@ -154,7 +160,7 @@ def test_searcher_deep_search_is_iterative():
 def test_searcher_budget():
     res = has_valid_coloring(complete_graph(6), pair_k3k3(), budget=5)
     assert res.status == "budget_exceeded"
-    assert res.nodes_expanded >= 5
+    assert res.nodes_expanded == 6
     assert res.coloring is None
 
 
@@ -177,6 +183,171 @@ def test_searcher_coherence_random():
             assert res.status in ("valid", "invalid")
             if res.status == "valid":
                 assert verify_coloring(res.coloring, pair).ok
+
+
+# ---------------------------------------------------------------------------
+# the searcher against its rescanning reference
+
+
+def rescanning_search(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget: int) -> ColoringSearch:
+    """The reference for search_from_copies: the same search, with pick
+    scoring every uncolored edge through its copies at every node."""
+    edges = g.edges
+    n_e = len(edges)
+    idx = {e: i for i, e in enumerate(edges)}
+    # one list of copies: those of h1, which must not go all red, then those
+    # of h2, which must not go all blue; on[e] lists the copies through the
+    # edge at position e, h1's first, each kind in its set's order
+    sets = [tuple(sorted(idx[e] for e in c.edges)) for c in h1_copies.copies + h2_copies.copies]
+    shift = len(h1_copies)
+    bad = [RED] * shift + [BLUE] * len(h2_copies)
+    on = [
+        h1_copies.index.get(e, ()) + tuple(shift + ci for ci in h2_copies.index.get(e, ()))
+        for e in edges
+    ]
+
+    color: list[str | None] = [None] * n_e
+    un = [len(c) for c in sets]  # uncolored edges per copy
+    mono = [0] * len(sets)  # edges per copy in its bad colour
+    nodes = 0
+
+    def assign(e0: int, c0: str, trail: list[int]) -> bool:
+        queue = [(e0, c0)]
+        while queue:
+            e, c = queue.pop()
+            if color[e] is not None:
+                if color[e] == c:
+                    continue
+                return False
+            color[e] = c
+            trail.append(e)
+            # update every counter before any conflict return, so undo (which
+            # reverses complete updates) stays in sync
+            for ci in on[e]:
+                un[ci] -= 1
+                if c == bad[ci]:
+                    mono[ci] += 1
+            for ci in on[e]:
+                if c != bad[ci]:
+                    continue
+                k = len(sets[ci])
+                if mono[ci] == k:
+                    return False
+                if un[ci] == 1 and mono[ci] == k - 1:
+                    f = next(x for x in sets[ci] if color[x] is None)
+                    queue.append((f, BLUE if c == RED else RED))
+        return True
+
+    def undo(trail: list[int]):
+        for e in reversed(trail):
+            c = color[e]
+            for ci in on[e]:
+                un[ci] += 1
+                if c == bad[ci]:
+                    mono[ci] -= 1
+            color[e] = None
+
+    def pick() -> int | None:
+        best, best_score = None, None
+        for e in range(n_e):
+            if color[e] is not None:
+                continue
+            score = n_e + 1
+            for ci in on[e]:
+                if mono[ci] == len(sets[ci]) - un[ci]:  # all assigned are the bad colour
+                    score = min(score, un[ci])
+            if best_score is None or score < best_score:
+                best, best_score = e, score
+        return best
+
+    # depth-first search with an explicit stack: one frame per branched edge
+    # above the current node, holding the edge, the number of colours tried
+    # there and the trail of the assignment in force
+    frames: list[tuple[int, int, list[int]]] = []
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return ColoringSearch("budget_exceeded", None, nodes)
+        e, k = pick(), 0
+        if e is None:
+            break
+        while True:
+            while k == 2:  # both colours failed at e: back up one level
+                if not frames:
+                    return ColoringSearch("invalid", None, nodes)
+                e, k, trail = frames.pop()
+                undo(trail)
+            trail = []
+            k += 1
+            if assign(e, (RED, BLUE)[k - 1], trail):
+                frames.append((e, k, trail))
+                break
+            undo(trail)
+
+    out = Coloring(g, {edges[i]: color[i] for i in range(n_e) if color[i] is not None})
+    # the searcher never leaves an edge both unforced and unbranched
+    assert out.is_total()
+    return ColoringSearch("valid", out, nodes)
+
+
+
+def assert_same_search(g: Graph, h1_copies, h2_copies, budget: int) -> ColoringSearch:
+    got = search_from_copies(g, h1_copies, h2_copies, budget)
+    want = rescanning_search(g, h1_copies, h2_copies, budget)
+    assert (got.status, got.nodes_expanded) == (want.status, want.nodes_expanded)
+    assert (got.coloring and got.coloring.assignment) == (want.coloring and want.coloring.assignment)
+    return got
+
+
+def assert_same_on(g: Graph, pair, budget: int) -> ColoringSearch:
+    return assert_same_search(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2), budget)
+
+
+def test_search_matches_rescanning_reference_on_gnp():
+    pairs = [pair_k3k3(), pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4)),
+             build_pair_spec(cycle_graph(4), cycle_graph(4))]
+    statuses = Counter()
+    for pi, pair in enumerate(pairs):
+        for t in range(8):
+            n = 7 + t
+            g = sample_gnp(n, 0.35 + 0.07 * t, derive_seed(11, n, F(pi), t))
+            statuses[assert_same_on(g, pair, 60).status] += 1
+    assert set(statuses) == {"valid", "invalid", "budget_exceeded"}, statuses
+
+
+def test_search_matches_rescanning_reference_on_hard_hosts():
+    # a dense strict host (K4/C4, n=16, b=3: 105 edges) and the two K3/K3
+    # G(20, p(b=2)) hosts that exhaust the benchmark's oracle budget
+    k4c4 = pair_k4c4()
+    b = F(3)
+    dense = sample_gnp(16, edge_probability(k4c4, 16, b), derive_seed(20260816, 16, b, 0))
+    assert dense.edge_count == 105
+    assert assert_same_on(dense, k4c4, 300).status == "budget_exceeded"
+    k3 = pair_k3k3()
+    b = F(2)
+    for t in (4, 5):
+        g = sample_gnp(20, edge_probability(k3, 20, b), derive_seed(20260816, 20, b, t))
+        assert assert_same_on(g, k3, 1000).status == "budget_exceeded"
+
+
+def test_search_with_one_copy_set_as_both_targets():
+    # every copy appears twice in the search, once per colour
+    triangle = complete_graph(3)
+    got = []
+    for k in (5, 6, 7):
+        g = complete_graph(k)
+        triangles = enumerate_copies(g, triangle)
+        res = assert_same_search(g, triangles, triangles, 1000)
+        got.append((res.status, res.nodes_expanded))
+    assert got == [("valid", 6), ("invalid", 19), ("invalid", 19)]
+
+
+def test_search_without_copies():
+    k3 = pair_k3k3()
+    for g in (complete_bipartite(3, 3), graph(0), graph(5)):
+        res = assert_same_on(g, k3, 1000)
+        assert res.status == "valid" and res.coloring.is_total()
+        assert res.nodes_expanded == g.edge_count + 1
 
 
 # ---------------------------------------------------------------------------
