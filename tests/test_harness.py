@@ -221,16 +221,22 @@ def test_summarize_trace_special_case():
 
 def test_full_pipeline_trials_match_golden():
     # TrialResult.to_dict() without wall_ms, plus the grown witness and its
-    # host edges, for three FullPipeline K3/K3 cells: special-case returns
-    # from the bound-6 catalog, the growth loop next to bound-5 members, and
-    # the loop and its errors with an empty bound-3 catalog. The data was
-    # captured when growth still decomposed the residual itself, so it pins
-    # growth from the audited decomposition to that output.
+    # host edges, for three FullPipeline K3/K3 cells (grow_alt): special-case
+    # returns from the bound-6 catalog, the growth loop next to bound-5
+    # members, and the loop and its errors with an empty bound-3 catalog.
+    # The K3/K3 data was captured when growth still decomposed the residual
+    # itself, so it pins growth from the audited decomposition to that
+    # output. The K4/C4 cell pins the strict grower: its bound-6 catalog is
+    # empty, and 13 of its 20 trials stick and grow by absorb_h1 steps.
     golden = Path(__file__).parent / "data" / "growth_golden.jsonl"
     expected = [json.loads(line) for line in golden.read_text().splitlines()]
-    pair = pair_k3k3()
     got = []
-    for bound, n, b in ((6, 16, "3/2"), (5, 20, "1"), (3, 16, "3/2")):
+    for pair, label, bound, n, b in (
+        (pair_k3k3(), "", 6, 16, "3/2"),
+        (pair_k3k3(), "", 5, 20, "1"),
+        (pair_k3k3(), "", 3, 16, "3/2"),
+        (pair_k4c4(), "h1=K4 h2=C4 ", 6, 12, "2"),
+    ):
         report = sweep(
             pair, [n], [Fraction(b)], trials=20, seed=20260816, mode="FullPipeline",
             budget=20_000, a_hat_bound=bound, keep_results=True,
@@ -241,7 +247,7 @@ def test_full_pipeline_trials_match_golden():
             if r.grow_trace is not None:
                 row["grow_final"] = emit_graph6(r.grow_trace.final)
                 row["grow_host_edges"] = r.grow_trace.host_edges
-            cell = f"bound={bound} n={n} b={b}"
+            cell = f"{label}bound={bound} n={n} b={b}"
             got.append(json.loads(json.dumps({"cell": cell, "trial": i, "result": row})))
     assert got == expected
 
