@@ -273,7 +273,6 @@ def asym_edge_color(
 
 @dataclass(frozen=True)
 class StuckReport:
-    anchored: bool
     live_anchor_count: int
     decomposition: BlockerDecomposition  # of the residual, from fresh copies
 
@@ -305,4 +304,4 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
         raise ColorerInternalError(
             "stuck residual is already a cleanly-covered sparse union", outcome.trace
         )
-    return StuckReport(report.anchored, len(outcome.live_anchors), decomp)
+    return StuckReport(len(outcome.live_anchors), decomp)

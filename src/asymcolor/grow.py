@@ -6,7 +6,9 @@ inside that residual, one copy attachment at a time, while auditing the
 slack lambda(F) = v(F) - e(F)/m2_pair.  Non-degenerate attachments keep the
 slack constant; degenerate ones (vertex re-use) pay a fixed toll, so the
 slack can only fall a bounded number of times before the density guard
-fires and a subgraph of maximum edge density is extracted.
+fires and a subgraph of maximum edge density is extracted.  Each attachment
+decides its own degeneracy as it glues its copies on, and the step record
+keeps only that verdict.
 
 The second half of the module builds and audits flower attachments: a copy
 of h2 glued to F along one edge, with a pendant h1 copy pinning each new
@@ -24,11 +26,7 @@ from math import log
 from typing import Literal, Sequence
 
 from .density import PairSpec, density_slack, least_max_gain_set
-from .families import (
-    BlockerDecomposition,
-    blocker_decomposition,
-    family_report,
-)
+from .families import BlockerDecomposition, family_report
 from .graphs import (
     Copy,
     CopySet,
@@ -37,7 +35,6 @@ from .graphs import (
     canonical_form,
     canonical_key,
     extract_from_edges,
-    graph,
     induced_subgraph,
     norm_edge,
 )
@@ -82,21 +79,21 @@ def _extend_anchored(
     e: Edge,
     h1_copies: CopySet,
     anchored: CopySet,
-) -> tuple[tuple[int, ...], tuple[tuple[Edge, tuple[int, ...]], ...]]:
+) -> bool:
     """Attach the least anchored h2-copy of the host through e, then pin each
     new edge with an h1-copy meeting that copy in exactly this edge.  Mutates
-    f in place; returns the overlap geometry for degeneracy classification."""
+    f in place; returns whether the step is degenerate: whether some attached
+    copy met f outside the endpoints of the edge it was attached at."""
     l_copy = next(iter(anchored.through(e)), None)
     if l_copy is None:
         raise GrowError(
             f"no anchored h2-copy of the host passes through {e}; "
             "the residual is not pin-closed"
         )
-    l_overlap = tuple(sorted(l_copy.vertices & f_verts))
+    degenerate = not (l_copy.vertices & f_verts) <= set(e)
     fresh = sorted(l_copy.edges - f_edges)
     f_edges |= l_copy.edges
     f_verts |= l_copy.vertices
-    pendant_overlaps = []
     for e2 in fresh:
         r_copy = next((r for r in h1_copies.through(e2) if l_copy.edges & r.edges == {e2}), None)
         if r_copy is None:
@@ -104,10 +101,10 @@ def _extend_anchored(
                 f"no h1-copy of the host meets the attached h2-copy in exactly {e2}; "
                 "the residual is not pin-closed"
             )
-        pendant_overlaps.append((e2, tuple(sorted(r_copy.vertices & f_verts))))
+        degenerate |= not (r_copy.vertices & f_verts) <= set(e2)
         f_edges |= r_copy.edges
         f_verts |= r_copy.vertices
-    return l_overlap, tuple(pendant_overlaps)
+    return degenerate
 
 
 def _extend_alt(
@@ -116,9 +113,11 @@ def _extend_alt(
     e: Edge,
     h1_copies: CopySet,
     h2_copies: CopySet,
-) -> tuple[str, tuple[int, ...]]:
+) -> bool:
     """Attach one side of the least (h2-copy, h1-copy) pair meeting in exactly
-    {e}: the h2 side if it is not yet inside f, otherwise the h1 side."""
+    {e}: the h2 side if it is not yet inside f, otherwise the h1 side.
+    Mutates f in place; returns whether the step is degenerate: whether the
+    attached copy met f outside the endpoints of e."""
     r_copies = h1_copies.through(e)
     chosen_pair = next(
         (
@@ -135,30 +134,11 @@ def _extend_alt(
             "the residual is not pin-closed"
         )
     l_copy, r_copy = chosen_pair
-    if not l_copy.edges <= f_edges:
-        branch, attach = "l", l_copy
-    else:
-        branch, attach = "r", r_copy
-    overlap = tuple(sorted(attach.vertices & f_verts))
+    attach = r_copy if l_copy.edges <= f_edges else l_copy
+    degenerate = not (attach.vertices & f_verts) <= set(e)
     f_edges |= attach.edges
     f_verts |= attach.vertices
-    return branch, overlap
-
-
-def extend_anchored(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
-    """One anchored-extension step as a pure graph map (f, host share labels)."""
-    d = blocker_decomposition(host, pair, ())
-    f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_anchored(f_edges, f_verts, norm_edge(*e), d.h1_copies, d.report.anchored_copies)
-    return graph(host.vertex_count, f_edges)
-
-
-def extend_alt(f: Graph, e: Edge, host: Graph, pair: PairSpec) -> Graph:
-    """One copy-pair extension step as a pure graph map (f, host share labels)."""
-    d = blocker_decomposition(host, pair, ())
-    f_edges, f_verts = set(f.edges), {v for edge in f.edges for v in edge}
-    _extend_alt(f_edges, f_verts, norm_edge(*e), d.h1_copies, d.h2_copies)
-    return graph(host.vertex_count, f_edges)
+    return degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +154,6 @@ class GrowStep:
     lambda_after: Fraction
     added_vertices: int
     added_edges: int
-    anchor_edge: Edge | None = None
-    copy_overlap: tuple[int, ...] | None = None
-    pendant_overlaps: tuple[tuple[Edge, tuple[int, ...]], ...] = ()
-    alt_branch: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -199,26 +175,19 @@ class GrowTrace:
     host_edges: tuple[Edge, ...]
 
 
+_DEGENERATE_CLASS = {
+    "absorb_h1": "degenerate_type_1",
+    "extend_anchored": "degenerate_type_2",
+    "extend_alt": "degenerate_alt",
+}
+
+
 def classify_iteration(step: GrowStep) -> str:
     """non_degenerate, degenerate_type_1 (whole-copy absorption),
     degenerate_type_2 (anchored extension re-used vertices) or
-    degenerate_alt (copy-pair extension re-used vertices)."""
-    if step.kind == "absorb_h1":
-        return "degenerate_type_1"
-    if step.kind == "extend_anchored":
-        assert step.anchor_edge is not None and step.copy_overlap is not None
-        if set(step.copy_overlap) != set(step.anchor_edge):
-            return "degenerate_type_2"
-        for e2, overlap in step.pendant_overlaps:
-            if set(overlap) != set(e2):
-                return "degenerate_type_2"
-        return "non_degenerate"
-    if step.kind == "extend_alt":
-        assert step.anchor_edge is not None and step.copy_overlap is not None
-        if set(step.copy_overlap) != set(step.anchor_edge):
-            return "degenerate_alt"
-        return "non_degenerate"
-    return "non_degenerate"  # special-case returns do not attach anything
+    degenerate_alt (copy-pair extension re-used vertices).  The step's kind
+    and its degenerate flag, set where the copies were attached, decide."""
+    return _DEGENERATE_CLASS[step.kind] if step.degenerate else "non_degenerate"
 
 
 def _special_return(
@@ -270,8 +239,14 @@ def _grow(
 
     seed_edge = min(e for e in host.edges if not members_of[e])
     h1_copies = decomp.h1_copies
-    # the h2-copies a step may attach: the anchored ones for grow, all for grow_alt
-    attachable = decomp.report.anchored_copies if variant == "grow" else decomp.h2_copies
+    # grow attaches an anchored h2-copy with its pendant h1-copies, grow_alt
+    # one side of a copy pair drawn from all h2-copies
+    if variant == "grow":
+        extend, extend_kind = _extend_anchored, "extend_anchored"
+        attachable = decomp.report.anchored_copies
+    else:
+        extend, extend_kind = _extend_alt, "extend_alt"
+        attachable = decomp.h2_copies
 
     seed = next(iter(h1_copies.through(seed_edge)), None)
     if seed is None:
@@ -295,7 +270,7 @@ def _grow(
         if Fraction(-gain, pair.m2_pair.numerator) <= -pair.gamma:
             break
         before_v, before_e = len(f_verts), len(f_edges)
-        kwargs: dict = {}
+        absorbed = None
         if variant == "grow":
             absorbed = next(
                 (
@@ -305,45 +280,29 @@ def _grow(
                 ),
                 None,
             )
-            if absorbed is not None:
-                kwargs["kind"] = "absorb_h1"
-                kwargs["copy_overlap"] = tuple(sorted(absorbed.vertices & f_verts))
-                f_edges |= absorbed.edges
-                f_verts |= absorbed.vertices
-            else:
-                e = _mapped_eligible(extracted, index, pair, "grow", steps)
-                l_overlap, pendants = _extend_anchored(f_edges, f_verts, e, h1_copies, attachable)
-                kwargs = {
-                    "kind": "extend_anchored",
-                    "anchor_edge": e,
-                    "copy_overlap": l_overlap,
-                    "pendant_overlaps": pendants,
-                }
+        if absorbed is not None:
+            # an h1-copy meeting F in two or more vertices: absorbing it
+            # whole always re-uses vertices
+            kind, degenerate = "absorb_h1", True
+            f_edges |= absorbed.edges
+            f_verts |= absorbed.vertices
         else:
-            e = _mapped_eligible(extracted, index, pair, "grow_alt", steps)
-            branch, overlap = _extend_alt(f_edges, f_verts, e, h1_copies, attachable)
-            kwargs = {
-                "kind": "extend_alt",
-                "anchor_edge": e,
-                "copy_overlap": overlap,
-                "alt_branch": branch,
-            }
+            e = _mapped_eligible(extracted, index, pair, variant, steps)
+            kind, degenerate = extend_kind, extend(f_edges, f_verts, e, h1_copies, attachable)
         if len(f_edges) <= before_e:
             raise GrowError("growth step added no edge; attachment bookkeeping is broken", steps)
         lam_after = Fraction(len(f_verts)) - Fraction(len(f_edges)) / pair.m2_pair
-        proto = GrowStep(
-            index=i,
-            degenerate=False,
-            lambda_before=lam,
-            lambda_after=lam_after,
-            added_vertices=len(f_verts) - before_v,
-            added_edges=len(f_edges) - before_e,
-            **kwargs,
+        steps.append(
+            GrowStep(
+                index=i,
+                kind=kind,
+                degenerate=degenerate,
+                lambda_before=lam,
+                lambda_after=lam_after,
+                added_vertices=len(f_verts) - before_v,
+                added_edges=len(f_edges) - before_e,
+            )
         )
-        cls = classify_iteration(proto)
-        if cls != "non_degenerate":
-            proto = GrowStep(**{**proto.__dict__, "degenerate": True})
-        steps.append(proto)
         i += 1
 
     if i >= cap:
@@ -392,13 +351,27 @@ def _mapped_eligible(
 
 def grow(decomp: BlockerDecomposition, pair: PairSpec) -> tuple[Graph, GrowTrace]:
     """Grow a witness in decomp.graph, a residual where every edge rides an
-    anchored h2-copy, given its blocker decomposition."""
+    anchored h2-copy, given its blocker decomposition (the strict case).
+
+    F starts as an h1-copy through the least edge on no catalog member.  Each
+    step absorbs the least h1-copy that meets F in two or more vertices
+    (absorb_h1, always degenerate) or, when there is none, attaches the least
+    anchored h2-copy through F's eligible edge with a pendant h1-copy pinning
+    each new edge (extend_anchored, degenerate when some attached copy met F
+    outside the endpoints of the edge it was attached at).  The loop stops
+    after ceil(ln n) steps, n the host's vertex count, or when the density
+    guard fires.  Returns the final
+    witness and the trace; raises GrowError with the steps so far when an
+    attachment is missing."""
     return _grow(decomp, pair, "grow")
 
 
 def grow_alt(decomp: BlockerDecomposition, pair: PairSpec) -> tuple[Graph, GrowTrace]:
-    """Growth variant for the equal-density case: extend by one side of a
-    copy pair instead of a whole anchored bundle."""
+    """Growth variant for the equal-density case: each step extends by one
+    side of a copy pair meeting in exactly F's eligible edge instead of a
+    whole anchored bundle (extend_alt, degenerate when the attached copy met
+    F outside that edge's endpoints).  Same loop, return value and errors as
+    grow."""
     return _grow(decomp, pair, "grow_alt")
 
 
@@ -452,9 +425,21 @@ class FlowerAttachment:
             edges |= cp.edges
         return frozenset(edges)
 
-    def union_graph(self) -> Graph:
-        verts = self.all_vertices()
-        return graph(max(verts) + 1, self.all_edges())
+    def excess(self) -> tuple[int, int]:
+        """The vertices and edges the attachment adds to its base."""
+        return (
+            len(self.all_vertices()) - self.base.vertex_count,
+            len(self.all_edges()) - self.base.edge_count,
+        )
+
+
+def _disjoint_excess(h1: Graph, h2: Graph) -> tuple[int, int]:
+    """The vertices and edges a disjoint attachment adds, in closed form:
+    the inner copy's v2 - 2 new vertices, and v1 - 2 new vertices and e1
+    edges for each of its e2 - 1 pendants."""
+    v1, e1 = h1.vertex_count, h1.edge_count
+    v2, e2 = h2.vertex_count, h2.edge_count
+    return (v2 - 2) + (e2 - 1) * (v1 - 2), e1 * (e2 - 1)
 
 
 def _is_copy_of(cp: Copy, pattern: Graph) -> bool:
@@ -718,12 +703,8 @@ def check_external_density(flower: FlowerAttachment, pair: PairSpec) -> DensityA
     """Audit the vertex/edge excess of the attachment against the disjoint
     shape: reconcile the totals through the overcounts, check the per-cluster
     overcount inequality, and compare external densities."""
-    v1, e1 = pair.h1.vertex_count, pair.h1.edge_count
-    v2, e2 = pair.h2.vertex_count, pair.h2.edge_count
-    v_plus = len(flower.all_vertices()) - flower.base.vertex_count
-    e_plus = len(flower.all_edges()) - flower.base.edge_count
-    v_star = (v2 - 2) + (e2 - 1) * (v1 - 2)
-    e_star = e1 * (e2 - 1)
+    v_plus, e_plus = flower.excess()
+    v_star, e_star = _disjoint_excess(pair.h1, pair.h2)
     ordering = order_edges(flower)
     deltas = flower_deltas(flower, ordering.order)
     dv = sum(len(x[1]) for x in deltas.values())
@@ -766,12 +747,9 @@ def verify_overlap_density_gain(
         flower.h2
     ) != canonical_key(disjoint.h2):
         raise FlowerError("attachments must use the same patterns")
-    v1, e1 = flower.h1.vertex_count, flower.h1.edge_count
-    v2, e2 = flower.h2.vertex_count, flower.h2.edge_count
-    dv = len(disjoint.all_vertices()) - disjoint.base.vertex_count
-    de = len(disjoint.all_edges()) - disjoint.base.edge_count
-    assert dv == (v2 - 2) + (e2 - 1) * (v1 - 2), "disjoint vertex excess off closed form"
-    assert de == e1 * (e2 - 1), "disjoint edge excess off closed form"
-    v_plus = len(flower.all_vertices()) - flower.base.vertex_count
-    e_plus = len(flower.all_edges()) - flower.base.edge_count
+    dv, de = disjoint.excess()
+    v_star, e_star = _disjoint_excess(flower.h1, flower.h2)
+    assert dv == v_star, "disjoint vertex excess off closed form"
+    assert de == e_star, "disjoint edge excess off closed form"
+    v_plus, e_plus = flower.excess()
     return Fraction(e_plus, v_plus) > Fraction(de, dv)

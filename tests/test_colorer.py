@@ -122,7 +122,7 @@ def test_k6_sticks_immediately(k3k3_setup):
     assert out.residual.edges == g.edges
     assert len(out.live_anchors) == 20
     report = check_stuck_state(out, pair)
-    assert report.anchored
+    assert report.decomposition.report.anchored
     assert not (report.decomposition.covered_once and report.decomposition.sparse)
 
 

@@ -24,11 +24,11 @@ from asymcolor.grow import (
     FlowerError,
     GrowError,
     GrowStep,
+    _extend_alt,
+    _extend_anchored,
     check_external_density,
     classify_iteration,
     eligible_edge,
-    extend_alt,
-    extend_anchored,
     flower_deltas,
     grow,
     grow_alt,
@@ -210,20 +210,160 @@ def test_eligible_edge_isomorphism_invariant():
 
 
 def test_extend_anchored_one_step_on_rook():
-    host = rook4()
-    row0 = graph(16, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    out = extend_anchored(row0, (0, 1), host, pair_k4c4())
-    assert out.edge_count == 24
-    assert row0.edge_set() <= out.edge_set() <= host.edge_set()
-    touched = {v for e in out.edges for v in e}
-    assert len(touched) == 12
+    host, pair = rook4(), pair_k4c4()
+    d = blocker_decomposition(host, pair, ())
+    row0 = complete_graph(4)  # cells 0-3 are the first row clique
+    f_edges, f_verts = set(row0.edges), set(range(4))
+    anchored = d.report.anchored_copies
+    assert not _extend_anchored(f_edges, f_verts, (0, 1), d.h1_copies, anchored)
+    assert len(f_edges) == 24 and len(f_verts) == 12
+    assert row0.edge_set() <= f_edges <= host.edge_set()
 
 
 def test_extend_alt_one_step_on_k6():
-    host = complete_graph(6)
-    seed = graph(6, [(0, 1), (0, 2), (1, 2)])
-    out = extend_alt(seed, (0, 1), host, pair_k3k3())
-    assert out.edge_set() == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+    pair = pair_k3k3()
+    d = blocker_decomposition(complete_graph(6), pair, ())
+    f_edges, f_verts = {(0, 1), (0, 2), (1, 2)}, {0, 1, 2}
+    assert not _extend_alt(f_edges, f_verts, (0, 1), d.h1_copies, d.h2_copies)
+    assert f_edges == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+    # the triangle through (0, 2) and 3 closes K4 on vertices already in F
+    assert _extend_alt(f_edges, f_verts, (0, 2), d.h1_copies, d.h2_copies)
+    assert f_edges == complete_graph(4).edge_set() and f_verts == {0, 1, 2, 3}
+
+
+# The extension moves as they were when each step carried its overlaps with
+# F and classify_iteration re-ran the overlap test on them: the reference
+# for the degeneracy verdict the moves now return themselves.
+
+
+def reference_extend_anchored(f_edges, f_verts, e, h1_copies, anchored):
+    l_copy = next(iter(anchored.through(e)), None)
+    if l_copy is None:
+        raise GrowError(
+            f"no anchored h2-copy of the host passes through {e}; "
+            "the residual is not pin-closed"
+        )
+    l_overlap = tuple(sorted(l_copy.vertices & f_verts))
+    fresh = sorted(l_copy.edges - f_edges)
+    f_edges |= l_copy.edges
+    f_verts |= l_copy.vertices
+    pendant_overlaps = []
+    for e2 in fresh:
+        r_copy = next((r for r in h1_copies.through(e2) if l_copy.edges & r.edges == {e2}), None)
+        if r_copy is None:
+            raise GrowError(
+                f"no h1-copy of the host meets the attached h2-copy in exactly {e2}; "
+                "the residual is not pin-closed"
+            )
+        pendant_overlaps.append((e2, tuple(sorted(r_copy.vertices & f_verts))))
+        f_edges |= r_copy.edges
+        f_verts |= r_copy.vertices
+    return l_overlap, tuple(pendant_overlaps)
+
+
+def reference_extend_alt(f_edges, f_verts, e, h1_copies, h2_copies):
+    r_copies = h1_copies.through(e)
+    chosen_pair = next(
+        (
+            (l_copy, r_copy)
+            for l_copy in h2_copies.through(e)
+            for r_copy in r_copies
+            if l_copy.edges & r_copy.edges == {e}
+        ),
+        None,
+    )
+    if chosen_pair is None:
+        raise GrowError(
+            f"no copy pair of the host meets in exactly {e}; "
+            "the residual is not pin-closed"
+        )
+    l_copy, r_copy = chosen_pair
+    if not l_copy.edges <= f_edges:
+        branch, attach = "l", l_copy
+    else:
+        branch, attach = "r", r_copy
+    overlap = tuple(sorted(attach.vertices & f_verts))
+    f_edges |= attach.edges
+    f_verts |= attach.vertices
+    return branch, overlap
+
+
+def reference_classify(kind, anchor_edge, copy_overlap, pendant_overlaps=()):
+    if kind == "extend_anchored":
+        if set(copy_overlap) != set(anchor_edge):
+            return "degenerate_type_2"
+        for e2, overlap in pendant_overlaps:
+            if set(overlap) != set(e2):
+                return "degenerate_type_2"
+        return "non_degenerate"
+    if set(copy_overlap) != set(anchor_edge):
+        return "degenerate_alt"
+    return "non_degenerate"
+
+
+def pair_k5c4():
+    return build_pair_spec(complete_graph(5), cycle_graph(4))
+
+
+def attach_to_copy(move, f_edges, f_verts, e, h1_copies, attachable):
+    """Run one move on a copy of F: (F after, returned value or None, error
+    message or None)."""
+    edges, verts = set(f_edges), set(f_verts)
+    try:
+        return (edges, verts), move(edges, verts, e, h1_copies, attachable), None
+    except GrowError as exc:
+        return (edges, verts), None, str(exc)
+
+
+def test_extend_verdicts_match_overlap_reference():
+    # From each of the first few h1-copies of seeded G(n, p) hosts, attach at
+    # every edge of F with both moves, then continue from the first
+    # successful attachment, a few rounds deep.  The new and the reference
+    # moves must leave the same F, raise the same GrowError, and agree on
+    # degeneracy; the steps a verdict builds must classify the same way.
+    compared = degenerate = pendant_only = errors = 0
+    for pair_fn, n, p in ((pair_k4c4, 9, 0.7), (pair_k5c4, 9, 0.8), (pair_k3k3, 9, 0.5)):
+        pair = pair_fn()
+        for seed in range(10):
+            d = blocker_decomposition(gnp(n, p, seed), pair, ())
+            moves = (
+                ("extend_anchored", _extend_anchored, reference_extend_anchored,
+                 d.report.anchored_copies),
+                ("extend_alt", _extend_alt, reference_extend_alt, d.h2_copies),
+            )
+            for kind, move, reference, attachable in moves:
+                for start in d.h1_copies.copies[:6]:
+                    f = (set(start.edges), set(start.vertices))
+                    for _ in range(4):
+                        grown = None
+                        for e in sorted(f[0]):
+                            after, verdict, error = attach_to_copy(
+                                move, *f, e, d.h1_copies, attachable
+                            )
+                            ref_after, ref_out, ref_error = attach_to_copy(
+                                reference, *f, e, d.h1_copies, attachable
+                            )
+                            assert after == ref_after and error == ref_error
+                            compared += 1
+                            if error is not None:
+                                errors += 1
+                                continue
+                            if kind == "extend_anchored":
+                                expected = reference_classify(kind, e, *ref_out)
+                                pendant_only += verdict and set(ref_out[0]) == set(e)
+                            else:
+                                expected = reference_classify(kind, e, ref_out[1])
+                            step = GrowStep(0, kind, verdict, Fraction(0), Fraction(0), 0, 1)
+                            assert classify_iteration(step) == expected
+                            degenerate += verdict
+                            grown = grown or after
+                        if grown is None:
+                            break
+                        f = grown
+    # both verdicts, both outcomes, and a step whose h2-copy met F only at
+    # its anchor while one of its pendants re-used a vertex
+    assert compared > 10_000 and 0 < degenerate < compared - errors
+    assert errors > 0 and pendant_only > 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +419,7 @@ def test_grow_alt_k6_frozen_trace():
     final, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
     assert trace.outcome == "hit_iteration_cap"
     assert [s.kind for s in trace.steps] == ["extend_alt", "extend_alt"]
-    assert [s.alt_branch for s in trace.steps] == ["r", "r"]
+    assert trace.host_edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert [s.degenerate for s in trace.steps] == [False, True]
     assert trace.steps[0].lambda_before == 2 - 1 / pair.m2_h2 == Fraction(3, 2)
     assert [s.lambda_after for s in trace.steps] == [Fraction(3, 2), Fraction(1)]
@@ -354,33 +494,6 @@ def test_grow_trace_serializes():
             "e_added",
         }
     assert [r["i"] for r in (s.to_dict() for s in trace.steps)] == [0, 1]
-
-
-def test_classify_iteration_synthetic_records():
-    base = dict(
-        index=0,
-        degenerate=False,
-        lambda_before=Fraction(0),
-        lambda_after=Fraction(0),
-        added_vertices=0,
-        added_edges=1,
-    )
-    bad_pendant = GrowStep(
-        kind="extend_anchored",
-        anchor_edge=(0, 1),
-        copy_overlap=(0, 1),
-        pendant_overlaps=(((1, 2), (1, 2, 3)),),
-        **base,
-    )
-    assert classify_iteration(bad_pendant) == "degenerate_type_2"
-    clean = GrowStep(
-        kind="extend_anchored",
-        anchor_edge=(0, 1),
-        copy_overlap=(0, 1),
-        pendant_overlaps=(((1, 2), (1, 2)),),
-        **base,
-    )
-    assert classify_iteration(clean) == "non_degenerate"
 
 
 # ---------------------------------------------------------------------------
