@@ -308,13 +308,18 @@ def _under_cap(g: Graph, pair: PairSpec) -> bool:
     return max_gain(g, pair.m2_pair + pair.epsilon) == 0
 
 
-def is_blocker(a: Graph, pair: PairSpec) -> bool:
-    """Case-dependent blocker test: 2-connected, m below the density cap,
-    anchored (strict case) or pinned (equal case)."""
-    if not (is_two_connected(a) and _under_cap(a, pair)):
+def _capped_blocker(a: Graph, pair: PairSpec) -> bool:
+    """is_blocker for a graph already known to be under the density cap."""
+    if not is_two_connected(a):
         return False
     report = family_report(a, pair)
     return report.anchored if pair.case == "strict" else report.pinned
+
+
+def is_blocker(a: Graph, pair: PairSpec) -> bool:
+    """Case-dependent blocker test: 2-connected, m below the density cap,
+    anchored (strict case) or pinned (equal case)."""
+    return _under_cap(a, pair) and _capped_blocker(a, pair)
 
 
 @dataclass(frozen=True)
@@ -343,12 +348,12 @@ def enumerate_blockers(
     """All blockers up to max_vertices vertices, up to isomorphism, each with
     its coloring-search verdict.
 
-    Generation prunes by the density cap (m(g) <= m2_pair + epsilon survives
-    vertex deletion, so the prune never loses a future blocker).
+    Generation prunes by the density cap (it survives vertex deletion, so no
+    blocker is lost), so the graphs it yields need no second cap test.
     """
     entries = []
     for g in graphs_up_to(max_vertices, keep=lambda g: _under_cap(g, pair)):
-        if is_blocker(g, pair):
+        if _capped_blocker(g, pair):
             entries.append(BlockerEntry(g, has_valid_coloring(g, pair, coloring_budget)))
     return BlockerCatalog(pair, max_vertices, tuple(entries))
 

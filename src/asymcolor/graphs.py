@@ -451,43 +451,38 @@ def canonical_key(g: Graph) -> tuple:
 
 
 def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
-    """Non-isomorphic graphs on 0..n vertices (canonical forms), by order.
+    """Non-isomorphic graphs on 0..n vertices (canonical forms), by order,
+    each order sorted by (edge count, edges). `keep` optionally prunes the
+    search. It is evaluated once per isomorphism class, on the canonical
+    form, so it must be isomorphism-invariant; a class failing it is dropped
+    and never extended, so it must be monotone under taking supergraphs on
+    more vertices. Density caps e(G) <= c * v(G) + d qualify.
 
-    Each order is built once, from the one below, and sorted by (edge
-    count, edges).
-    `keep` optionally prunes the search. It is evaluated once per
-    isomorphism class, on the canonical form, so it must be
-    isomorphism-invariant; a class failing it is dropped and never extended,
-    so it must be monotone under taking supergraphs on more vertices
-    (anything violating it keeps violating it when grown). Density caps of
-    the form e(G) <= c * v(G) + d qualify via the max-density argument.
+    Isomorph-free enumeration by canonical construction path (McKay, J.
+    Algorithms 1998): a kept class on k vertices grows only by a new vertex
+    of maximum degree d in the child, joined to d of its vertices of degree
+    below d. Every kept G is reached: G - w is kept for a vertex w of
+    maximum degree, and its canonical form grows into a copy of G that way.
     """
     if n < 0:
         raise ValueError(f"vertex count {n} < 0")
-    start = graph(0)
-    level = [start] if keep is None or keep(start) else []
+    level = [g for g in [graph(0)] if keep is None or keep(g)]
     out = list(level)
     for size in range(1, n + 1):
         seen: dict[tuple[Edge, ...], Graph | None] = {}  # None: dropped by keep
         for g in level:
-            for mask in range(1 << g.vertex_count):
-                edges = list(g.edges) + [
-                    (i, g.vertex_count) for i in range(g.vertex_count) if (mask >> i) & 1
-                ]
-                canon, _ = canonical_form(graph(size, edges))
-                if canon.edges not in seen:
-                    seen[canon.edges] = canon if keep is None or keep(canon) else None
+            k = g.vertex_count
+            deg = g.degree_sequence()
+            for d in range(max(deg, default=0), k + 1):
+                for nbrs in itertools.combinations([v for v in range(k) if deg[v] < d], d):
+                    canon, _ = canonical_form(graph(size, g.edges + tuple((v, k) for v in nbrs)))
+                    if canon.edges not in seen:
+                        seen[canon.edges] = canon if keep is None or keep(canon) else None
         level = sorted(
             (g for g in seen.values() if g is not None), key=lambda g: (g.edge_count, g.edges)
         )
         out.extend(level)
     return out
-
-
-def nonisomorphic_graphs(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
-    """All non-isomorphic graphs on exactly n vertices: the last order of
-    `graphs_up_to(n, keep)`, with the same contract for `keep`."""
-    return [g for g in graphs_up_to(n, keep) if g.vertex_count == n]
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from asymcolor.graphs import (
     cube_graph,
     cycle_graph,
     emit_graph6,
+    graphs_up_to,
     is_two_connected,
-    nonisomorphic_graphs,
     octahedron_graph,
 )
 from asymcolor.grow import (
@@ -80,6 +80,11 @@ def _no_isolated(g):
     return g.edge_count > 0 and min(g.degree_sequence()) >= 1
 
 
+def graphs_on(n, keep=None):
+    """The classes on exactly n vertices: the last order of graphs_up_to."""
+    return [g for g in graphs_up_to(n, keep) if g.vertex_count == n]
+
+
 @pytest.fixture(scope="module")
 def profiles():
     """Isolated-free representatives on 2..6 vertices with cached measures.
@@ -90,7 +95,7 @@ def profiles():
     """
     out = []
     for n in range(2, 7):
-        for g in nonisomorphic_graphs(n):
+        for g in graphs_on(n):
             if _no_isolated(g):
                 out.append((g, m2_density(g)[0], balancedness(g, "strictly_two_balanced")))
     return out
@@ -176,7 +181,7 @@ def test_criterion_3_two_connectivity(profiles):
     with criterion("criterion 3 (2-connectivity where balance demands it)", budget_s=300):
         balanced_seen = 0
         for n in range(3, 8):
-            for g in nonisomorphic_graphs(n):
+            for g in graphs_on(n):
                 if not _no_isolated(g):
                     continue
                 if m2_density(g)[0] > 1 and balancedness(g, "strictly_two_balanced"):
@@ -352,7 +357,7 @@ def test_criterion_8_regular_pair_certificates():
                             assert 2 * (m2_pair_regular(p) + eps) < p.l1 + p.l2 - 1
         cubic6 = [
             g
-            for g in nonisomorphic_graphs(6, keep=lambda g: max(g.degree_sequence(), default=0) <= 3)
+            for g in graphs_on(6, keep=lambda g: max(g.degree_sequence(), default=0) <= 3)
             if set(g.degree_sequence()) == {3}
         ]
         assert len(cubic6) == 2

@@ -30,6 +30,7 @@ from asymcolor.graphs import (
     emit_graph6,
     enumerate_copies,
     graph,
+    graphs_up_to,
     octahedron_graph,
 )
 from asymcolor.harness import derive_seed, edge_probability, sample_gnp
@@ -413,7 +414,7 @@ def test_anchored_implies_pinned_random():
 def test_pinned_two_connected_min_degree():
     # for regular h1, h2 of degrees l1, l2 every non-empty 2-connected pinned
     # graph has min degree >= l1 + l2 - 1
-    from asymcolor.graphs import graphs_up_to, is_two_connected
+    from asymcolor.graphs import is_two_connected
 
     for pair, bound in ((pair_k3k3(), 3), (pair_k4c4(), 4)):
         for g in graphs_up_to(6):
@@ -503,6 +504,14 @@ def test_enumerate_blockers_k4c4_empty():
 
 def test_enumerate_blockers_below_h2_size():
     assert enumerate_blockers(pair_k4c4(), 3).members == ()
+
+
+def test_enumerate_blockers_matches_is_blocker():
+    # the catalog skips the cap test that generation already passed, so it
+    # must still list exactly the graphs the public blocker test accepts
+    every = graphs_up_to(6)
+    for pair in (pair_k3k3(), pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4))):
+        assert enumerate_blockers(pair, 6).members == tuple(g for g in every if is_blocker(g, pair))
 
 
 # ---------------------------------------------------------------------------

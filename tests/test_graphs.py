@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcolor import graphs
+from asymcolor import families, graphs
 from asymcolor.density import build_pair_spec
 from asymcolor.families import enumerate_blockers
 from asymcolor.graphs import (
+    Edge,
     Graph,
     Graph6Error,
     _orbit_floors,
@@ -27,7 +28,6 @@ from asymcolor.graphs import (
     graphs_up_to,
     induced_subgraph,
     is_two_connected,
-    nonisomorphic_graphs,
     octahedron_graph,
     parse_graph6,
     path_graph,
@@ -419,17 +419,22 @@ def test_canonical_congruence_property(n, data):
 # exhaustive generation
 
 
+def graphs_on(n, keep=None):
+    """The classes on exactly n vertices: the last order of graphs_up_to."""
+    return [g for g in graphs_up_to(n, keep) if g.vertex_count == n]
+
+
 def test_nonisomorphic_counts():
     # classic counts of graphs on n unlabeled vertices
-    assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(graphs_on(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
 def test_nonisomorphic_counts_seven():
-    assert len(nonisomorphic_graphs(7)) == 1044
+    assert len(graphs_on(7)) == 1044
 
 
 def test_generation_is_pairwise_nonisomorphic():
-    gs = nonisomorphic_graphs(5)
+    gs = graphs_on(5)
     keys = {canonical_key(g) for g in gs}
     assert len(keys) == len(gs)
     for a, b in itertools.combinations(gs[:20], 2):
@@ -447,21 +452,70 @@ def test_generation_with_density_cap():
             seen.append(g)
             return g.edge_count <= g.vertex_count
 
-        gs = nonisomorphic_graphs(n, keep=keep)
+        gs = graphs_on(n, keep=keep)
         assert all(canonical_form(g)[0] == g for g in seen)
         assert len(set(seen)) == len(seen)
-        assert gs == [g for g in nonisomorphic_graphs(n) if g.edge_count <= g.vertex_count]
-    # graphs_up_to builds each order once, so keep still sees every class once
-    seen = []
-    gs = graphs_up_to(6, keep=keep)
-    assert len(set(seen)) == len(seen)
-    assert gs == [g for g in graphs_up_to(6) if g.edge_count <= g.vertex_count]
+        assert gs == [g for g in graphs_on(n) if g.edge_count <= g.vertex_count]
 
 
 def test_generation_rejects_a_negative_order():
-    for generate in (nonisomorphic_graphs, graphs_up_to):
-        with pytest.raises(ValueError):
-            generate(-1)
+    with pytest.raises(ValueError):
+        graphs_up_to(-1)
+
+
+def every_extension_graphs_up_to(n, keep=None):
+    """The reference for graphs_up_to: the same levels, built by
+    canonicalising every one of the 2^k one-vertex extensions of each kept
+    class on k vertices."""
+    if n < 0:
+        raise ValueError(f"vertex count {n} < 0")
+    start = graph(0)
+    level = [start] if keep is None or keep(start) else []
+    out = list(level)
+    for size in range(1, n + 1):
+        seen: dict[tuple[Edge, ...], Graph | None] = {}  # None: dropped by keep
+        for g in level:
+            for mask in range(1 << g.vertex_count):
+                edges = list(g.edges) + [
+                    (i, g.vertex_count) for i in range(g.vertex_count) if (mask >> i) & 1
+                ]
+                canon, _ = canonical_form(graph(size, edges))
+                if canon.edges not in seen:
+                    seen[canon.edges] = canon if keep is None or keep(canon) else None
+        level = sorted(
+            (g for g in seen.values() if g is not None), key=lambda g: (g.edge_count, g.edges)
+        )
+        out.extend(level)
+    return out
+
+
+def test_generation_matches_every_extension_reference():
+    k3k3 = build_pair_spec(complete_graph(3), complete_graph(3))
+    k4c4 = build_pair_spec(complete_graph(4), cycle_graph(4))
+    keeps = {
+        "all": (None, 7),
+        "e <= v": (lambda g: g.edge_count <= g.vertex_count, 6),
+        "max degree <= 3": (lambda g: max(g.degree_sequence(), default=0) <= 3, 6),
+        "K3/K3 cap": (lambda g: families._under_cap(g, k3k3), 7),
+        "K4/C4 cap": (lambda g: families._under_cap(g, k4c4), 6),
+    }
+    for name, (keep, top) in keeps.items():
+        # a level does not depend on the bound, so one reference run serves
+        # every n up to top
+        want = every_extension_graphs_up_to(top, keep)
+        for n in range(top + 1):
+            seen = []
+
+            def recording(g):
+                seen.append(g)
+                return keep is None or keep(g)
+
+            got = graphs_up_to(n, keep)
+            assert got == [g for g in want if g.vertex_count <= n], (name, n)
+            assert graphs_up_to(n, recording) == got, (name, n)
+            # keep saw each class once, as its canonical form
+            assert len(set(seen)) == len(seen), (name, n)
+            assert all(canonical_form(g)[0] == g for g in seen), (name, n)
 
 
 def test_graphs_up_to_includes_small():

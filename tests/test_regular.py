@@ -17,7 +17,7 @@ from asymcolor.graphs import (
     cube_graph,
     cycle_graph,
     graph,
-    nonisomorphic_graphs,
+    graphs_up_to,
 )
 from asymcolor.regular import (
     EXCLUSION_CLIQUE_CYCLE,
@@ -53,6 +53,11 @@ def all_params(v_max):
 
 def prism():
     return graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def graphs_on(n, keep=None):
+    """The classes on exactly n vertices: the last order of graphs_up_to."""
+    return [g for g in graphs_up_to(n, keep) if g.vertex_count == n]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +299,7 @@ def test_certify_route_matches_parameter_regime(p):
 def test_three_regular_graphs_on_six_vertices():
     cubic = [
         g
-        for g in nonisomorphic_graphs(6, keep=lambda g: all(d <= 3 for d in g.degree_sequence()))
+        for g in graphs_on(6, keep=lambda g: all(d <= 3 for d in g.degree_sequence()))
         if g.degree_sequence() == (3,) * 6
     ]
     assert len(cubic) == 2
