@@ -56,7 +56,6 @@ from .harness import (
     sweep,
 )
 from .regular import (
-    EmptinessCertificate,
     RegularPairParams,
     certificate_grid,
     certify_emptiness,
@@ -181,6 +180,8 @@ def _profile_dict(g: Graph) -> dict:
 
 
 def cmd_density(args) -> int:
+    if args.h2 is None and args.epsilon is not None:
+        raise ValueError("--epsilon needs --h2")
     payload: dict = {"h1": _profile_dict(parse_graph_arg(args.h1))}
     if args.h2 is not None:
         pair = _pair_from(args)
@@ -263,11 +264,10 @@ def cmd_color(args) -> int:
             _edge_key(e): c for e, c in sorted(outcome.coloring.assignment.items())
         }
     else:
-        report = check_stuck_state(outcome, pair)
-        decomp = report.decomposition
+        decomp = check_stuck_state(outcome, pair)
         payload["residual"] = emit_graph6(decomp.graph)
         payload["residual_edges"] = decomp.graph.edge_count
-        payload["live_anchors"] = report.live_anchor_count
+        payload["live_anchors"] = len(outcome.live_anchors)
         payload["covered_once"] = decomp.covered_once
         payload["sparse"] = decomp.sparse
     _write_artifact(args.out, "color_trace.jsonl", _jsonl(ev.to_dict() for ev in outcome.trace))
@@ -280,10 +280,7 @@ def cmd_grow(args) -> int:
     pair = _pair_from(args)
     host = parse_graph_arg(args.graph)
     blockers = enumerate_blockers(pair, args.a_hat_bound, args.budget).members
-    variant = args.variant
-    if variant == "auto":
-        variant = "anchored" if pair.case == "strict" else "alt"
-    grower = grow if variant == "anchored" else grow_alt
+    variant, grower = ("anchored", grow) if pair.case == "strict" else ("alt", grow_alt)
     final, trace = grower(blocker_decomposition(host, pair, blockers), pair)
     payload = {
         "variant": variant,
@@ -395,10 +392,7 @@ def cmd_regular_cert(args) -> int:
     result = certify_emptiness(params, h1, h2)
     payload = result.to_dict()
     if args.enumerate is not None:
-        pair = None
-        if h1 is not None and h2 is not None:
-            epsilon = result.epsilon_star if isinstance(result, EmptinessCertificate) else None
-            pair = build_pair_spec(h1, h2, epsilon) if epsilon else build_pair_spec(h1, h2)
+        pair = build_pair_spec(h1, h2) if h1 is not None and h2 is not None else None
         enum = enumerate_a_hat(
             params, args.enumerate, pair=pair, confirm_to=args.confirm or 0, budget=args.budget
         )
@@ -408,10 +402,6 @@ def cmd_regular_cert(args) -> int:
             "reason": enum.reason,
             "members": [emit_graph6(m) for m in enum.members],
         }
-        if enum.members and isinstance(result, EmptinessCertificate):
-            raise RuntimeError(
-                f"certified-empty family has a member: {emit_graph6(enum.members[0])}"
-            )
     _emit(payload, args.format)
     return 0
 
@@ -469,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "grow", parents=[common, out_arg, pair_args, budget_arg], help="grow a witness from a host"
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--variant", choices=("auto", "anchored", "alt"), default="auto")
     p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_grow)
 

@@ -2,6 +2,11 @@
 the member-wise colorer, then replay the stack re-adding edges blue and
 flipping one edge red on each fully-blue tracked copy.
 
+"Pins" is families.pin_partner over the live h1-copies: an edge is deleted
+when no tracked h2-copy through it has a pin partner there, a tracked copy
+is retired at its families.unpinned_edge, and replay flips the
+unpinned_edge of each fully-blue tracked copy red.
+
 The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
 copy of a pattern in the residual is exactly a copy in the input whose edges
@@ -33,6 +38,8 @@ from .families import (
     blocker_decomposition,
     color_by_members,
     decomposition_from_copies,
+    pin_partner,
+    unpinned_edge,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
@@ -152,21 +159,9 @@ def asym_edge_color(
 
     def pinned_by_tracked(e: Edge) -> bool:
         for li in h2.all.index.get(e, ()):
-            if li not in tracked:
-                continue
-            L = h2.all.copies[li]
-            for R in h1.alive_through(e):
-                if L.edges & R.edges == {e}:
-                    return True
+            if li in tracked and pin_partner(h2.all.copies[li].edges, e, h1.alive_through(e)):
+                return True
         return False
-
-    def unmet_edge(l_edges: frozenset[Edge]) -> Edge | None:
-        """First edge e of an h2-copy that no live h1-copy meets in exactly
-        {e}; None when every edge is so met (the copy is anchored)."""
-        for e in sorted(l_edges):
-            if not any(l_edges & R.edges == {e} for R in h1.alive_through(e)):
-                return e
-        return None
 
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
@@ -211,7 +206,7 @@ def asym_edge_color(
         if not fired:
             for li in sorted(tracked):
                 L_edges = h2.all.copies[li].edges
-                bad = unmet_edge(L_edges)
+                bad = unpinned_edge(L_edges, h1.alive_through)
                 if bad is not None:
                     stack.append(StackEntry("h2copy", copy_edges=L_edges))
                     tracked.discard(li)
@@ -247,7 +242,7 @@ def asym_edge_color(
             L_edges = entry.copy_edges
             if not all(assignment.get(f) == BLUE for f in L_edges):
                 continue
-            flip = unmet_edge(L_edges)
+            flip = unpinned_edge(L_edges, h1.alive_through)
             if flip is None:
                 raise ColorerInternalError(
                     "fully-blue tracked copy with every edge uniquely intersected; "
@@ -271,19 +266,12 @@ def asym_edge_color(
     )
 
 
-@dataclass(frozen=True)
-class StuckReport:
-    live_anchor_count: int
-    decomposition: BlockerDecomposition  # of the residual, from fresh copies
-
-
-def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
+def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecomposition:
     """Independently verify what a Stuck outcome promises: the residual is in
     the anchored family and is not a cleanly-covered sparse union. The
     residual's copies are enumerated afresh, not taken from the colorer,
-    once each: one blocker decomposition holds its h1/h2 copy sets and the
-    family report built from them, and the StuckReport carries the
-    decomposition, report included, for growth."""
+    once each: the returned blocker decomposition holds its h1/h2 copy sets
+    and the family report built from them, for growth."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
@@ -304,4 +292,4 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> StuckReport:
         raise ColorerInternalError(
             "stuck residual is already a cleanly-covered sparse union", outcome.trace
         )
-    return StuckReport(len(outcome.live_anchors), decomp)
+    return decomp

@@ -4,10 +4,12 @@ searcher that doubles as the brute-force oracle.
 Vocabulary used throughout (each mirrors one family from the underlying
 theory, renamed for what it checks):
 
-- an "anchored" copy is a copy L of h2 such that every edge e of L is the
-  exact edge-intersection E(L) cap E(R) = {e} for some copy R of h1;
-- a graph is "pinned" when every edge is such an exact intersection for some
-  (L, R) pair, and "anchored" when every edge lies on an anchored copy
+- a copy R of h1 "pins" edge e for a copy L of h2 when E(L) cap E(R) = {e};
+  pin_partner is the one test of this relation, and unpinned_edge finds
+  the least edge of L that nothing pins;
+- an "anchored" copy is a copy L of h2 every edge of which is pinned;
+- a graph is "pinned" when each of its edges is pinned for some copy of h2,
+  and "anchored" when every edge lies on an anchored copy
   (anchored implies pinned);
 - a "blocker" is a 2-connected graph of max density at most m2_pair + epsilon
   that is anchored (strict case) or pinned (equal case);
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .density import PairSpec, max_gain
 from .graphs import (
@@ -251,51 +253,59 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
 # family membership
 
 
+def pin_partner(l_edges: frozenset[Edge], e: Edge, h1_copies: Iterable[Copy]) -> Copy | None:
+    """The first of h1_copies that pins e for the h2-copy with edge set
+    l_edges, meeting it in exactly {e}; None when none does."""
+    for R in h1_copies:
+        if l_edges & R.edges == {e}:
+            return R
+    return None
+
+
+def unpinned_edge(
+    l_edges: frozenset[Edge], h1_through: Callable[[Edge], Iterable[Copy]]
+) -> Edge | None:
+    """The least edge e of an h2-copy with no pin partner among h1_through(e);
+    None when the copy is anchored."""
+    for e in sorted(l_edges):
+        if pin_partner(l_edges, e, h1_through(e)) is None:
+            return e
+    return None
+
+
 @dataclass(frozen=True)
 class FamilyReport:
-    graph: Graph
-    pinned: bool
-    anchored: bool
     anchored_copies: CopySet
     pinned_failures: tuple[Edge, ...]
     anchored_failures: tuple[Edge, ...]
-    anchor_of: dict[Edge, Copy]
+
+    @property
+    def pinned(self) -> bool:
+        return not self.pinned_failures
+
+    @property
+    def anchored(self) -> bool:
+        return not self.anchored_failures
 
 
 def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
     """Pinned/anchored verdicts with per-edge failure witnesses, from all
     copies of h1 and of h2 in g."""
     h1_through = {e: h1_copies.through(e) for e in g.edges}
-    anchored_set = CopySet(
+    anchored = CopySet(
         h2_copies.pattern,
-        tuple(
-            L
-            for L in h2_copies.copies
-            if all(any(L.edges & R.edges == {e} for R in h1_through[e]) for e in L.edges)
-        ),
+        tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_through.__getitem__) is None),
     )
-
-    pinned_failures = []
-    for e in g.edges:
-        rs = h1_through[e]
-        if not any(L.edges & R.edges == {e} for L in h2_copies.through(e) for R in rs):
-            pinned_failures.append(e)
-
-    anchor_of: dict[Edge, Copy] = {}
-    anchored_failures = []
-    for e in g.edges:
-        hosts = anchored_set.through(e)
-        if hosts:
-            anchor_of[e] = hosts[0]
-        else:
-            anchored_failures.append(e)
-
-    pinned = not pinned_failures
-    anchored = not anchored_failures
-    assert not anchored or pinned  # anchored membership implies pinned
-    return FamilyReport(
-        g, pinned, anchored, anchored_set, tuple(pinned_failures), tuple(anchored_failures), anchor_of
+    pinned_failures = tuple(
+        e
+        for e in g.edges
+        if all(pin_partner(L.edges, e, h1_through[e]) is None for L in h2_copies.through(e))
     )
+    report = FamilyReport(
+        anchored, pinned_failures, tuple(e for e in g.edges if not anchored.through(e))
+    )
+    assert report.pinned or not report.anchored  # anchored membership implies pinned
+    return report
 
 
 def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
@@ -420,9 +430,20 @@ def decomposition_from_copies(
     pool: dict[frozenset[Edge], Copy] = {}
     for c in blocker_copies:
         pool.setdefault(c.edges, c)
+    # kept[e] has bit i set when the i-th kept copy contains e; a copy lies
+    # inside a kept one exactly when the masks of its edges share a bit
     maximal: list[Copy] = []
+    kept: dict[Edge, int] = {}
     for c in sorted(pool.values(), key=lambda c: (-len(c.edges), c.sort_key())):
-        if not any(c.edges < kept.edges for kept in maximal):
+        inside = -1
+        for e in c.edges:
+            inside &= kept.get(e, 0)
+            if not inside:
+                break
+        if not inside:
+            bit = 1 << len(maximal)
+            for e in c.edges:
+                kept[e] = kept.get(e, 0) | bit
             maximal.append(c)
     members = tuple(sorted(maximal, key=Copy.sort_key))
 
@@ -459,7 +480,6 @@ class MemberColoringResult:
     coloring: Coloring | None
     finding: str | None
     failed_member: Copy | None
-    decomposition: BlockerDecomposition
 
 
 def color_by_members(
@@ -488,8 +508,8 @@ def color_by_members(
                 if res.status == "invalid"
                 else "coloring search for a blocker member exceeded its budget"
             )
-            return MemberColoringResult(False, None, finding, mem, decomp)
+            return MemberColoringResult(False, None, finding, mem)
         assert res.coloring is not None
         for (u, v), c in res.coloring.assignment.items():
             assignment[norm_edge(back[u], back[v])] = c
-    return MemberColoringResult(True, Coloring(decomp.graph, assignment), None, None, decomp)
+    return MemberColoringResult(True, Coloring(decomp.graph, assignment), None, None)

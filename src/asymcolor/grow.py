@@ -19,14 +19,13 @@ external-density bound rests on.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from typing import Literal, Sequence
 
 from .density import PairSpec, density_slack, least_max_gain_set
-from .families import BlockerDecomposition, family_report
+from .families import BlockerDecomposition, family_report, pin_partner
 from .graphs import (
     Copy,
     CopySet,
@@ -95,7 +94,7 @@ def _extend_anchored(
     f_edges |= l_copy.edges
     f_verts |= l_copy.vertices
     for e2 in fresh:
-        r_copy = next((r for r in h1_copies.through(e2) if l_copy.edges & r.edges == {e2}), None)
+        r_copy = pin_partner(l_copy.edges, e2, h1_copies.through(e2))
         if r_copy is None:
             raise GrowError(
                 f"no h1-copy of the host meets the attached h2-copy in exactly {e2}; "
@@ -119,21 +118,15 @@ def _extend_alt(
     Mutates f in place; returns whether the step is degenerate: whether the
     attached copy met f outside the endpoints of e."""
     r_copies = h1_copies.through(e)
-    chosen_pair = next(
-        (
-            (l_copy, r_copy)
-            for l_copy in h2_copies.through(e)
-            for r_copy in r_copies
-            if l_copy.edges & r_copy.edges == {e}
-        ),
-        None,
-    )
-    if chosen_pair is None:
+    for l_copy in h2_copies.through(e):
+        r_copy = pin_partner(l_copy.edges, e, r_copies)
+        if r_copy is not None:
+            break
+    else:
         raise GrowError(
             f"no copy pair of the host meets in exactly {e}; "
             "the residual is not pin-closed"
         )
-    l_copy, r_copy = chosen_pair
     attach = r_copy if l_copy.edges <= f_edges else l_copy
     degenerate = not (attach.vertices & f_verts) <= set(e)
     f_edges |= attach.edges
@@ -510,81 +503,6 @@ def make_flower(
         pendant_copies=pendants,
         classification=_classify_flower(inner_copy, pendants),
     )
-
-
-def random_flower(
-    base: Graph,
-    anchor_edge: Edge,
-    pair: PairSpec,
-    rng: random.Random,
-    overlap: bool = False,
-) -> FlowerAttachment:
-    """Sample an attachment; overlap=True keeps resampling until pendants
-    share material (an instance outside the disjoint family)."""
-    anchor = norm_edge(*anchor_edge)
-    h1, h2 = pair.h1, pair.h2
-    base_verts = set(range(base.vertex_count))
-    for _ in range(400):
-        next_label = base.vertex_count
-        h2_edges = list(h2.edges)
-        a2, b2 = h2_edges[rng.randrange(len(h2_edges))]
-        if rng.random() < 0.5:
-            a2, b2 = b2, a2
-        vmap = {a2: anchor[0], b2: anchor[1]}
-        for v in range(h2.vertex_count):
-            if v not in vmap:
-                vmap[v] = next_label
-                next_label += 1
-        inner = Copy(
-            frozenset(norm_edge(vmap[u], vmap[v]) for u, v in h2.edges),
-            frozenset(vmap.values()),
-        )
-        blocked_edges = base.edge_set() | inner.edges
-        pendants: list[tuple[Edge, Copy]] = []
-        outer_pool = set(inner.vertices)
-        ok = True
-        for f in sorted(inner.edges - {anchor}):
-            placed = None
-            for _ in range(60):
-                h1_edges = list(h1.edges)
-                a1, b1 = h1_edges[rng.randrange(len(h1_edges))]
-                if rng.random() < 0.5:
-                    a1, b1 = b1, a1
-                pmap = {a1: f[0], b1: f[1]}
-                used = {f[0], f[1]}
-                trial_next = next_label
-                for v in range(h1.vertex_count):
-                    if v in pmap:
-                        continue
-                    pool = sorted(outer_pool - used)
-                    if overlap and pool and rng.random() < 0.5:
-                        pmap[v] = pool[rng.randrange(len(pool))]
-                    else:
-                        pmap[v] = trial_next
-                        trial_next += 1
-                    used.add(pmap[v])
-                edges = frozenset(norm_edge(pmap[u], pmap[v]) for u, v in h1.edges)
-                if (edges - {f}) & blocked_edges:
-                    continue
-                if frozenset(pmap.values()) & (base_verts - set(anchor)):
-                    continue
-                placed = Copy(edges, frozenset(pmap.values()))
-                next_label = trial_next
-                break
-            if placed is None:
-                ok = False
-                break
-            pendants.append((f, placed))
-            outer_pool |= placed.vertices - set(f)
-        if not ok:
-            continue
-        cls = _classify_flower(inner, pendants)
-        if overlap and cls != "overlapping":
-            continue
-        if not overlap and cls != "disjoint":
-            continue
-        return make_flower(base, anchor, pair, inner, pendants)
-    raise FlowerError("could not sample an attachment with the requested shape")
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,10 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
                 "budget_exceeded": "budget_exceeded",
             }[oracle.status]
         if config.mode == "FullPipeline":
-            audit = check_stuck_state(colorer, pair)
+            decomp = check_stuck_state(colorer, pair)
             grower = grow if pair.case == "strict" else grow_alt
             try:
-                _, trace = grower(audit.decomposition, pair)
+                _, trace = grower(decomp, pair)
                 summary = summarize_trace(trace)
             except GrowError as err:
                 grow_error = str(err)

@@ -47,7 +47,6 @@ from asymcolor.grow import (
     check_external_density,
     flower_deltas,
     grow_alt,
-    random_flower,
     verify_overlap_density_gain,
 )
 from asymcolor.harness import edge_probability, render_csv, sample_gnp, sweep
@@ -59,6 +58,7 @@ from asymcolor.regular import (
     gap_poly,
     m2_pair_regular,
 )
+from test_grow import random_flower
 
 
 @contextmanager

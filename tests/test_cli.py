@@ -98,6 +98,17 @@ def test_color_stuck_on_k6(capsys):
     assert blob["live_anchors"] == 20
 
 
+def test_color_stuck_on_k10(capsys):
+    # a dense residual: 45 edges, 57,582 copies of the bound-6 catalog's
+    # blockers and 45,402 maximal members; the colorer sticks at once
+    rc, out, _ = run_cli(capsys, "color", "--h1", "K3", "--h2", "K3", "--graph", "K10")
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob["status"] == "stuck" and blob["trace_events"] == 1
+    assert blob["residual_edges"] == 45
+    assert not blob["covered_once"]
+
+
 def test_color_writes_artifacts(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys,
@@ -117,10 +128,11 @@ def test_grow_command_artifacts(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys,
         "grow", "--h1", "K3", "--h2", "K3", "--graph", "K6",
-        "--variant", "alt", "--a-hat-bound", "0", "--out", str(tmp_path),
+        "--a-hat-bound", "0", "--out", str(tmp_path),
     )
     assert rc == 0
     blob = json.loads(out)
+    assert blob["variant"] == "alt"  # K3/K3 is an equal pair
     assert blob["outcome"] == "hit_iteration_cap"
     assert blob["final_graph6"] == emit_graph6(complete_graph(4))
     steps = [json.loads(line) for line in (tmp_path / "grow_trace.jsonl").read_text().splitlines()]
@@ -193,6 +205,7 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys):
         ["regular-cert", "--grid", "4", "4", "--seed", "1"],
         ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
+        ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--variant", "alt"],
         ["trial", "--h1", "K4", "--h2", "C4", "--n", "12", "--b", "1/4", "--mode", "ColorOnly"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -205,6 +218,10 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys):
     )
     assert rc == 2
     assert "--v1" in err and "--h1" in err and "--enumerate" in err
+    # --epsilon is a pair parameter, so density reads it only with --h2
+    rc, out, err = run_cli(capsys, "density", "--h1", "K4", "--epsilon", "1/10")
+    assert rc == 2
+    assert out == "" and "--epsilon needs --h2" in err
 
 
 def test_sweep_csv_stdout_matches_flushed_file(capsys, tmp_path):

@@ -121,9 +121,9 @@ def test_k6_sticks_immediately(k3k3_setup):
     assert [ev.action for ev in out.trace] == ["stuck"]
     assert out.residual.edges == g.edges
     assert len(out.live_anchors) == 20
-    report = check_stuck_state(out, pair)
-    assert report.decomposition.report.anchored
-    assert not (report.decomposition.covered_once and report.decomposition.sparse)
+    decomp = check_stuck_state(out, pair)
+    assert decomp.report.anchored
+    assert not (decomp.covered_once and decomp.sparse)
 
 
 def test_k6_sticks_without_catalog(k3k3_setup):
@@ -132,8 +132,7 @@ def test_k6_sticks_without_catalog(k3k3_setup):
     pair, _ = k3k3_setup
     out = asym_edge_color(complete_graph(6), pair, ())
     assert out.status == "stuck"
-    report = check_stuck_state(out, pair)
-    assert not report.decomposition.covered_once
+    assert not check_stuck_state(out, pair).covered_once
 
 
 def test_check_stuck_rejects_colored_outcome():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from asymcolor.colorer import asym_edge_color
 from asymcolor.density import build_pair_spec
 from asymcolor.families import (
     BLUE,
@@ -13,6 +14,7 @@ from asymcolor.families import (
     ColoringSearch,
     blocker_decomposition,
     color_by_members,
+    decomposition_from_copies,
     enumerate_blockers,
     family_report,
     has_valid_coloring,
@@ -21,6 +23,7 @@ from asymcolor.families import (
     verify_coloring,
 )
 from asymcolor.graphs import (
+    Copy,
     CopySet,
     Graph,
     canonical_key,
@@ -393,7 +396,8 @@ def test_family_report_k6_anchored():
     pair = pair_k4c4()
     rep6 = family_report(complete_graph(6), pair)
     assert rep6.anchored and rep6.pinned
-    assert set(rep6.anchor_of) == set(complete_graph(6).edges)
+    anchored_edges = {e for c in rep6.anchored_copies.copies for e in c.edges}
+    assert anchored_edges == set(complete_graph(6).edges)
     rep5 = family_report(complete_graph(5), pair)
     assert not rep5.anchored
     assert not rep5.pinned
@@ -407,8 +411,8 @@ def test_anchored_implies_pinned_random():
             rep = family_report(g, pair)
             if rep.anchored:
                 assert rep.pinned
-            for e in rep.anchor_of.values():
-                assert e.edges <= g.edge_set()
+            for c in rep.anchored_copies.copies:
+                assert c.edges <= g.edge_set()
 
 
 def test_pinned_two_connected_min_degree():
@@ -577,6 +581,46 @@ def test_decomposition_maximality():
     d = blocker_decomposition(complete_graph(4), pair, [complete_graph(4), complete_graph(3)])
     assert len(d.members) == 1
     assert len(d.members[0].edges) == 6
+
+
+def reference_members(blocker_copies):
+    """The pairwise maximality scan: the blocker copies, one per edge set,
+    that lie inside no other, in copy order."""
+    pool = {}
+    for c in blocker_copies:
+        pool.setdefault(c.edges, c)
+    maximal = []
+    for c in sorted(pool.values(), key=lambda c: (-len(c.edges), c.sort_key())):
+        if not any(c.edges < kept.edges for kept in maximal):
+            maximal.append(c)
+    return tuple(sorted(maximal, key=Copy.sort_key))
+
+
+def test_maximal_members_match_pairwise_scan():
+    # seeded G(12, p) residuals under K3/K3 with the bound-6 catalog, and K7,
+    # with the blocker copies handed over in a shuffled order
+    pair = pair_k3k3()
+    blockers = enumerate_blockers(pair, 6).members
+    hosts = [complete_graph(7)]
+    for b in (F(3, 2), F(2)):
+        for trial in range(6):
+            g = sample_gnp(12, edge_probability(pair, 12, b), derive_seed(7, 12, b, trial))
+            out = asym_edge_color(g, pair, blockers)
+            if out.status == "stuck":
+                hosts.append(out.residual)
+    assert len(hosts) == 10
+    rng = random.Random(5)
+    members = 0
+    for g in hosts:
+        copies = [c for m in blockers for c in enumerate_copies(g, m).copies]
+        rng.shuffle(copies)
+        d = decomposition_from_copies(g, copies, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2))
+        assert d.members == reference_members(copies)
+        assert d.members_of == {
+            e: tuple(mi for mi, m in enumerate(d.members) if e in m.edges) for e in g.edges
+        }
+        members += len(d.members)
+    assert members > 1000
 
 
 def test_color_by_members_disjoint_union():

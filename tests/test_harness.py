@@ -283,9 +283,9 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
     audited = []
 
     def audit(outcome, pair):
-        report = check_stuck_state(outcome, pair)
-        audited.append((samples[-1], report.decomposition, pair))
-        return report
+        decomp = check_stuck_state(outcome, pair)
+        audited.append((samples[-1], decomp, pair))
+        return decomp
 
     monkeypatch.setattr(harness, "check_stuck_state", audit)
     original_sample = harness.sample_gnp
