@@ -131,121 +131,126 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
     first. Node counts depend on this rule. "invalid" is returned only after
     the search space is exhausted; hitting the node budget is reported as
     its own outcome and must not be read as either verdict.
+
+    A node's state is a few ints: bitmasks of its red and of its blue edges,
+    and one bucket per uncolored count k up to the widest copy, the bitmask
+    of the live copies with k uncolored edges. Colouring an edge moves the
+    copies through it one bucket down and drops the copies it kills, a few
+    mask operations per bucket. Each frame of the search keeps the state its
+    edge was tried from, so backtracking restores that state and undoes
+    nothing.
     """
     edges = g.edges
     n_e = len(edges)
     idx = {e: i for i, e in enumerate(edges)}
-    # one list of copies: those of h1, which must not go all red, then those
-    # of h2, which must not go all blue. Colouring the edge at position e
-    # with c takes the copies in hits[c][0][e] a step towards their bad
-    # colour and kills those in hits[c][1][e]; each lists the copies through
-    # e of one kind, in its set's order
-    sets = [tuple(sorted(idx[e] for e in c.edges)) for c in h1_copies.copies + h2_copies.copies]
+    # copy positions: those of h1, which must not go all red, then those of
+    # h2, which must not go all blue. ecopies[i] is the edge mask of the copy
+    # at position i; t1[e] and t2[e] are the masks of the h1- and h2-copies
+    # through the edge at position e, and on[e] is their union
     shift = len(h1_copies)
-    on1 = [h1_copies.index.get(e, ()) for e in edges]
-    on2 = [tuple(shift + ci for ci in h2_copies.index.get(e, ())) for e in edges]
-    hits = {RED: (on1, on2), BLUE: (on2, on1)}
+    ecopies: list[int] = []
+    t1, t2 = [0] * n_e, [0] * n_e
+    for ci, c in enumerate(h1_copies.copies + h2_copies.copies):
+        t, bit, m = (t1 if ci < shift else t2), 1 << ci, 0
+        for e in c.edges:
+            i = idx[e]
+            t[i] |= bit
+            m |= 1 << i
+        ecopies.append(m)
+    on = [a | b for a, b in zip(t1, t2)]
+    full = (1 << n_e) - 1
 
-    color: list[str | None] = [None] * n_e
-    un = [len(c) for c in sets]  # uncolored edges per copy
-    good = [0] * len(sets)  # edges per copy in its good colour
-    # at[k]: the live copies (good == 0) with k uncolored edges; assign and
-    # undo move a copy between buckets as they update its counters. A live
-    # copy with no uncolored edge is all in its bad colour, and one with one
-    # uncolored edge forces that edge the other way
-    at: list[set[int]] = [set() for _ in range(max(un, default=0) + 1)]
-    for ci, k in enumerate(un):
-        at[k].add(ci)
+    # at[k]: the live copies with k uncolored edges, for k up to the widest
+    # copy (and at least 2). A live copy with no uncolored edge is all in its
+    # bad colour, so at[0] stays empty: assign reports a conflict instead.
+    # A live copy with one uncolored edge forces that edge the other way
+    top = max(3, max((m.bit_count() for m in ecopies), default=0) + 1)
+    start = [0] * top
+    for ci, m in enumerate(ecopies):
+        start[m.bit_count()] |= 1 << ci
     nodes = 0
 
-    def assign(e0: int, c0: str, trail: list[int]) -> bool:
+    def assign(e0: int, c0: int, red: int, blue: int, at: list[int]):
+        # the state after colouring edge e0 with c0 (0 red, 1 blue) and
+        # propagating, or None on a conflict; at is copied, not changed
+        at = at.copy()
         queue = [(e0, c0)]
         while queue:
             e, c = queue.pop()
-            if color[e] is not None:
-                if color[e] == c:
+            bit = 1 << e
+            if (red | blue) & bit:
+                if (blue if c else red) & bit:
                     continue
-                return False
-            color[e] = c
-            trail.append(e)
-            toward, away = hits[c]
-            for ci in away[e]:
-                u = un[ci]
-                un[ci] = u - 1
-                if not good[ci]:
-                    at[u].remove(ci)
-                good[ci] += 1
-            # update every counter before a conflict return, so undo (which
-            # reverses complete updates) stays in sync
-            ok = True
-            for ci in toward[e]:
-                u = un[ci] - 1
-                un[ci] = u
-                if not good[ci]:
-                    at[u + 1].remove(ci)
-                    at[u].add(ci)
-                    if u == 0:
-                        ok = False
-                    elif u == 1:
-                        f = next(x for x in sets[ci] if color[x] is None)
-                        queue.append((f, BLUE if c == RED else RED))
-            if not ok:
-                return False
-        return True
+                return None
+            # c takes the step copies towards their bad colour and gives
+            # the kill copies an edge of their good colour
+            if c:
+                blue |= bit
+                step, kill = t2[e], t1[e]
+            else:
+                red |= bit
+                step, kill = t1[e], t2[e]
+            if kill:
+                keep = ~kill
+                for k in range(1, top):
+                    at[k] &= keep
+            if at[1] & step:
+                return None
+            # ascending, so no copy moves twice; the copies moved to at[1]
+            # force their last uncolored edge, in ascending copy order
+            for k in range(2, top):
+                m = at[k] & step
+                if m:
+                    at[k] ^= m
+                    at[k - 1] |= m
+                    while k == 2 and m:
+                        low = m & -m
+                        last = ecopies[low.bit_length() - 1] & ~(red | blue)
+                        queue.append((last.bit_length() - 1, 1 - c))
+                        m ^= low
+        return red, blue, at
 
-    def undo(trail: list[int]):
-        for e in reversed(trail):
-            toward, away = hits[color[e]]
-            for ci in toward[e]:
-                u = un[ci]
-                un[ci] = u + 1
-                if not good[ci]:
-                    at[u].remove(ci)
-                    at[u + 1].add(ci)
-            for ci in away[e]:
-                u = un[ci] + 1
-                un[ci] = u
-                good[ci] -= 1
-                if not good[ci]:
-                    at[u].add(ci)
-            color[e] = None
-
-    def pick() -> int | None:
+    def pick(red: int, blue: int, at: list[int]) -> int | None:
         # the edges of least score are the uncolored edges of the live copies
-        # with the fewest uncolored edges (at least one): read them off the
-        # first non-empty bucket; with no such copy every score ties
-        for k in range(1, len(at)):
-            if at[k]:
-                return min(x for ci in at[k] for x in sets[ci] if color[x] is None)
-        return color.index(None) if None in color else None
+        # with the fewest uncolored edges (at least one): the least of them
+        # is the least uncolored edge on a copy of the first non-empty
+        # bucket; with no such copy every score ties
+        free = full & ~(red | blue)
+        for k in range(1, top):
+            m = at[k]
+            if m:
+                while not on[(free & -free).bit_length() - 1] & m:
+                    free &= free - 1
+                break
+        return (free & -free).bit_length() - 1 if free else None
 
     # depth-first search with an explicit stack: one frame per branched edge
     # above the current node, holding the edge, the number of colours tried
-    # there and the trail of the assignment in force
-    frames: list[tuple[int, int, list[int]]] = []
+    # there and the state they were tried from
+    state = (0, 0, start)
+    frames: list[tuple[int, int, tuple[int, int, list[int]]]] = []
     while True:
         nodes += 1
         if nodes > budget:
             return ColoringSearch("budget_exceeded", None, nodes)
-        e, k = pick(), 0
+        e, k, tried_from = pick(*state), 0, state
         if e is None:
             break
         while True:
             while k == 2:  # both colours failed at e: back up one level
                 if not frames:
                     return ColoringSearch("invalid", None, nodes)
-                e, k, trail = frames.pop()
-                undo(trail)
-            trail = []
+                e, k, tried_from = frames.pop()
             k += 1
-            if assign(e, (RED, BLUE)[k - 1], trail):
-                frames.append((e, k, trail))
+            state = assign(e, k - 1, *tried_from)
+            if state is not None:
+                frames.append((e, k, tried_from))
                 break
-            undo(trail)
 
-    out = Coloring(g, {edges[i]: color[i] for i in range(n_e) if color[i] is not None})
+    red, blue, _ = state
     # the searcher never leaves an edge both unforced and unbranched
-    assert out.is_total()
+    assert red | blue == full
+    out = Coloring(g, {e: BLUE if blue >> i & 1 else RED for i, e in enumerate(edges)})
     return ColoringSearch("valid", out, nodes)
 
 

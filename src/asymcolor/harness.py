@@ -62,11 +62,15 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} is outside [0, 1]")
     threshold = int(p * _U64)
+    # the digest of "seed:n:k" is the prefix's hash state extended by k
+    prefix = hashlib.sha256(f"{seed}:{n}:".encode())
     edges = []
     k = 0
     for u in range(n):
         for v in range(u + 1, n):
-            if _hash64(seed, n, k) < threshold:
+            h = prefix.copy()
+            h.update(str(k).encode())
+            if int.from_bytes(h.digest()[:8], "big") < threshold:
                 edges.append((u, v))
             k += 1
     return graph(n, edges)

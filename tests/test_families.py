@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -161,6 +162,22 @@ def test_searcher_deep_search_is_iterative():
     assert verify_coloring(res.coloring, k3).ok
 
 
+def test_searcher_deep_search_memory():
+    # a frame holds the few ints of the state it was tried from, never
+    # per-copy lists: 1,600 frames deep on K_{40,40} stay small
+    k3 = pair_k3k3()
+    g = complete_bipartite(40, 40)
+    h1, h2 = enumerate_copies(g, k3.h1), enumerate_copies(g, k3.h2)
+    tracemalloc.start()
+    try:
+        res = search_from_copies(g, h1, h2, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes_expanded) == ("valid", 1601)
+    assert peak < 4 * 2**20, peak
+
+
 def test_searcher_budget():
     res = has_valid_coloring(complete_graph(6), pair_k3k3(), budget=5)
     assert res.status == "budget_exceeded"
@@ -308,14 +325,18 @@ def assert_same_on(g: Graph, pair, budget: int) -> ColoringSearch:
 
 
 def test_search_matches_rescanning_reference_on_gnp():
-    pairs = [pair_k3k3(), pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4)),
-             build_pair_spec(cycle_graph(4), cycle_graph(4))]
+    # (h1, h2) pattern pairs; the search reads only their copies, so C4/K3
+    # need not be a valid PairSpec. K4/K3 and C4/K3 put copies of two
+    # widths in the same buckets
+    k3, k4, c4 = complete_graph(3), complete_graph(4), cycle_graph(4)
+    patterns = [(k3, k3), (k4, c4), (complete_graph(5), c4), (c4, c4), (k4, k3), (c4, k3)]
     statuses = Counter()
-    for pi, pair in enumerate(pairs):
+    for pi, (h1, h2) in enumerate(patterns):
         for t in range(8):
             n = 7 + t
             g = sample_gnp(n, 0.35 + 0.07 * t, derive_seed(11, n, F(pi), t))
-            statuses[assert_same_on(g, pair, 60).status] += 1
+            res = assert_same_search(g, enumerate_copies(g, h1), enumerate_copies(g, h2), 60)
+            statuses[res.status] += 1
     assert set(statuses) == {"valid", "invalid", "budget_exceeded"}, statuses
 
 

@@ -65,6 +65,16 @@ def test_sample_gnp_reproducible_and_seed_sensitive():
     assert a.edges != c.edges
 
 
+def test_sample_gnp_matches_per_edge_hash_definition():
+    # edge k of the sample is present iff _hash64(seed, n, k) < p * 2**64,
+    # whatever hash state sample_gnp reuses between edges
+    for n, p, seed in ((1, 0.5, 0), (9, 0.3, 7), (16, 0.88, 2**64 - 1), (23, 0.5, 20260816)):
+        threshold = int(p * 2**64)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        want = tuple(e for k, e in enumerate(pairs) if harness._hash64(seed, n, k) < threshold)
+        assert sample_gnp(n, p, seed).edges == want
+
+
 def test_sample_gnp_edge_count_near_mean():
     # C(30, 2) = 435 fair coins: mean 217.5, sigma ~ 10.43; stay within 5 sigma
     g = sample_gnp(30, 0.5, 99)
