@@ -10,12 +10,14 @@ unpinned_edge of each fully-blue tracked copy red.
 The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
 copy of a pattern in the residual is exactly a copy in the input whose edges
-all survive, every copy set is enumerated once up front and filtered by a
-dead-edge counter, never re-enumerated; kills, revivals and the per-edge
-queries read each set's own per-edge index. The outcome carries the input's
-h1 and h2 copy sets, which the stuck oracle searches instead of enumerating
-the input again. The stuck audit (check_stuck_state) still enumerates the
-residual's copies afresh: it is the independent check.
+all survive, every copy set is enumerated once up front and never
+re-enumerated: each keeps an alive mask over its positions (tracked is a
+second one over h2's), read against its CopySet.index. Deleting e is
+alive &= ~index[e]; on replay a copy through e is alive again once all its
+edges are live. The outcome carries the input's h1 and h2 copy sets, which
+the stuck oracle searches instead of enumerating the input again. The stuck
+audit (check_stuck_state) still enumerates the residual's copies afresh: it
+is the independent check.
 
 After each deletion a guard builds the residual's BlockerDecomposition from
 the live copies and reads covered_once and sparse, unless some live edge has
@@ -43,7 +45,7 @@ from .families import (
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
-from .graphs import CopySet, Edge, Graph, enumerate_copies, graph
+from .graphs import CopySet, Edge, Graph, bit_positions, enumerate_copies, graph
 
 
 @dataclass(frozen=True)
@@ -105,30 +107,6 @@ class UncolorableMemberError(Exception):
         self.result = result
 
 
-class _LiveCopies:
-    """Copies of a pattern in the input (all), filtered by surviving edges:
-    missing[i] counts the dead edges of all.copies[i], none at the start."""
-
-    def __init__(self, host: Graph, pattern: Graph):
-        self.all = enumerate_copies(host, pattern)
-        self.missing = [0] * len(self.all.copies)
-
-    def kill(self, e: Edge):
-        for i in self.all.index.get(e, ()):
-            self.missing[i] += 1
-
-    def revive(self, e: Edge):
-        for i in self.all.index.get(e, ()):
-            self.missing[i] -= 1
-
-    def alive_through(self, e: Edge):
-        copies = self.all.copies
-        return (copies[i] for i in self.all.index.get(e, ()) if self.missing[i] == 0)
-
-    def alive_all(self):
-        return (c for i, c in enumerate(self.all.copies) if self.missing[i] == 0)
-
-
 def asym_edge_color(
     g: Graph,
     pair: PairSpec,
@@ -143,11 +121,11 @@ def asym_edge_color(
     member raises UncolorableMemberError.
     """
     live: set[Edge] = set(g.edges)
-    h1 = _LiveCopies(g, pair.h1)
-    h2 = _LiveCopies(g, pair.h2)
-    blocker_sets = [_LiveCopies(g, b) for b in blockers]
-
-    tracked: set[int] = set(range(len(h2.all)))  # positions in h2.all
+    h1, h2 = enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2)
+    blocker_sets = [enumerate_copies(g, b) for b in blockers]
+    alive1, alive2 = (1 << len(h1)) - 1, (1 << len(h2)) - 1
+    blocker_alive = [(1 << len(bs)) - 1 for bs in blocker_sets]
+    tracked = alive2
     stack: list[StackEntry] = []
     trace: list[TraceEvent] = []
     step = 0
@@ -158,22 +136,23 @@ def asym_edge_color(
         step += 1
 
     def pinned_by_tracked(e: Edge) -> bool:
-        for li in h2.all.index.get(e, ()):
-            if li in tracked and pin_partner(h2.all.copies[li].edges, e, h1.alive_through(e)):
-                return True
-        return False
+        return any(
+            pin_partner(h2.copies[li].edges, e, h1, alive1)
+            for li in bit_positions(tracked & h2.index.get(e, 0))
+        )
 
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
         is a clean sparse union of blocker members; None otherwise. An edge
         on no live blocker copy lies in no member, so then none is built."""
-        if not all(any(next(bs.alive_through(e), None) for bs in blocker_sets) for e in live):
+        live_sets = list(zip(blocker_sets, blocker_alive))
+        if not all(any(a & bs.index.get(e, 0) for bs, a in live_sets) for e in live):
             return None
         decomp = decomposition_from_copies(
             graph(g.vertex_count, live),
-            (c for bs in blocker_sets for c in bs.alive_all()),
-            CopySet(pair.h1, tuple(h1.alive_all())),
-            CopySet(pair.h2, tuple(h2.alive_all())),
+            (bs.copies[i] for bs, a in live_sets for i in bit_positions(a)),
+            CopySet(pair.h1, tuple(h1.copies[i] for i in bit_positions(alive1))),
+            CopySet(pair.h2, tuple(h2.copies[i] for i in bit_positions(alive2))),
         )
         return decomp if decomp.covered_once and decomp.sparse else None
 
@@ -181,46 +160,44 @@ def asym_edge_color(
     # residual it finds clean, and that decomposition is handed off
     clean = clean_residual()
     while clean is None:
-        measure = len(live) + len(tracked)
+        measure = len(live) + tracked.bit_count()
         fired = False
         for e in sorted(live):
             if not pinned_by_tracked(e):
-                for li in [li for li in h2.all.index.get(e, ()) if li in tracked]:
-                    L_edges = h2.all.copies[li].edges
+                for li in bit_positions(tracked & h2.index.get(e, 0)):
+                    L_edges = h2.copies[li].edges
                     stack.append(StackEntry("h2copy", copy_edges=L_edges))
-                    tracked.discard(li)
                     log("push_l", edge=e, l_copy=tuple(sorted(L_edges)))
+                tracked &= ~h2.index.get(e, 0)
                 stack.append(StackEntry("edge", edge=e))
                 live.discard(e)
-                h1.kill(e)
-                h2.kill(e)
-                # every tracked copy must stay fully alive in the residual;
-                # only this kill raises missing, and only on copies through e
-                assert not any(li in tracked for li in h2.all.index.get(e, ()))
-                for bs in blocker_sets:
-                    bs.kill(e)
+                alive1 &= ~h1.index.get(e, 0)
+                alive2 &= ~h2.index.get(e, 0)
+                blocker_alive = [a & ~bs.index.get(e, 0) for bs, a in zip(blocker_sets, blocker_alive)]
+                # every tracked copy stays fully alive in the residual
+                assert not tracked & ~alive2
                 log("delete_edge", edge=e)
                 clean = clean_residual()
                 fired = True
                 break
         if not fired:
-            for li in sorted(tracked):
-                L_edges = h2.all.copies[li].edges
-                bad = unpinned_edge(L_edges, h1.alive_through)
+            for li in bit_positions(tracked):
+                L_edges = h2.copies[li].edges
+                bad = unpinned_edge(L_edges, h1, alive1)
                 if bad is not None:
                     stack.append(StackEntry("h2copy", copy_edges=L_edges))
-                    tracked.discard(li)
+                    tracked &= ~(1 << li)
                     log("retire_l", edge=bad, l_copy=tuple(sorted(L_edges)))
                     fired = True
                     break
         if not fired:
             log("stuck")
             residual = graph(g.vertex_count, live)
-            live_anchors = CopySet(pair.h2, tuple(h2.all.copies[li] for li in sorted(tracked)))
+            live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
             return ColorerOutcome(
-                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1.all, h2.all
+                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
             )
-        assert len(live) + len(tracked) < measure  # the loop must shrink
+        assert len(live) + tracked.bit_count() < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
     # with its h1/h2 copies as the live-filtered input copies
@@ -235,14 +212,17 @@ def asym_edge_color(
         if entry.kind == "edge":
             e = entry.edge
             live.add(e)
-            h1.revive(e)
+            # a copy through e is alive again once all its edges are
+            for i in bit_positions(h1.index.get(e, 0)):
+                if h1.copies[i].edges <= live:
+                    alive1 |= 1 << i
             assignment[e] = BLUE
             log("readd_edge", edge=e, color=BLUE)
         else:
             L_edges = entry.copy_edges
             if not all(assignment.get(f) == BLUE for f in L_edges):
                 continue
-            flip = unpinned_edge(L_edges, h1.alive_through)
+            flip = unpinned_edge(L_edges, h1, alive1)
             if flip is None:
                 raise ColorerInternalError(
                     "fully-blue tracked copy with every edge uniquely intersected; "
@@ -251,8 +231,8 @@ def asym_edge_color(
                 )
             assignment[flip] = RED
             log("recolor_red", edge=flip, l_copy=tuple(sorted(L_edges)), color=RED)
-            for R in h1.alive_through(flip):
-                if all(assignment.get(x) == RED for x in R.edges):
+            for i in bit_positions(alive1 & h1.index.get(flip, 0)):
+                if all(assignment.get(x) == RED for x in h1.copies[i].edges):
                     raise ColorerInternalError(
                         f"recoloring {flip} red completed a red copy", trace
                     )
@@ -262,7 +242,7 @@ def asym_edge_color(
     if not check.ok:
         raise ColorerInternalError(f"final coloring invalid: {check}", trace)
     return ColorerOutcome(
-        "colored", coloring, None, None, tuple(trace), tuple(blockers), h1.all, h2.all
+        "colored", coloring, None, None, tuple(trace), tuple(blockers), h1, h2
     )
 
 

@@ -5,8 +5,9 @@ Vocabulary used throughout (each mirrors one family from the underlying
 theory, renamed for what it checks):
 
 - a copy R of h1 "pins" edge e for a copy L of h2 when E(L) cap E(R) = {e};
-  pin_partner is the one test of this relation, and unpinned_edge finds
-  the least edge of L that nothing pins;
+  pin_partner is the one test of this relation, a mask of h1-copy
+  positions read off CopySet.index, and unpinned_edge finds the least
+  edge of L that nothing pins;
 - an "anchored" copy is a copy L of h2 every edge of which is pinned;
 - a graph is "pinned" when each of its edges is pinned for some copy of h2,
   and "anchored" when every edge lies on an anchored copy
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .density import PairSpec, max_gain
 from .graphs import (
@@ -142,21 +143,20 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
     """
     edges = g.edges
     n_e = len(edges)
-    idx = {e: i for i, e in enumerate(edges)}
+    ebit = {e: 1 << i for i, e in enumerate(edges)}
     # copy positions: those of h1, which must not go all red, then those of
     # h2, which must not go all blue. ecopies[i] is the edge mask of the copy
-    # at position i; t1[e] and t2[e] are the masks of the h1- and h2-copies
-    # through the edge at position e, and on[e] is their union
+    # at position i; t1[e] and t2[e] are the sets' index masks of the edge at
+    # position e, h2's shifted past h1's, and on[e] is their union
     shift = len(h1_copies)
     ecopies: list[int] = []
-    t1, t2 = [0] * n_e, [0] * n_e
-    for ci, c in enumerate(h1_copies.copies + h2_copies.copies):
-        t, bit, m = (t1 if ci < shift else t2), 1 << ci, 0
+    for c in h1_copies.copies + h2_copies.copies:
+        m = 0
         for e in c.edges:
-            i = idx[e]
-            t[i] |= bit
-            m |= 1 << i
+            m |= ebit[e]
         ecopies.append(m)
+    t1 = [h1_copies.index.get(e, 0) for e in edges]
+    t2 = [h2_copies.index.get(e, 0) << shift for e in edges]
     on = [a | b for a, b in zip(t1, t2)]
     full = (1 << n_e) - 1
 
@@ -258,22 +258,24 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
 # family membership
 
 
-def pin_partner(l_edges: frozenset[Edge], e: Edge, h1_copies: Iterable[Copy]) -> Copy | None:
-    """The first of h1_copies that pins e for the h2-copy with edge set
-    l_edges, meeting it in exactly {e}; None when none does."""
-    for R in h1_copies:
-        if l_edges & R.edges == {e}:
-            return R
-    return None
+def pin_partner(l_edges: frozenset[Edge], e: Edge, h1_copies: CopySet, alive: int = -1) -> int:
+    """The mask of the positions of the copies among h1_copies, restricted
+    to alive, that pin e for the h2-copy with edge set l_edges: those
+    through e and through no other edge of it. Its lowest bit is the first
+    such copy; 0 when none does."""
+    index = h1_copies.index
+    partners = alive & index.get(e, 0)
+    for f in l_edges:
+        if partners and f != e:
+            partners &= ~index.get(f, 0)
+    return partners
 
 
-def unpinned_edge(
-    l_edges: frozenset[Edge], h1_through: Callable[[Edge], Iterable[Copy]]
-) -> Edge | None:
-    """The least edge e of an h2-copy with no pin partner among h1_through(e);
-    None when the copy is anchored."""
+def unpinned_edge(l_edges: frozenset[Edge], h1_copies: CopySet, alive: int = -1) -> Edge | None:
+    """The least edge e of an h2-copy that no copy among h1_copies,
+    restricted to alive, pins; None when the copy is anchored."""
     for e in sorted(l_edges):
-        if pin_partner(l_edges, e, h1_through(e)) is None:
+        if not pin_partner(l_edges, e, h1_copies, alive):
             return e
     return None
 
@@ -296,15 +298,14 @@ class FamilyReport:
 def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
     """Pinned/anchored verdicts with per-edge failure witnesses, from all
     copies of h1 and of h2 in g."""
-    h1_through = {e: h1_copies.through(e) for e in g.edges}
     anchored = CopySet(
         h2_copies.pattern,
-        tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_through.__getitem__) is None),
+        tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_copies) is None),
     )
     pinned_failures = tuple(
         e
         for e in g.edges
-        if all(pin_partner(L.edges, e, h1_through[e]) is None for L in h2_copies.through(e))
+        if not any(pin_partner(L.edges, e, h1_copies) for L in h2_copies.through(e))
     )
     report = FamilyReport(
         anchored, pinned_failures, tuple(e for e in g.edges if not anchored.through(e))

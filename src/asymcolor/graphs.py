@@ -21,7 +21,6 @@ each orbit's least map, and the first embedding of a copy is that map.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -161,14 +160,24 @@ class Copy:
         return tuple(sorted(self.edges))
 
 
+def bit_positions(mask: int) -> Iterator[int]:
+    """The set bits of a mask >= 0, ascending, in time linear in its width."""
+    digits = bin(mask)[:1:-1]  # least significant digit first
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 @dataclass(frozen=True)
 class CopySet:
     """Copies of pattern, in ascending `Copy.sort_key` order.
 
-    index maps every edge on some copy to the positions of the copies
-    through it, ascending, so through(e) lists those copies in the order of
-    copies. The index is built on first use: a set nobody queries costs
-    nothing.
+    index maps every edge on some copy to the bitmask of the positions of
+    the copies through it, and through(e) decodes that mask into those
+    copies in the order of copies. It is the one per-edge copy index: the
+    colorer's alive masks, the oracle and the pin relation all read it.
+    The index is built on first use: a set nobody queries costs nothing.
     """
 
     pattern: Graph
@@ -178,19 +187,27 @@ class CopySet:
         return len(self.copies)
 
     @cached_property
-    def index(self) -> dict[Edge, tuple[int, ...]]:
-        positions: dict[Edge, list[int]] = defaultdict(list)
-        for i, c in enumerate(self.copies):
-            for e in c.edges:
-                positions[e].append(i)
-        return {e: tuple(ps) for e, ps in positions.items()}
+    def index(self) -> dict[Edge, int]:
+        # setting a bit copies the whole int, so bits are set in the small
+        # ints of 1024-copy chunks, and each chunk is shifted in once
+        index: dict[Edge, int] = {}
+        for lo in range(0, len(self.copies), 1024):
+            chunk: dict[Edge, int] = {}
+            for i, c in enumerate(self.copies[lo : lo + 1024]):
+                bit = 1 << i
+                for e in c.edges:
+                    chunk[e] = chunk.get(e, 0) | bit
+            for e, m in chunk.items():
+                index[e] = index.get(e, 0) | m << lo
+        return index
 
     def through(self, e: Edge) -> tuple[Copy, ...]:
         """The copies that contain edge e, () when none does."""
-        return tuple(self.copies[i] for i in self.index.get(e, ()))
+        return tuple(self.copies[i] for i in bit_positions(self.index.get(e, 0)))
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
+@lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
+def _pattern_order(pattern: Graph) -> tuple[int, ...]:
     # Greedy connected expansion starting from a max-degree vertex; isolated
     # pattern vertices go last. Keeps the backtracking search well anchored.
     deg = pattern.degree_sequence()
@@ -205,7 +222,7 @@ def _pattern_order(pattern: Graph) -> list[int]:
         )
         order.append(best)
         remaining.discard(best)
-    return order
+    return tuple(order)
 
 
 def enumerate_embeddings(

@@ -94,12 +94,13 @@ def _extend_anchored(
     f_edges |= l_copy.edges
     f_verts |= l_copy.vertices
     for e2 in fresh:
-        r_copy = pin_partner(l_copy.edges, e2, h1_copies.through(e2))
-        if r_copy is None:
+        partners = pin_partner(l_copy.edges, e2, h1_copies)
+        if not partners:
             raise GrowError(
                 f"no h1-copy of the host meets the attached h2-copy in exactly {e2}; "
                 "the residual is not pin-closed"
             )
+        r_copy = h1_copies.copies[(partners & -partners).bit_length() - 1]
         degenerate |= not (r_copy.vertices & f_verts) <= set(e2)
         f_edges |= r_copy.edges
         f_verts |= r_copy.vertices
@@ -117,10 +118,10 @@ def _extend_alt(
     {e}: the h2 side if it is not yet inside f, otherwise the h1 side.
     Mutates f in place; returns whether the step is degenerate: whether the
     attached copy met f outside the endpoints of e."""
-    r_copies = h1_copies.through(e)
     for l_copy in h2_copies.through(e):
-        r_copy = pin_partner(l_copy.edges, e, r_copies)
-        if r_copy is not None:
+        partners = pin_partner(l_copy.edges, e, h1_copies)
+        if partners:
+            r_copy = h1_copies.copies[(partners & -partners).bit_length() - 1]
             break
     else:
         raise GrowError(

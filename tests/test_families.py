@@ -20,7 +20,9 @@ from asymcolor.families import (
     family_report,
     has_valid_coloring,
     is_blocker,
+    pin_partner,
     search_from_copies,
+    unpinned_edge,
     verify_coloring,
 )
 from asymcolor.graphs import (
@@ -222,10 +224,10 @@ def rescanning_search(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget: 
     sets = [tuple(sorted(idx[e] for e in c.edges)) for c in h1_copies.copies + h2_copies.copies]
     shift = len(h1_copies)
     bad = [RED] * shift + [BLUE] * len(h2_copies)
-    on = [
-        h1_copies.index.get(e, ()) + tuple(shift + ci for ci in h2_copies.index.get(e, ()))
-        for e in edges
-    ]
+    on: list[list[int]] = [[] for _ in edges]
+    for ci, c in enumerate(sets):
+        for i in c:
+            on[i].append(ci)
 
     color: list[str | None] = [None] * n_e
     un = [len(c) for c in sets]  # uncolored edges per copy
@@ -373,6 +375,48 @@ def test_search_without_copies():
         res = assert_same_on(g, k3, 1000)
         assert res.status == "valid" and res.coloring.is_total()
         assert res.nodes_expanded == g.edge_count + 1
+
+
+# ---------------------------------------------------------------------------
+# the pin relation against its definition
+
+
+def literal_partners(l_edges, e, h1_copies: CopySet, alive: int) -> list[int]:
+    """The reference pin test: the positions, in copy order, of the h1-copies
+    R with their bit set in alive and E(L) & E(R) == {e}."""
+    return [
+        i
+        for i, R in enumerate(h1_copies.copies)
+        if alive >> i & 1 and l_edges & R.edges == {e}
+    ]
+
+
+@pytest.mark.parametrize("pair_of", [pair_k3k3, pair_k4c4])
+def test_pin_relation_matches_its_definition_on_gnp(pair_of):
+    pair = pair_of()
+    rng = random.Random(16)
+    seen = Counter()
+    for t in range(8):
+        g = sample_gnp(11, 0.55, derive_seed(16, 11, F(11, 20), t))
+        h1, h2 = enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2)
+        for e in g.edges:
+            through = [i for i, c in enumerate(h1.copies) if e in c.edges]
+            assert h1.index.get(e, 0) == sum(1 << i for i in through)
+        for alive in (-1, rng.getrandbits(len(h1))):
+            for L in h2.copies:
+                for e in sorted(L.edges):
+                    partners = pin_partner(L.edges, e, h1, alive)
+                    expect = literal_partners(L.edges, e, h1, alive)
+                    assert [i for i in range(partners.bit_length()) if partners >> i & 1] == expect
+                    seen[min(len(expect), 2)] += 1
+                unpinned = next(
+                    (e for e in sorted(L.edges) if not literal_partners(L.edges, e, h1, alive)),
+                    None,
+                )
+                assert unpinned_edge(L.edges, h1, alive) == unpinned
+                seen["anchored" if unpinned is None else "unpinned"] += 1
+    # no partner, one, several; anchored copies and unpinned ones
+    assert all(seen[k] for k in (0, 1, 2, "anchored", "unpinned")), seen
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from asymcolor.graphs import (
     Graph,
     Graph6Error,
     _orbit_floors,
+    bit_positions,
     canonical_form,
     canonical_key,
     complete_bipartite,
@@ -202,6 +203,15 @@ def test_copies_match_networkx_monomorphisms(pattern):
             assert through == [image for image in sorted(images, key=sorted) if e in image]
             bare += not through
     assert bare > 0
+
+
+def test_bit_positions_matches_a_naive_scan():
+    rng = random.Random(16)
+    masks = [0] + [1 << i for i in (0, 1, 7, 8, 63, 64, 1000)]
+    masks += [rng.getrandbits(w) for w in (1, 8, 65, 1000, 20000) for _ in range(3)]
+    masks.append((1 << 20000) | 1)  # wide and sparse
+    for m in masks:
+        assert list(bit_positions(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def test_copy_witness_is_the_first_embedding():
