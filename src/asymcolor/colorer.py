@@ -10,24 +10,38 @@ unpinned_edge of each fully-blue tracked copy red.
 The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
 copy of a pattern in the residual is exactly a copy in the input whose edges
-all survive, every copy set is enumerated once up front and never
-re-enumerated: each keeps an alive mask over its positions (tracked is a
-second one over h2's), read against its CopySet.index. Deleting e is
-alive &= ~index[e]; on replay a copy through e is alive again once all its
-edges are live. The outcome carries the input's h1 and h2 copy sets, which
-the stuck oracle searches instead of enumerating the input again. The stuck
-audit (check_stuck_state) still enumerates the residual's copies afresh: it
-is the independent check.
+all survive, the input's h1- and h2-copies are enumerated once up front
+(once in all when h2 equals h1) and never re-enumerated: each set keeps an
+alive mask over its positions (tracked is a second one over h2's), read
+against its CopySet.index. Deleting e is alive &= ~index[e]; on replay a
+copy through e is alive again once all its edges are live. The outcome
+carries the input's h1 and h2 copy sets, which the stuck oracle searches
+instead of enumerating the input again. The stuck audit (check_stuck_state)
+still enumerates the residual's copies afresh: it is the independent check.
 
-After each deletion a guard builds the residual's BlockerDecomposition from
-the live copies and reads covered_once and sparse, unless some live edge has
-no live blocker copy through it (it lies in no member, so the residual is not
-clean); the decomposition that passes is handed to the member-wise colorer.
+Each edge is tested for a pin once up front. Before the hand-off the alive
+and tracked masks only shrink, so an unpinned edge stays unpinned until it
+is deleted, and a pinned one is tested again only when an h1-copy or a
+tracked h2-copy through it goes. The unpinned live edges are kept in a
+heap, and each deletion takes its least.
+
+After each deletion a guard asks whether the residual is a clean sparse
+union of blocker members. Every member is pinned, so an edge of a member
+lies on an h2-copy inside it, and a live edge on no live h2-copy rules the
+residual out at once. The blocker copies are enumerated only in the first
+residual that has no such edge, and the later residuals, its subgraphs,
+read them through alive masks. The guard then builds the residual's
+BlockerDecomposition from the live copies and reads covered_once and
+sparse, unless some live edge has no live blocker copy through it (it lies
+in no member); the decomposition that passes is handed to the member-wise
+colorer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Literal, Sequence
 
 from .density import PairSpec
@@ -40,12 +54,14 @@ from .families import (
     blocker_decomposition,
     color_by_members,
     decomposition_from_copies,
+    family_report,
+    pair_copies,
     pin_partner,
     unpinned_edge,
     verify_coloring,
     DEFAULT_ORACLE_BUDGET,
 )
-from .graphs import CopySet, Edge, Graph, bit_positions, enumerate_copies, graph
+from .graphs import CopySet, Edge, Graph, bit_positions, emit_graph6, enumerate_copies, graph
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,11 @@ class UncolorableMemberError(Exception):
         self.result = result
 
 
+@lru_cache(maxsize=256)  # a run meets few (member, pair) combinations
+def _pinned(member: Graph, pair: PairSpec) -> bool:
+    return family_report(member, pair).pinned
+
+
 def asym_edge_color(
     g: Graph,
     pair: PairSpec,
@@ -115,17 +136,29 @@ def asym_edge_color(
 ) -> ColorerOutcome:
     """Run the full delete/hand-off/replay pipeline on g.
 
+    Every graph in blockers must be pinned for pair, as every blocker is
+    (anchored implies pinned); one that is not raises ValueError. The guard
+    relies on it: each edge of a blocker copy then lies on an h2-copy inside
+    that copy, so a residual with a live edge on no live h2-copy is not
+    clean, whatever blocker copies it has.
+
     Returns Colored (with a verified coloring) or Stuck (with the residual
     and the still-tracked copies). Internal contract violations raise
     ColorerInternalError with the trace attached; an uncolorable sparse-core
     member raises UncolorableMemberError.
     """
+    loose = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
+    if loose:
+        raise ValueError(f"blocker members must be pinned for the pair; not pinned: {', '.join(loose)}")
     live: set[Edge] = set(g.edges)
-    h1, h2 = enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2)
-    blocker_sets = [enumerate_copies(g, b) for b in blockers]
+    h1, h2 = pair_copies(g, pair)
     alive1, alive2 = (1 << len(h1)) - 1, (1 << len(h2)) - 1
-    blocker_alive = [(1 << len(bs)) - 1 for bs in blocker_sets]
     tracked = alive2
+    # the blockers' copies in the first residual that can be clean, then
+    # alive masks over them; None until then
+    blocker_sets: list[CopySet] | None = None
+    blocker_alive: list[int] = []
+    witness: Edge | None = None  # a live edge on no live h2-copy
     stack: list[StackEntry] = []
     trace: list[TraceEvent] = []
     step = 0
@@ -141,10 +174,39 @@ def asym_edge_color(
             for li in bit_positions(tracked & h2.index.get(e, 0))
         )
 
+    # unpinned is a heap of exactly the unpinned live edges: an edge stays
+    # unpinned until deleted, and only retest unpins a pinned one
+    pinned = {e for e in live if pinned_by_tracked(e)}
+    unpinned = sorted(live - pinned)
+
+    def retest(copies: CopySet, gone: int) -> None:
+        """Test again the pinned edges of the copies at positions gone, which
+        have just left alive1 or tracked."""
+        for i in bit_positions(gone):
+            for f in copies.copies[i].edges:
+                if f in pinned and not pinned_by_tracked(f):
+                    pinned.discard(f)
+                    heappush(unpinned, f)
+
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
-        is a clean sparse union of blocker members; None otherwise. An edge
-        on no live blocker copy lies in no member, so then none is built."""
+        is a clean sparse union of blocker members; None otherwise.
+
+        A witness, a live edge on no live h2-copy, lies in no member, and it
+        stays a witness until it is deleted. The blocker copies are
+        enumerated in the first residual with no witness; later residuals,
+        its subgraphs, read them through alive masks. An edge on no live
+        blocker copy lies in no member either, and then no decomposition is
+        built."""
+        nonlocal witness, blocker_sets, blocker_alive
+        if witness not in live:
+            witness = next((e for e in live if not alive2 & h2.index.get(e, 0)), None)
+        if witness is not None:
+            return None
+        if blocker_sets is None:
+            residual = graph(g.vertex_count, live)
+            blocker_sets = [enumerate_copies(residual, b) for b in blockers]
+            blocker_alive = [(1 << len(bs)) - 1 for bs in blocker_sets]
         live_sets = list(zip(blocker_sets, blocker_alive))
         if not all(any(a & bs.index.get(e, 0) for bs, a in live_sets) for e in live):
             return None
@@ -161,26 +223,28 @@ def asym_edge_color(
     clean = clean_residual()
     while clean is None:
         measure = len(live) + tracked.bit_count()
-        fired = False
-        for e in sorted(live):
-            if not pinned_by_tracked(e):
-                for li in bit_positions(tracked & h2.index.get(e, 0)):
-                    L_edges = h2.copies[li].edges
-                    stack.append(StackEntry("h2copy", copy_edges=L_edges))
-                    log("push_l", edge=e, l_copy=tuple(sorted(L_edges)))
-                tracked &= ~h2.index.get(e, 0)
-                stack.append(StackEntry("edge", edge=e))
-                live.discard(e)
-                alive1 &= ~h1.index.get(e, 0)
-                alive2 &= ~h2.index.get(e, 0)
+        if unpinned:
+            e = heappop(unpinned)
+            dropped = tracked & h2.index.get(e, 0)
+            for li in bit_positions(dropped):
+                L_edges = h2.copies[li].edges
+                stack.append(StackEntry("h2copy", copy_edges=L_edges))
+                log("push_l", edge=e, l_copy=tuple(sorted(L_edges)))
+            tracked &= ~dropped
+            killed = alive1 & h1.index.get(e, 0)
+            stack.append(StackEntry("edge", edge=e))
+            live.discard(e)
+            alive1 &= ~killed
+            alive2 &= ~h2.index.get(e, 0)
+            if blocker_sets is not None:
                 blocker_alive = [a & ~bs.index.get(e, 0) for bs, a in zip(blocker_sets, blocker_alive)]
-                # every tracked copy stays fully alive in the residual
-                assert not tracked & ~alive2
-                log("delete_edge", edge=e)
-                clean = clean_residual()
-                fired = True
-                break
-        if not fired:
+            # every tracked copy stays fully alive in the residual
+            assert not tracked & ~alive2
+            log("delete_edge", edge=e)
+            retest(h1, killed)
+            retest(h2, dropped)
+            clean = clean_residual()
+        else:
             for li in bit_positions(tracked):
                 L_edges = h2.copies[li].edges
                 bad = unpinned_edge(L_edges, h1, alive1)
@@ -188,15 +252,15 @@ def asym_edge_color(
                     stack.append(StackEntry("h2copy", copy_edges=L_edges))
                     tracked &= ~(1 << li)
                     log("retire_l", edge=bad, l_copy=tuple(sorted(L_edges)))
-                    fired = True
+                    retest(h2, 1 << li)
                     break
-        if not fired:
-            log("stuck")
-            residual = graph(g.vertex_count, live)
-            live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
-            return ColorerOutcome(
-                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
-            )
+            else:
+                log("stuck")
+                residual = graph(g.vertex_count, live)
+                live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
+                return ColorerOutcome(
+                    "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
+                )
         assert len(live) + tracked.bit_count() < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,

@@ -80,6 +80,13 @@ class ColoringCheck:
     edges: tuple[Edge, ...] = ()
 
 
+def pair_copies(g: Graph, pair: PairSpec) -> tuple[CopySet, CopySet]:
+    """All copies of h1 and of h2 in g. When h2 equals h1 the one
+    enumeration serves as both sets."""
+    h1_copies = enumerate_copies(g, pair.h1)
+    return h1_copies, (h1_copies if pair.h2 == pair.h1 else enumerate_copies(g, pair.h2))
+
+
 def verify_coloring(coloring: Coloring, pair: PairSpec) -> ColoringCheck:
     """Independent validity check by copy enumeration.
 
@@ -90,10 +97,11 @@ def verify_coloring(coloring: Coloring, pair: PairSpec) -> ColoringCheck:
     if missing:
         return ColoringCheck(False, "uncolored", missing)
     a = coloring.assignment
-    for c in enumerate_copies(coloring.graph, pair.h1).copies:
+    h1_copies, h2_copies = pair_copies(coloring.graph, pair)
+    for c in h1_copies.copies:
         if all(a[e] == RED for e in c.edges):
             return ColoringCheck(False, "red_h1", tuple(sorted(c.edges)))
-    for c in enumerate_copies(coloring.graph, pair.h2).copies:
+    for c in h2_copies.copies:
         if all(a[e] == BLUE for e in c.edges):
             return ColoringCheck(False, "blue_h2", tuple(sorted(c.edges)))
     return ColoringCheck(True)
@@ -115,7 +123,7 @@ class ColoringSearch:
 def has_valid_coloring(g: Graph, pair: PairSpec, budget: int = DEFAULT_ORACLE_BUDGET) -> ColoringSearch:
     """Backtracking search for a total coloring with no red h1 and no blue h2,
     enumerating the copies of h1 and h2 in g; see search_from_copies."""
-    return search_from_copies(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2), budget)
+    return search_from_copies(g, *pair_copies(g, pair), budget)
 
 
 def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget: int) -> ColoringSearch:
@@ -316,7 +324,7 @@ def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> Fami
 
 def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
     """Pinned/anchored verdicts of g, enumerating its h1 and h2 copies."""
-    return report_from_copies(g, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2))
+    return report_from_copies(g, *pair_copies(g, pair))
 
 
 def _under_cap(g: Graph, pair: PairSpec) -> bool:
@@ -469,8 +477,7 @@ def blocker_decomposition(
     return decomposition_from_copies(
         g,
         (c for pattern in blockers for c in enumerate_copies(g, pattern).copies),
-        enumerate_copies(g, pair.h1),
-        enumerate_copies(g, pair.h2),
+        *pair_copies(g, pair),
     )
 
 

@@ -135,6 +135,21 @@ def test_k6_sticks_without_catalog(k3k3_setup):
     assert not check_stuck_state(out, pair).covered_once
 
 
+def test_unpinned_blocker_member_is_rejected(k3k3_setup):
+    # the guard rules a residual out by an edge on no live h2-copy, which is
+    # exact only when every member is pinned; C4 has no triangle at all
+    pair, blockers = k3k3_setup
+    with pytest.raises(ValueError, match=r"not pinned: Cl$"):
+        asym_edge_color(complete_graph(5), pair, blockers + (cycle_graph(4),))
+
+
+def test_catalog_members_are_pinned():
+    for h1, h2 in ((complete_graph(3), complete_graph(3)), (complete_graph(4), cycle_graph(4)),
+                   (complete_graph(5), cycle_graph(4))):
+        pair = build_pair_spec(h1, h2)
+        asym_edge_color(graph(0), pair, enumerate_blockers(pair, 7).members)  # accepted
+
+
 def test_check_stuck_rejects_colored_outcome():
     out = asym_edge_color(cycle_graph(4), pair_k4c4(), ())
     with pytest.raises(ValueError):
