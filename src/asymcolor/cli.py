@@ -258,7 +258,8 @@ def cmd_color(args) -> int:
         "blockers": len(blockers),
     }
     if outcome.status == "colored":
-        # asym_edge_color has run the independent verifier on this coloring
+        # asym_edge_color has checked this coloring against every h1- and
+        # h2-copy of g (families.verify_from_copies)
         payload["verified"] = True
         payload["coloring"] = {
             _edge_key(e): c for e, c in sorted(outcome.coloring.assignment.items())

@@ -16,14 +16,19 @@ alive mask over its positions (tracked is a second one over h2's), read
 against its CopySet.index. Deleting e is alive &= ~index[e]; on replay a
 copy through e is alive again once all its edges are live. The outcome
 carries the input's h1 and h2 copy sets, which the stuck oracle searches
-instead of enumerating the input again. The stuck audit (check_stuck_state)
-still enumerates the residual's copies afresh: it is the independent check.
+instead of enumerating the input again, and the final colouring is checked
+against them (families.verify_from_copies): enumerating g again would give
+the same sets. The stuck audit (check_stuck_state) still enumerates the
+residual's copies afresh: it is the independent check.
 
 Each edge is tested for a pin once up front. Before the hand-off the alive
 and tracked masks only shrink, so an unpinned edge stays unpinned until it
 is deleted, and a pinned one is tested again only when an h1-copy or a
 tracked h2-copy through it goes. The unpinned live edges are kept in a
-heap, and each deletion takes its least.
+heap, and each deletion takes its least. When the heap is empty the least
+tracked copy with an unpinned edge is retired; least_loose finds it
+testing each tracked copy once, and again only after an h1-copy sharing
+an edge with it dies.
 
 After each deletion a guard asks whether the residual is a clean sparse
 union of blocker members. Every member is pinned, so an edge of a member
@@ -58,7 +63,7 @@ from .families import (
     pair_copies,
     pin_partner,
     unpinned_edge,
-    verify_coloring,
+    verify_from_copies,
     DEFAULT_ORACLE_BUDGET,
 )
 from .graphs import CopySet, Edge, Graph, bit_positions, emit_graph6, enumerate_copies, graph
@@ -188,6 +193,33 @@ def asym_edge_color(
                     pinned.discard(f)
                     heappush(unpinned, f)
 
+    # the retirement scan: the tracked copies at positions below frontier
+    # have been tested. loose holds those that had an unpinned edge; they
+    # keep it while tracked, as alive1 only shrinks. The others had none,
+    # and can gain one only when an h1-copy through one of their edges
+    # dies; killed_since collects the h1-copies killed since the last scan.
+    frontier = loose = killed_since = 0
+
+    def least_loose() -> int | None:
+        """The least tracked position whose copy has an unpinned edge."""
+        nonlocal frontier, loose, killed_since
+        suspects = 0
+        for i in bit_positions(killed_since):
+            for f in h1.copies[i].edges:
+                suspects |= h2.index.get(f, 0)
+        killed_since = 0
+        for li in bit_positions(suspects & tracked & ~loose & ((1 << frontier) - 1)):
+            if unpinned_edge(h2.copies[li].edges, h1, alive1) is not None:
+                loose |= 1 << li
+        held = loose & tracked
+        if held:
+            return (held & -held).bit_length() - 1
+        for li in bit_positions(tracked >> frontier << frontier):
+            if unpinned_edge(h2.copies[li].edges, h1, alive1) is not None:
+                frontier = li + 1
+                return li
+        return None
+
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
         is a clean sparse union of blocker members; None otherwise.
@@ -235,6 +267,7 @@ def asym_edge_color(
             stack.append(StackEntry("edge", edge=e))
             live.discard(e)
             alive1 &= ~killed
+            killed_since |= killed
             alive2 &= ~h2.index.get(e, 0)
             if blocker_sets is not None:
                 blocker_alive = [a & ~bs.index.get(e, 0) for bs, a in zip(blocker_sets, blocker_alive)]
@@ -244,23 +277,19 @@ def asym_edge_color(
             retest(h1, killed)
             retest(h2, dropped)
             clean = clean_residual()
+        elif (li := least_loose()) is not None:
+            L_edges = h2.copies[li].edges
+            stack.append(StackEntry("h2copy", copy_edges=L_edges))
+            tracked &= ~(1 << li)
+            log("retire_l", edge=unpinned_edge(L_edges, h1, alive1), l_copy=tuple(sorted(L_edges)))
+            retest(h2, 1 << li)
         else:
-            for li in bit_positions(tracked):
-                L_edges = h2.copies[li].edges
-                bad = unpinned_edge(L_edges, h1, alive1)
-                if bad is not None:
-                    stack.append(StackEntry("h2copy", copy_edges=L_edges))
-                    tracked &= ~(1 << li)
-                    log("retire_l", edge=bad, l_copy=tuple(sorted(L_edges)))
-                    retest(h2, 1 << li)
-                    break
-            else:
-                log("stuck")
-                residual = graph(g.vertex_count, live)
-                live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
-                return ColorerOutcome(
-                    "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
-                )
+            log("stuck")
+            residual = graph(g.vertex_count, live)
+            live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
+            return ColorerOutcome(
+                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
+            )
         assert len(live) + tracked.bit_count() < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
@@ -302,7 +331,7 @@ def asym_edge_color(
                     )
 
     coloring = Coloring(g, assignment)
-    check = verify_coloring(coloring, pair)
+    check = verify_from_copies(coloring, h1, h2)
     if not check.ok:
         raise ColorerInternalError(f"final coloring invalid: {check}", trace)
     return ColorerOutcome(

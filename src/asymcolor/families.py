@@ -88,7 +88,13 @@ def pair_copies(g: Graph, pair: PairSpec) -> tuple[CopySet, CopySet]:
 
 
 def verify_coloring(coloring: Coloring, pair: PairSpec) -> ColoringCheck:
-    """Independent validity check by copy enumeration.
+    """Independent validity check by copy enumeration; see verify_from_copies."""
+    return verify_from_copies(coloring, *pair_copies(coloring.graph, pair))
+
+
+def verify_from_copies(coloring: Coloring, h1_copies: CopySet, h2_copies: CopySet) -> ColoringCheck:
+    """Validity check of coloring against all copies of h1 and of h2 in its
+    graph.
 
     Reports, in order: uncolored edges, then an all-red copy of h1, then an
     all-blue copy of h2. Returns the first failure only.
@@ -97,7 +103,6 @@ def verify_coloring(coloring: Coloring, pair: PairSpec) -> ColoringCheck:
     if missing:
         return ColoringCheck(False, "uncolored", missing)
     a = coloring.assignment
-    h1_copies, h2_copies = pair_copies(coloring.graph, pair)
     for c in h1_copies.copies:
         if all(a[e] == RED for e in c.edges):
             return ColoringCheck(False, "red_h1", tuple(sorted(c.edges)))

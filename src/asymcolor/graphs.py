@@ -6,7 +6,9 @@ are immutable, vertices are 0..n-1, and edges are stored as a sorted tuple of
 sorted pairs so that iteration order is deterministic everywhere.
 
 An embedding is a vertex map, a tuple of host vertices, found by a
-backtracking search over host bitmasks in a fixed order. A "copy" of a
+backtracking search over host bitmasks in a fixed order: one loop over a
+stack of per-depth candidate masks, whose pattern-side plan is computed
+once per pattern, so no pattern size meets the recursion limit. A "copy" of a
 pattern inside a host is a subgraph image; copies are deduplicated by edge
 image (two embeddings that differ only by a pattern automorphism are the same
 copy), and a copy's witness vertex set comes from its first embedding. This
@@ -225,6 +227,21 @@ def _pattern_order(pattern: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
+def _search_plan(pattern: Graph, floors: tuple[tuple[int, ...], ...]) -> tuple:
+    """`_pattern_order`, the pattern's distinct degrees, and per depth along
+    the order the vertex's degree and the depths of its placed neighbours
+    and of its floors."""
+    order = _pattern_order(pattern)
+    depth_of = {pv: depth for depth, pv in enumerate(order)}
+    padj = adjacency_sets(pattern)
+    return order, frozenset(pattern.degree_sequence()), tuple(
+        (len(padj[pv]), tuple(depth_of[q] for q in padj[pv] if depth_of[q] < depth),
+         tuple(depth_of[q] for q in floors[pv]) if floors else ())
+        for depth, pv in enumerate(order)
+    )
+
+
 def enumerate_embeddings(
     host: Graph, pattern: Graph, floors: Sequence[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
@@ -242,37 +259,49 @@ def enumerate_embeddings(
     floors, when given, lists for each pattern vertex v the vertices placed
     before it whose images v's image must exceed; one more AND each. Only
     the maps that meet them are built.
+
+    The search is a loop over per-depth candidate masks, not a recursion;
+    its pattern side, `_search_plan`, is computed once per (pattern, floors).
     """
+    order, degrees, steps = _search_plan(pattern, tuple(map(tuple, floors)))
+    if not order:
+        yield ()
+        return
     hmask = adjacency_masks(host)
     hdeg = host.degree_sequence()
-    pdeg = pattern.degree_sequence()
-    padj = adjacency_sets(pattern)
-    order = _pattern_order(pattern)
-    fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in set(pdeg)}
-    floors = floors or [()] * pattern.vertex_count
-    steps = [
-        (pv, fit[pdeg[pv]], [q for q in padj[pv] if q in order[:depth]], floors[pv])
-        for depth, pv in enumerate(order)
-    ]
+    fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in degrees}
+    last = len(order) - 1
+    image = [0] * len(order)  # the host vertex placed at each depth
+    untried = [0] * len(order)  # the candidates left at each depth
     assignment = [-1] * pattern.vertex_count
-
-    def backtrack(depth: int, free: int) -> Iterator[tuple[int, ...]]:
-        if depth == len(steps):
-            yield tuple(assignment)
-            return
-        pv, cand, anchors, above = steps[depth]
-        cand &= free
-        for q in anchors:
-            cand &= hmask[assignment[q]]
-        for q in above:
-            cand &= -(2 << assignment[q])  # host vertices above q's image
-        while cand:
+    used = depth = 0
+    cand = fit[steps[0][0]]
+    while True:
+        if depth == last:
+            pv = order[last]
+            while cand:
+                low = cand & -cand
+                assignment[pv] = low.bit_length() - 1
+                yield tuple(assignment)
+                cand ^= low
+        if cand:  # place the least candidate and descend
             low = cand & -cand
-            assignment[pv] = low.bit_length() - 1
-            yield from backtrack(depth + 1, free ^ low)
-            cand ^= low
-
-    yield from backtrack(0, (1 << host.vertex_count) - 1)
+            untried[depth] = cand ^ low
+            image[depth] = assignment[order[depth]] = low.bit_length() - 1
+            used |= low
+            depth += 1
+            degree, anchors, above = steps[depth]
+            cand = fit[degree] & ~used
+            for a in anchors:
+                cand &= hmask[image[a]]
+            for a in above:
+                cand &= -(2 << image[a])  # host vertices above that depth's image
+        elif depth:  # back up to the previous depth's next candidate
+            depth -= 1
+            used ^= 1 << image[depth]
+            cand = untried[depth]
+        else:
+            return
 
 
 @lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
@@ -310,9 +339,13 @@ def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     """
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
+    edge_at: list[dict[int, Edge]] = [{} for _ in range(host.vertex_count)]
+    for e in host.edges:  # the host's own edge tuple, looked up from either end
+        u, v = e
+        edge_at[u][v] = edge_at[v][u] = e
     found: dict[frozenset[Edge], Copy] = {}
     for vm in enumerate_embeddings(host, pattern, _orbit_floors(pattern)):
-        image = frozenset(norm_edge(vm[u], vm[v]) for u, v in pattern.edges)
+        image = frozenset([edge_at[vm[u]][vm[v]] for u, v in pattern.edges])
         if image not in found:
             found[image] = Copy(image, frozenset(vm))
     copies = tuple(sorted(found.values(), key=Copy.sort_key))

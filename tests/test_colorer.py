@@ -1,9 +1,12 @@
 import json
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from asymcolor import colorer
+from asymcolor import colorer, graphs
 from asymcolor.colorer import (
     ColorerInternalError,
     UncolorableMemberError,
@@ -25,6 +28,7 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
 )
+from asymcolor.harness import derive_seed, edge_probability, sample_gnp
 
 
 def pair_k4c4():
@@ -244,6 +248,37 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
         colored += 1
         with_members += bool(decomp.members)
     assert colored == 50 and with_members == 14
+
+
+def test_colored_run_enumerates_each_pattern_once(k3k3_setup, monkeypatch):
+    # a colored run enumerates its host's h1 and h2 copies once in all,
+    # counted per distinct pattern (K3/K3 has one), and checks its final
+    # colouring against those sets; the package modules import
+    # enumerate_copies by name, so every binding is wrapped
+    original = graphs.enumerate_copies
+    calls = []
+
+    def counting(g, pattern):
+        calls.append((g, pattern))
+        return original(g, pattern)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("asymcolor.") and getattr(module, "enumerate_copies", None) is original:
+            monkeypatch.setattr(module, "enumerate_copies", counting)
+    k3k3, blockers = k3k3_setup
+    colored = 0
+    for pair, catalog in ((k3k3, blockers), (pair_k4c4(), ())):
+        for n in (12, 20):
+            p = edge_probability(pair, n, Fraction(1))
+            for t in range(3):
+                g = sample_gnp(n, p, derive_seed(20261019, n, Fraction(1), t))
+                calls.clear()
+                out = asym_edge_color(g, pair, catalog)
+                assert out.status == "colored"
+                enumerated = Counter(pattern for host, pattern in calls if host is g)
+                assert enumerated == Counter({pair.h1, pair.h2})
+                colored += 1
+    assert colored == 12
 
 
 def test_flower_host_colored():

@@ -20,10 +20,12 @@ from asymcolor.families import (
     family_report,
     has_valid_coloring,
     is_blocker,
+    pair_copies,
     pin_partner,
     search_from_copies,
     unpinned_edge,
     verify_coloring,
+    verify_from_copies,
 )
 from asymcolor.graphs import (
     Copy,
@@ -130,6 +132,33 @@ def test_verify_coloring_forced_edge_configuration():
     check = verify_coloring(red_choice, pair)
     assert not check.ok and check.kind == "red_h1"
     assert set(check.edges) == set(complete_graph(4).edges)
+
+
+def test_verify_from_copies_matches_verify_coloring():
+    # the check from held copy sets is verify_coloring without the
+    # enumeration: the same verdict, kind and witness edges on random
+    # colourings, partial ones and the oracle's valid ones
+    rng = random.Random(3141)
+    kinds = Counter()
+    for pair in (pair_k4c4(), pair_k3k3(), pair_k3c4()):
+        for n, p in ((6, 0.5), (8, 0.6), (11, 0.4)):
+            for _ in range(4):
+                g = random_graph(rng, n, p)
+                copies = pair_copies(g, pair)
+                colorings = [
+                    {e: rng.choice((RED, BLUE)) for e in g.edges if rng.random() < share}
+                    for share in (1.0, 1.0, 0.9)
+                ]
+                search = has_valid_coloring(g, pair, 2000)
+                if search.status == "valid":
+                    colorings.append(search.coloring.assignment)
+                for assignment in colorings:
+                    coloring = Coloring(g, assignment)
+                    check = verify_from_copies(coloring, *copies)
+                    assert check == verify_coloring(coloring, pair)
+                    kinds[check.kind] += 1
+    assert set(kinds) == {None, "uncolored", "red_h1", "blue_h2"}
+    assert min(kinds.values()) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from typing import Iterator, Sequence
 
 import networkx as nx
 import pytest
@@ -14,6 +16,9 @@ from asymcolor.graphs import (
     Graph,
     Graph6Error,
     _orbit_floors,
+    _pattern_order,
+    adjacency_masks,
+    adjacency_sets,
     bit_positions,
     canonical_form,
     canonical_key,
@@ -317,6 +322,88 @@ def test_embeddings_count_automorphisms():
     assert sum(1 for _ in enumerate_embeddings(cycle_graph(5), cycle_graph(5))) == 10
     assert sum(1 for _ in enumerate_embeddings(complete_graph(4), complete_graph(4))) == 24
     assert sum(1 for _ in enumerate_embeddings(cube_graph(), cube_graph())) == 48
+
+
+def recursive_embeddings(
+    host: Graph, pattern: Graph, floors: Sequence[Sequence[int]] = ()
+) -> Iterator[tuple[int, ...]]:
+    """The matcher as a recursive generator, one frame per pattern vertex:
+    the reference the iterative enumerate_embeddings must reproduce map for
+    map, in order."""
+    hmask = adjacency_masks(host)
+    hdeg = host.degree_sequence()
+    pdeg = pattern.degree_sequence()
+    padj = adjacency_sets(pattern)
+    order = _pattern_order(pattern)
+    fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in set(pdeg)}
+    floors = floors or [()] * pattern.vertex_count
+    steps = [
+        (pv, fit[pdeg[pv]], [q for q in padj[pv] if q in order[:depth]], floors[pv])
+        for depth, pv in enumerate(order)
+    ]
+    assignment = [-1] * pattern.vertex_count
+
+    def backtrack(depth: int, free: int) -> Iterator[tuple[int, ...]]:
+        if depth == len(steps):
+            yield tuple(assignment)
+            return
+        pv, cand, anchors, above = steps[depth]
+        cand &= free
+        for q in anchors:
+            cand &= hmask[assignment[q]]
+        for q in above:
+            cand &= -(2 << assignment[q])  # host vertices above q's image
+        while cand:
+            low = cand & -cand
+            assignment[pv] = low.bit_length() - 1
+            yield from backtrack(depth + 1, free ^ low)
+            cand ^= low
+
+    yield from backtrack(0, (1 << host.vertex_count) - 1)
+
+
+def test_matcher_reproduces_the_recursive_reference():
+    k3k3 = build_pair_spec(complete_graph(3), complete_graph(3))
+    members = enumerate_blockers(k3k3, 6).members
+    assert len(members) >= 3
+    patterns = [
+        complete_graph(3),
+        cycle_graph(4),
+        complete_graph(4),
+        complete_graph(5),
+        complete_bipartite(3, 3),
+        graph(3, [(0, 1)]),
+        *members,
+    ]
+    rng = random.Random(1812)
+    maps = 0
+    for pattern in patterns:
+        for n, p in ((6, 0.7), (12, 0.45), (20, 0.25)):
+            sample = random_graph(rng, n, p)
+            plant = rng.sample(range(n), pattern.vertex_count)
+            host = graph(n, list(sample.edges) + [(plant[u], plant[v]) for u, v in pattern.edges])
+            for floors in ((), _orbit_floors(pattern)):
+                stream = list(enumerate_embeddings(host, pattern, floors))
+                assert stream == list(recursive_embeddings(host, pattern, floors))
+                assert stream  # each host holds the planted copy
+                maps += len(stream)
+    # a pattern with more vertices than the host, and the empty pattern
+    assert list(enumerate_embeddings(graph(3, [(0, 1)]), complete_graph(4))) == []
+    assert list(enumerate_embeddings(complete_graph(3), graph(0))) == [()]
+    assert maps > 10_000
+
+
+def test_copy_enumeration_needs_no_recursion():
+    # a 400-vertex pattern: one generator frame per pattern vertex would
+    # exceed a limit of 300 frames
+    path = path_graph(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        copies = enumerate_copies(path, path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(copies) == 1 and copies.copies[0].edges == path.edge_set()
 
 
 # ---------------------------------------------------------------------------
