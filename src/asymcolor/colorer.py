@@ -31,15 +31,21 @@ testing each tracked copy once, and again only after an h1-copy sharing
 an edge with it dies.
 
 After each deletion a guard asks whether the residual is a clean sparse
-union of blocker members. Every member is pinned, so an edge of a member
-lies on an h2-copy inside it, and a live edge on no live h2-copy rules the
-residual out at once. The blocker copies are enumerated only in the first
-residual that has no such edge, and the later residuals, its subgraphs,
-read them through alive masks. The guard then builds the residual's
-BlockerDecomposition from the live copies and reads covered_once and
-sparse, unless some live edge has no live blocker copy through it (it lies
-in no member); the decomposition that passes is handed to the member-wise
-colorer.
+union of blocker members. A live edge rules it out when it lies on no live
+h2-copy (every member is pinned, so an edge of a member lies on an h2-copy
+inside it), or when the edges of the live h1- and h2-copies through it have
+more endpoints than widest, the largest blocker vertex count. This span
+rule's proof: in a clean sparse union e lies in one member M; no copy
+through e straddles, so its edges, each in some member, all lie in M, which
+has at most widest vertices. It counts endpoints of copy edges, since
+Copy.vertices also holds the images of isolated pattern vertices. The
+blocker copies are enumerated only in the first residual no edge rules
+out, and the later residuals, its subgraphs, read them through alive masks.
+The guard then builds the residual's BlockerDecomposition from the live
+copies and reads covered_once and sparse, unless some live edge has no
+live blocker copy through it (it lies in no member); the decomposition
+that passes is handed to the member-wise colorer. The rules only answer
+early what that decomposition would, so no output changes.
 """
 
 from __future__ import annotations
@@ -145,7 +151,11 @@ def asym_edge_color(
     (anchored implies pinned); one that is not raises ValueError. The guard
     relies on it: each edge of a blocker copy then lies on an h2-copy inside
     that copy, so a residual with a live edge on no live h2-copy is not
-    clean, whatever blocker copies it has.
+    clean, whatever blocker copies it has. Nor is one with a live edge whose
+    h1- and h2-copies have edges with more endpoints than widest, the
+    largest blocker vertex count: the edge's member holds every such copy,
+    as none straddles. Witness vertices would overcount: they include the
+    images of isolated pattern vertices.
 
     Returns Colored (with a verified coloring) or Stuck (with the residual
     and the still-tracked copies). Internal contract violations raise
@@ -163,7 +173,8 @@ def asym_edge_color(
     # alive masks over them; None until then
     blocker_sets: list[CopySet] | None = None
     blocker_alive: list[int] = []
-    witness: Edge | None = None  # a live edge on no live h2-copy
+    widest = max((b.vertex_count for b in blockers), default=0)
+    witness: Edge | None = None  # a live edge that rules_out
     stack: list[StackEntry] = []
     trace: list[TraceEvent] = []
     step = 0
@@ -220,19 +231,31 @@ def asym_edge_color(
                 return li
         return None
 
+    def rules_out(e: Edge) -> bool:
+        """e is on no live h2-copy, or its live h1/h2-copies span > widest."""
+        through2 = alive2 & h2.index.get(e, 0)
+        if not through2:
+            return True
+        span = 0
+        for copies, through in ((h1, alive1 & h1.index.get(e, 0)), (h2, through2)):
+            for i in bit_positions(through):
+                span |= copies.endpoint_masks[i]
+        return span.bit_count() > widest
+
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
         is a clean sparse union of blocker members; None otherwise.
 
-        A witness, a live edge on no live h2-copy, lies in no member, and it
-        stays a witness until it is deleted. The blocker copies are
-        enumerated in the first residual with no witness; later residuals,
-        its subgraphs, read them through alive masks. An edge on no live
-        blocker copy lies in no member either, and then no decomposition is
-        built."""
+        A witness, a live edge that rules_out, rules the residual out. Its
+        span can shrink as copies die, so it is tested again on each call,
+        and live is scanned for another only when it fails or is deleted.
+        The blocker copies are enumerated in the first residual with no
+        witness; later residuals, its subgraphs, read them through alive
+        masks. An edge on no live blocker copy lies in no member either, and
+        then no decomposition is built."""
         nonlocal witness, blocker_sets, blocker_alive
-        if witness not in live:
-            witness = next((e for e in live if not alive2 & h2.index.get(e, 0)), None)
+        if witness not in live or not rules_out(witness):
+            witness = next((e for e in live if rules_out(e)), None)
         if witness is not None:
             return None
         if blocker_sets is None:

@@ -180,6 +180,7 @@ class CopySet:
     copies in the order of copies. It is the one per-edge copy index: the
     colorer's alive masks, the oracle and the pin relation all read it.
     The index is built on first use: a set nobody queries costs nothing.
+    endpoint_masks, per copy the bitmask of its edges' endpoints, is too.
     """
 
     pattern: Graph
@@ -202,6 +203,10 @@ class CopySet:
             for e, m in chunk.items():
                 index[e] = index.get(e, 0) | m << lo
         return index
+
+    @cached_property
+    def endpoint_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << v for v in {v for e in c.edges for v in e}) for c in self.copies)
 
     def through(self, e: Edge) -> tuple[Copy, ...]:
         """The copies that contain edge e, () when none does."""

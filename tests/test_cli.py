@@ -100,7 +100,8 @@ def test_color_stuck_on_k6(capsys):
 
 def test_color_stuck_on_k10(capsys):
     # a dense residual: 45 edges, 57,582 copies of the bound-6 catalog's
-    # blockers and 45,402 maximal members; the colorer sticks at once
+    # blockers and 45,402 maximal members; the colorer's span rule sticks
+    # at once, so only the stuck audit enumerates those copies
     rc, out, _ = run_cli(capsys, "color", "--h1", "K3", "--h2", "K3", "--graph", "K10")
     assert rc == 0
     blob = json.loads(out)

@@ -28,7 +28,7 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
 )
-from asymcolor.harness import derive_seed, edge_probability, sample_gnp
+from asymcolor.harness import TrialConfig, derive_seed, edge_probability, run_trial, sample_gnp
 
 
 def pair_k4c4():
@@ -250,11 +250,9 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
     assert colored == 50 and with_members == 14
 
 
-def test_colored_run_enumerates_each_pattern_once(k3k3_setup, monkeypatch):
-    # a colored run enumerates its host's h1 and h2 copies once in all,
-    # counted per distinct pattern (K3/K3 has one), and checks its final
-    # colouring against those sets; the package modules import
-    # enumerate_copies by name, so every binding is wrapped
+def count_enumerations(monkeypatch):
+    """Wrap every package binding of enumerate_copies; returns the list of
+    (host, pattern) calls it records."""
     original = graphs.enumerate_copies
     calls = []
 
@@ -265,6 +263,14 @@ def test_colored_run_enumerates_each_pattern_once(k3k3_setup, monkeypatch):
     for name, module in sorted(sys.modules.items()):
         if name.startswith("asymcolor.") and getattr(module, "enumerate_copies", None) is original:
             monkeypatch.setattr(module, "enumerate_copies", counting)
+    return calls
+
+
+def test_colored_run_enumerates_each_pattern_once(k3k3_setup, monkeypatch):
+    # a colored run enumerates its host's h1 and h2 copies once in all,
+    # counted per distinct pattern (K3/K3 has one), and checks its final
+    # colouring against those sets
+    calls = count_enumerations(monkeypatch)
     k3k3, blockers = k3k3_setup
     colored = 0
     for pair, catalog in ((k3k3, blockers), (pair_k4c4(), ())):
@@ -279,6 +285,73 @@ def test_colored_run_enumerates_each_pattern_once(k3k3_setup, monkeypatch):
                 assert enumerated == Counter({pair.h1, pair.h2})
                 colored += 1
     assert colored == 12
+
+
+def test_dense_inputs_enumerate_no_blocker_copy(k3k3_setup, monkeypatch):
+    # the span rule rules a dense residual out before the guard enumerates
+    # any blocker copy, so the colorer sticks at once having enumerated
+    # only h1 and h2
+    calls = count_enumerations(monkeypatch)
+    pair, blockers = k3k3_setup
+    catalog = set(blockers)
+    for k in range(7, 11):
+        calls.clear()
+        out = asym_edge_color(complete_graph(k), pair, blockers)
+        assert out.status == "stuck" and len(out.trace) == 1
+        assert not [pattern for _, pattern in calls if pattern in catalog]
+    for t in range(3):
+        config = TrialConfig(pair, 30, Fraction(4), derive_seed(20260816, 30, Fraction(4), t))
+        calls.clear()
+        assert run_trial(config, blockers).outcome == "stuck"
+        assert not [pattern for _, pattern in calls if pattern in catalog]
+
+
+def test_span_rule_rules_out_no_clean_residual(k3k3_setup):
+    # the span rule's lemma, against the full decomposition: when the edges
+    # of the h1- and h2-copies through some edge have more endpoints than
+    # the widest blocker has vertices, the host is not a clean sparse union.
+    # Hosts: G(8, p(b)) samples and the colorer's residuals of them, K5-K9,
+    # the catalog members and the disjoint union of the last two, each also
+    # after a few seeded edge deletions. A clean host whose span reaches
+    # widest shows the bound is tight.
+    k3k3, k3k3_catalog = k3k3_setup
+    cases = []
+    for pair, catalog in ((k3k3, k3k3_catalog), (pair_k4c4(), enumerate_blockers(pair_k4c4(), 6).members)):
+        hosts = [complete_graph(k) for k in range(5, 10)] + list(catalog)
+        if len(catalog) >= 2:
+            m1, m2 = catalog[-2:]
+            shifted = [(u + m1.vertex_count, v + m1.vertex_count) for u, v in m2.edges]
+            hosts.append(graph(m1.vertex_count + m2.vertex_count, list(m1.edges) + shifted))
+        for b in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)):
+            for t in range(2):
+                g = sample_gnp(8, edge_probability(pair, 8, b), derive_seed(20261019, 8, b, t))
+                out = asym_edge_color(g, pair, catalog)
+                deleted = {ev.edge for ev in out.trace if ev.action == "delete_edge"}
+                hosts += [g, graph(8, set(g.edges) - deleted)]
+        for i, h in enumerate(list(hosts)):
+            edges = sorted(h.edges)
+            hosts.append(graph(h.vertex_count, set(edges) - set(random.Random(i).sample(edges, min(3, len(edges))))))
+        cases += [(pair, catalog, h) for h in set(hosts)]
+    clean = tight = ruled_out = 0
+    for pair, catalog, h in cases:
+        widest = max((b.vertex_count for b in catalog), default=0)
+        copy_sets = (graphs.enumerate_copies(h, pair.h1), graphs.enumerate_copies(h, pair.h2))
+        for cs in copy_sets:
+            assert list(cs.endpoint_masks) == [
+                sum(1 << v for v in {v for e in c.edges for v in e}) for c in cs.copies
+            ]
+        span = max(
+            (len({v for cs in copy_sets for c in cs.through(e) for f in c.edges for v in f}) for e in h.edges),
+            default=0,
+        )
+        decomp = blocker_decomposition(h, pair, catalog)
+        if span > widest:
+            assert not (decomp.covered_once and decomp.sparse)
+            ruled_out += 1
+        elif decomp.covered_once and decomp.sparse and h.edge_count:
+            clean += 1
+            tight += span == widest
+    assert clean and tight and ruled_out
 
 
 def test_flower_host_colored():
