@@ -146,13 +146,21 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
     the search space is exhausted; hitting the node budget is reported as
     its own outcome and must not be read as either verdict.
 
-    A node's state is a few ints: bitmasks of its red and of its blue edges,
-    and one bucket per uncolored count k up to the widest copy, the bitmask
-    of the live copies with k uncolored edges. Colouring an edge moves the
-    copies through it one bucket down and drops the copies it kills, a few
-    mask operations per bucket. Each frame of the search keeps the state its
-    edge was tried from, so backtracking restores that state and undoes
-    nothing.
+    A node's state is a few ints: its red and blue edge masks, a live mask
+    over copy positions, and per uncolored count k up to the widest copy a
+    bucket mask. Killing a copy clears it from live only, so a dead copy may
+    stay stale in its bucket and every reader ANDs a bucket with live.
+    Colouring an edge moves the live copies through it one bucket down; a
+    copy that reaches one uncolored edge ORs that edge into the pending mask
+    of the other colour, so an edge forced by several copies waits once, and
+    an edge pending in both colours is a conflict. Each frame of the search
+    keeps the state its edge was tried from, so backtracking undoes nothing.
+
+    Unit propagation is confluent: the edges it forces, and whether it meets
+    a conflict, do not depend on the order pending edges are coloured in. So
+    each node's red, blue and live masks and its live copies' buckets, and
+    with them the branching, nodes_expanded and the colouring found, are
+    those of any other propagation order.
     """
     edges = g.edges
     n_e = len(edges)
@@ -171,56 +179,67 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
     t1 = [h1_copies.index.get(e, 0) for e in edges]
     t2 = [h2_copies.index.get(e, 0) << shift for e in edges]
     on = [a | b for a, b in zip(t1, t2)]
+    # moves[c][e]: colouring edge e with c (0 red, 1 blue) steps the first
+    # copies towards their bad colour and kills the second, which gain an
+    # edge of their good colour
+    moves = [list(zip(t1, t2)), list(zip(t2, t1))]
     full = (1 << n_e) - 1
 
-    # at[k]: the live copies with k uncolored edges, for k up to the widest
-    # copy (and at least 2). A live copy with no uncolored edge is all in its
-    # bad colour, so at[0] stays empty: assign reports a conflict instead.
-    # A live copy with one uncolored edge forces that edge the other way
+    # at[0] is the live mask; at[k], for k from 1 up to the widest copy (and
+    # at least 2), holds the live copies with k uncolored edges. A live copy
+    # with no uncolored edge is all in its bad colour, so assign reports a
+    # conflict instead. A live copy with one uncolored edge forces that edge
+    # the other way
     top = max(3, max((m.bit_count() for m in ecopies), default=0) + 1)
     start = [0] * top
     for ci, m in enumerate(ecopies):
         start[m.bit_count()] |= 1 << ci
+    start[0] = (1 << len(ecopies)) - 1
     nodes = 0
 
     def assign(e0: int, c0: int, red: int, blue: int, at: list[int]):
-        # the state after colouring edge e0 with c0 (0 red, 1 blue) and
-        # propagating, or None on a conflict; at is copied, not changed
+        # the state after colouring edge e0 with c0 and propagating, or None
+        # on a conflict; at is copied, not changed
         at = at.copy()
-        queue = [(e0, c0)]
-        while queue:
-            e, c = queue.pop()
-            bit = 1 << e
-            if (red | blue) & bit:
-                if (blue if c else red) & bit:
-                    continue
+        live = at[0]
+        # the pending red and blue edge masks; an edge pending in both is a
+        # conflict, caught here before either colour is tried on it
+        pending = [0, 0]
+        pending[c0] = 1 << e0
+        while pending[0] | pending[1]:
+            if pending[0] & pending[1]:
                 return None
-            # c takes the step copies towards their bad colour and gives
-            # the kill copies an edge of their good colour
+            c = 0 if pending[0] else 1
+            bit = pending[c] & -pending[c]
+            pending[c] ^= bit
             if c:
                 blue |= bit
-                step, kill = t2[e], t1[e]
             else:
                 red |= bit
-                step, kill = t1[e], t2[e]
-            if kill:
-                keep = ~kill
-                for k in range(1, top):
-                    at[k] &= keep
+            step, kill = moves[c][bit.bit_length() - 1]
+            live &= ~kill
+            step &= live
             if at[1] & step:
                 return None
-            # ascending, so no copy moves twice; the copies moved to at[1]
-            # force their last uncolored edge, in ascending copy order
-            for k in range(2, top):
+            # every live copy through the edge sits in one bucket from 2 up;
+            # the copies moved to at[1] force their last uncolored edge the
+            # other way
+            k = 2
+            while step:
                 m = at[k] & step
                 if m:
+                    step ^= m
                     at[k] ^= m
                     at[k - 1] |= m
-                    while k == 2 and m:
-                        low = m & -m
-                        last = ecopies[low.bit_length() - 1] & ~(red | blue)
-                        queue.append((last.bit_length() - 1, 1 - c))
-                        m ^= low
+                    if k == 2:
+                        forced = 0
+                        while m:
+                            low = m & -m
+                            forced |= ecopies[low.bit_length() - 1]
+                            m ^= low
+                        pending[1 - c] |= forced & ~(red | blue)
+                k += 1
+        at[0] = live
         return red, blue, at
 
     def pick(red: int, blue: int, at: list[int]) -> int | None:
@@ -229,8 +248,9 @@ def search_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget:
         # is the least uncolored edge on a copy of the first non-empty
         # bucket; with no such copy every score ties
         free = full & ~(red | blue)
+        live = at[0]
         for k in range(1, top):
-            m = at[k]
+            m = at[k] & live
             if m:
                 while not on[(free & -free).bit_length() - 1] & m:
                     free &= free - 1

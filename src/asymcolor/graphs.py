@@ -192,17 +192,26 @@ class CopySet:
     @cached_property
     def index(self) -> dict[Edge, int]:
         # setting a bit copies the whole int, so bits are set in the small
-        # ints of 1024-copy chunks, and each chunk is shifted in once
-        index: dict[Edge, int] = {}
-        for lo in range(0, len(self.copies), 1024):
+        # ints of 1024-copy chunks; past one chunk, each edge's mask is
+        # joined once from its chunks' 128-byte images, zeros where none
+        copies = self.copies
+        n_chunks = -(-len(copies) // 1024)
+        zero = bytes(128)
+        parts: dict[Edge, list[bytes]] = {}
+        for j in range(n_chunks):
             chunk: dict[Edge, int] = {}
-            for i, c in enumerate(self.copies[lo : lo + 1024]):
+            for i, c in enumerate(copies[1024 * j : 1024 * j + 1024]):
                 bit = 1 << i
                 for e in c.edges:
                     chunk[e] = chunk.get(e, 0) | bit
+            if n_chunks == 1:
+                return chunk
             for e, m in chunk.items():
-                index[e] = index.get(e, 0) | m << lo
-        return index
+                p = parts.get(e)
+                if p is None:
+                    p = parts[e] = [zero] * n_chunks
+                p[j] = m.to_bytes(128, "little")
+        return {e: int.from_bytes(b"".join(p), "little") for e, p in parts.items()}
 
     @cached_property
     def endpoint_masks(self) -> tuple[int, ...]:

@@ -139,6 +139,13 @@ def _extend_alt(
 # the growth loop
 
 
+_DEGENERATE_CLASS = {
+    "absorb_h1": "degenerate_type_1",
+    "extend_anchored": "degenerate_type_2",
+    "extend_alt": "degenerate_alt",
+}
+
+
 @dataclass(frozen=True)
 class GrowStep:
     index: int
@@ -148,6 +155,15 @@ class GrowStep:
     lambda_after: Fraction
     added_vertices: int
     added_edges: int
+
+    @property
+    def classification(self) -> str:
+        """non_degenerate, degenerate_type_1 (whole-copy absorption),
+        degenerate_type_2 (anchored extension re-used vertices) or
+        degenerate_alt (copy-pair extension re-used vertices). The step's
+        kind and its degenerate flag, set where the copies were attached,
+        decide."""
+        return _DEGENERATE_CLASS[self.kind] if self.degenerate else "non_degenerate"
 
     def to_dict(self) -> dict:
         return {
@@ -167,21 +183,6 @@ class GrowTrace:
     outcome: str  # hit_iteration_cap | hit_density_guard | special_case
     final: Graph
     host_edges: tuple[Edge, ...]
-
-
-_DEGENERATE_CLASS = {
-    "absorb_h1": "degenerate_type_1",
-    "extend_anchored": "degenerate_type_2",
-    "extend_alt": "degenerate_alt",
-}
-
-
-def classify_iteration(step: GrowStep) -> str:
-    """non_degenerate, degenerate_type_1 (whole-copy absorption),
-    degenerate_type_2 (anchored extension re-used vertices) or
-    degenerate_alt (copy-pair extension re-used vertices).  The step's kind
-    and its degenerate flag, set where the copies were attached, decide."""
-    return _DEGENERATE_CLASS[step.kind] if step.degenerate else "non_degenerate"
 
 
 def _special_return(

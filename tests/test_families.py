@@ -358,9 +358,15 @@ def assert_same_on(g: Graph, pair, budget: int) -> ColoringSearch:
 def test_search_matches_rescanning_reference_on_gnp():
     # (h1, h2) pattern pairs; the search reads only their copies, so C4/K3
     # need not be a valid PairSpec. K4/K3 and C4/K3 put copies of two
-    # widths in the same buckets
-    k3, k4, c4 = complete_graph(3), complete_graph(4), cycle_graph(4)
-    patterns = [(k3, k3), (k4, c4), (complete_graph(5), c4), (c4, c4), (k4, k3), (c4, k3)]
+    # widths in the same buckets. K5/C5 and K4/K4 have wide copies: several
+    # drop to one uncolored edge in one step, and K4/K4 forces edges both
+    # ways in one propagation. K2 copies have one edge and start in bucket 1
+    k2, k3, k4, k5 = (complete_graph(k) for k in (2, 3, 4, 5))
+    c4, c5 = cycle_graph(4), cycle_graph(5)
+    patterns = [
+        (k3, k3), (k4, c4), (k5, c4), (c4, c4), (k4, k3), (c4, k3),
+        (k5, c5), (k4, k4), (k2, k3), (c4, k2),
+    ]
     statuses = Counter()
     for pi, (h1, h2) in enumerate(patterns):
         for t in range(8):
@@ -384,6 +390,24 @@ def test_search_matches_rescanning_reference_on_hard_hosts():
     for t in (4, 5):
         g = sample_gnp(20, edge_probability(k3, 20, b), derive_seed(20260816, 20, b, t))
         assert assert_same_on(g, k3, 1000).status == "budget_exceeded"
+
+
+def test_oracle_fingerprint_on_benchmark_hosts():
+    # (status, nodes_expanded) of the oracle at budget 20,000 on the K3/K3
+    # G(20, p(b=2)) hosts of the benchmark's oracle workload, t = 0..19, then
+    # K_{40,40}: any drift in the search's branching or propagation shows here
+    k3 = pair_k3k3()
+    b = F(2)
+    p = edge_probability(k3, 20, b)
+    hosts = [sample_gnp(20, p, derive_seed(20260816, 20, b, t)) for t in range(20)]
+    got = []
+    for g in hosts + [complete_bipartite(40, 40)]:
+        res = has_valid_coloring(g, k3, 20_000)
+        got.append(f"{res.status[0]}{res.nodes_expanded}")
+    assert " ".join(got) == (
+        "v93 v52 v47 v47 b20001 b20001 v45 v45 v572 v40 "
+        "i759 v52 i227 v473 v50 i2119 v56 v48 v52 v50 v1601"
+    )
 
 
 def test_search_with_one_copy_set_as_both_targets():

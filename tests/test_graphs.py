@@ -210,6 +210,20 @@ def test_copies_match_networkx_monomorphisms(pattern):
     assert bare > 0
 
 
+def test_copy_index_matches_a_bit_by_bit_reference():
+    # K_30 has 4,060 triangles, three 1024-copy chunks and a partial one;
+    # K_18's 816 fit in one chunk
+    for k, count in ((30, 4060), (18, 816)):
+        triangles = enumerate_copies(complete_graph(k), complete_graph(3))
+        assert len(triangles) == count
+        want: dict = {}
+        for i, c in enumerate(triangles.copies):
+            for e in c.edges:
+                want[e] = want.get(e, 0) | 1 << i
+        assert triangles.index == want
+        assert list(triangles.index) == list(want)
+
+
 def test_bit_positions_matches_a_naive_scan():
     rng = random.Random(16)
     masks = [0] + [1 << i for i in (0, 1, 7, 8, 63, 64, 1000)]

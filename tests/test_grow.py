@@ -28,7 +28,6 @@ from asymcolor.grow import (
     _extend_alt,
     _extend_anchored,
     check_external_density,
-    classify_iteration,
     eligible_edge,
     flower_deltas,
     grow,
@@ -232,8 +231,8 @@ def test_extend_alt_one_step_on_k6():
 
 
 # The extension moves as they were when each step carried its overlaps with
-# F and classify_iteration re-ran the overlap test on them: the reference
-# for the degeneracy verdict the moves now return themselves.
+# F and the step's classification re-ran the overlap test on them: the
+# reference for the degeneracy verdict the moves now return themselves.
 
 
 def reference_extend_anchored(f_edges, f_verts, e, h1_copies, anchored):
@@ -354,7 +353,7 @@ def test_extend_verdicts_match_overlap_reference():
                             else:
                                 expected = reference_classify(kind, e, ref_out[1])
                             step = GrowStep(0, kind, verdict, Fraction(0), Fraction(0), 0, 1)
-                            assert classify_iteration(step) == expected
+                            assert step.classification == expected
                             degenerate += verdict
                             grown = grown or after
                         if grown is None:
@@ -387,7 +386,7 @@ def test_grow_rook_hits_iteration_cap():
         assert (s.added_vertices, s.added_edges) == (2, 6)
     assert final.vertex_count == 16 and final.edge_count == 36
     assert set(trace.host_edges) <= rook4().edge_set()
-    assert [classify_iteration(s) for s in trace.steps] == [
+    assert [s.classification for s in trace.steps] == [
         "non_degenerate",
         "degenerate_type_1",
         "degenerate_type_1",
@@ -425,7 +424,7 @@ def test_grow_alt_k6_frozen_trace():
     assert [s.lambda_after for s in trace.steps] == [Fraction(3, 2), Fraction(1)]
     assert [(s.added_vertices, s.added_edges) for s in trace.steps] == [(1, 2), (0, 1)]
     assert canonical_key(final) == canonical_key(complete_graph(4))
-    assert [classify_iteration(s) for s in trace.steps] == [
+    assert [s.classification for s in trace.steps] == [
         "non_degenerate",
         "degenerate_alt",
     ]
