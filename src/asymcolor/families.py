@@ -35,6 +35,7 @@ from .graphs import (
     CopySet,
     Edge,
     Graph,
+    bit_positions,
     enumerate_copies,
     extract_from_edges,
     graphs_up_to,
@@ -357,12 +358,34 @@ def _under_cap(g: Graph, pair: PairSpec) -> bool:
     return max_gain(g, pair.m2_pair + pair.epsilon) == 0
 
 
+def verdict_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, anchored: bool) -> bool:
+    """report_from_copies(g, h1_copies, h2_copies).anchored when anchored,
+    else its .pinned, without the report: edges are tested in order, and
+    the first that fails ends the test."""
+    copies = h2_copies.copies
+    index = h2_copies.index
+    if not anchored:
+        return all(
+            any(pin_partner(copies[i].edges, e, h1_copies) for i in bit_positions(index.get(e, 0)))
+            for e in g.edges
+        )
+    is_anchored: dict[int, bool] = {}  # per h2-copy position, tested once
+    for e in g.edges:
+        for i in bit_positions(index.get(e, 0)):
+            if i not in is_anchored:
+                is_anchored[i] = unpinned_edge(copies[i].edges, h1_copies) is None
+            if is_anchored[i]:
+                break
+        else:
+            return False
+    return True
+
+
 def _capped_blocker(a: Graph, pair: PairSpec) -> bool:
     """is_blocker for a graph already known to be under the density cap."""
-    if not is_two_connected(a):
-        return False
-    report = family_report(a, pair)
-    return report.anchored if pair.case == "strict" else report.pinned
+    return is_two_connected(a) and verdict_from_copies(
+        a, *pair_copies(a, pair), pair.case == "strict"
+    )
 
 
 def is_blocker(a: Graph, pair: PairSpec) -> bool:

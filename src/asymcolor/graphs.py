@@ -410,19 +410,32 @@ def is_two_connected(g: Graph) -> bool:
 def _refine_colors(g: Graph) -> list[int]:
     adj = adjacency_sets(g)
     colors = list(g.degree_sequence())
+    classes = len(set(colors))
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(g.vertex_count)]
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(g.vertex_count)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
+        colors = [ranking[s] for s in sigs]
+        # no class split: the ranks are stable, a further round returns them
+        if len(ranking) == classes:
             return colors
-        colors = new
+        classes = len(ranking)
 
 
-def _canonical_order(g: Graph) -> tuple[int, ...]:
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The canonical order of g (the vertex placed at each canonical
+    position) and generators of Aut(g), each a permutation sigma of g's
+    vertices as the tuple of images.
+
+    The search prunes only prefixes strictly below the best one, so it
+    reaches every leaf whose bits tie the best leaf's, except where the twin
+    rule drops a vertex. Each tied leaf is an automorphism (best order ->
+    tied order), and so is the swap of two twins. Together they generate
+    Aut(g): any order of best bits turns, by twin swaps made at nodes the
+    search visits, into a tied leaf the search reaches.
+    """
     n = g.vertex_count
     if n == 0:
-        return ()
+        return (), []
     masks = adjacency_masks(g)
     colors = _refine_colors(g)
     # vertices must be placed class by class, classes sorted by refined color
@@ -431,6 +444,7 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 
     best_bits: list[int] | None = None
     best_order: tuple[int, ...] | None = None
+    ties: list[tuple[int, ...]] = []  # the leaves whose bits equal best_bits
 
     def row_bits(v: int, placed: list[int]) -> int:
         # adjacency of v against already placed vertices, as an int with the
@@ -469,6 +483,9 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
             if best_bits is None or bits > best_bits:
                 best_bits = list(bits)
                 best_order = tuple(order)
+                ties.clear()
+            elif bits == best_bits:
+                ties.append(tuple(order))
             return
         scored = []
         for v in candidates(depth):
@@ -486,7 +503,22 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 
     dfs(0, [])
     assert best_order is not None
-    return best_order
+    generators = []
+    for tie in ties:
+        sigma = [0] * n
+        for v, w in zip(best_order, tie):
+            sigma[v] = w
+        generators.append(tuple(sigma))
+    # each vertex swapped with its first earlier twin: these transpositions
+    # generate every permutation of each twin class
+    for v in range(n):
+        for u in range(v):
+            if masks[u] == masks[v] or masks[u] | 1 << u == masks[v] | 1 << v:
+                sigma = list(range(n))
+                sigma[u], sigma[v] = v, u
+                generators.append(tuple(sigma))
+                break
+    return best_order, generators
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -496,7 +528,12 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     original vertex v, and canon == graph(n, [(mapping[u], mapping[v]) ...]).
     Isomorphic inputs produce identical canon graphs.
     """
-    order = _canonical_order(g)
+    order, _ = _canonical_search(g)
+    return _relabel(g, order)
+
+
+def _relabel(g: Graph, order: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
+    """g relabeled so that order[i] becomes vertex i, and the map."""
     mapping = [0] * g.vertex_count
     for pos, v in enumerate(order):
         mapping[v] = pos
@@ -510,8 +547,107 @@ def canonical_key(g: Graph) -> tuple:
     return (canon.vertex_count, canon.edges)
 
 
+def _orbit_roots(n: int, generators: Iterable[Sequence[int]]) -> list[int]:
+    """root[v] is the least vertex of v's orbit under the group generated."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for sigma in generators:
+        for v, w in enumerate(sigma):
+            a, b = find(v), find(w)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive generation of small graphs up to isomorphism
+
+
+def _subset_orbit_representatives(
+    subsets: Iterable[tuple[int, ...]], generators: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """The first subset of each orbit under the group generated, among
+    subsets, which must be a union of orbits."""
+    if not generators:
+        yield from subsets
+        return
+    images = [[1 << w for w in sigma] for sigma in generators]  # bit v -> bit sigma(v)
+    seen: set[int] = set()
+    for s in subsets:
+        m = sum(1 << v for v in s)
+        if m in seen:
+            continue
+        yield s
+        seen.add(m)
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = 0
+                rest = x
+                while rest:
+                    low = rest & -rest
+                    y |= image[low.bit_length() - 1]
+                    rest ^= low
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+
+
+def _children(
+    g: Graph, generators: Sequence[Sequence[int]]
+) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+    """The children of the canonical form g whose canonical parent is g,
+    each as its canonical form and generators of its automorphism group in
+    canonical labels; generators generate Aut(g).
+
+    A child adds vertex k = g.vertex_count of maximum degree d, joined to
+    one d-subset per Aut(g)-orbit of the vertices of degree below d.
+    McKay's acceptance test keeps it only when k lies in the Aut-orbit of
+    w*: among the vertices of maximum invariant (degree, then neighbour
+    degrees in ascending order), the one first in canonical order. A child
+    in which some vertex's invariant beats k's is dropped before its
+    canonical search, and orbits are computed only when w* is not k.
+    """
+    k = g.vertex_count
+    size = k + 1
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    for d in range(max(deg, default=0), size):
+        low = [v for v in range(k) if deg[v] < d]
+        at_d = [v for v in range(k) if deg[v] == d]  # of degree d in every child
+        for nbrs in _subset_orbit_representatives(itertools.combinations(low, d), generators):
+            cdeg = deg.copy()
+            for v in nbrs:
+                cdeg[v] += 1
+            cdeg.append(d)
+            # the rivals of k, the other vertices of degree d, with their
+            # neighbour degrees; k's invariant must be the largest
+            top = sorted([cdeg[v] for v in nbrs])
+            rivals = [(v, sorted([cdeg[w] for w in adj[v]])) for v in at_d]
+            rivals += [(v, sorted([cdeg[w] for w in adj[v]] + [d])) for v in nbrs if cdeg[v] == d]
+            if any(inv > top for _, inv in rivals):
+                continue
+            child = Graph(size, tuple(sorted(g.edges + tuple((v, k) for v in nbrs))))
+            order, child_generators = _canonical_search(child)
+            tied = {v for v, inv in rivals if inv == top}
+            if tied:
+                w = next(v for v in order if v == k or v in tied)
+                if w != k:
+                    roots = _orbit_roots(size, child_generators)
+                    if roots[w] != roots[k]:
+                        continue
+            canon, mapping = _relabel(child, order)
+            # sigma in canonical labels: i -> mapping[sigma[order[i]]]
+            yield canon, [tuple(mapping[sigma[v]] for v in order) for sigma in child_generators]
 
 
 def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
@@ -522,30 +658,34 @@ def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Gr
     and never extended, so it must be monotone under taking supergraphs on
     more vertices. Density caps e(G) <= c * v(G) + d qualify.
 
-    Isomorph-free enumeration by canonical construction path (McKay, J.
-    Algorithms 1998): a kept class on k vertices grows only by a new vertex
-    of maximum degree d in the child, joined to d of its vertices of degree
-    below d. Every kept G is reached: G - w is kept for a vertex w of
-    maximum degree, and its canonical form grows into a copy of G that way.
+    Isomorph-free enumeration by canonical augmentation (McKay, J.
+    Algorithms 1998; the method of nauty's geng). The canonical parent of a
+    graph G is G - w*, where w* is the vertex of maximum invariant (degree,
+    then sorted neighbour degrees) that comes first in G's canonical order.
+    A kept class on k vertices grows by a new vertex of maximum degree d,
+    joined to d of its vertices of degree below d, trying one neighbour set
+    per orbit of the class's automorphism group; a child is accepted only
+    when its new vertex lies in the Aut-orbit of its w*. Each kept class
+    then comes from exactly one parent, its G - w* (kept, as keep is
+    monotone), and one orbit, so no child is compared with another: every
+    accepted child is a new class. A child costs one canonical search once
+    it passes a cheap invariant filter, and that search
+    (`_canonical_search`) also yields the generators of its automorphism
+    group that its own children are pruned by.
     """
     if n < 0:
         raise ValueError(f"vertex count {n} < 0")
-    level = [g for g in [graph(0)] if keep is None or keep(g)]
-    out = list(level)
-    for size in range(1, n + 1):
-        seen: dict[tuple[Edge, ...], Graph | None] = {}  # None: dropped by keep
-        for g in level:
-            k = g.vertex_count
-            deg = g.degree_sequence()
-            for d in range(max(deg, default=0), k + 1):
-                for nbrs in itertools.combinations([v for v in range(k) if deg[v] < d], d):
-                    canon, _ = canonical_form(graph(size, g.edges + tuple((v, k) for v in nbrs)))
-                    if canon.edges not in seen:
-                        seen[canon.edges] = canon if keep is None or keep(canon) else None
+    start = graph(0)
+    level: list[tuple[Graph, list[tuple[int, ...]]]] = []
+    if keep is None or keep(start):
+        level.append((start, []))
+    out = [g for g, _ in level]
+    for _ in range(n):
         level = sorted(
-            (g for g in seen.values() if g is not None), key=lambda g: (g.edge_count, g.edges)
+            (child for parent in level for child in _children(*parent) if keep is None or keep(child[0])),
+            key=lambda child: (child[0].edge_count, child[0].edges),
         )
-        out.extend(level)
+        out.extend(g for g, _ in level)
     return out
 
 

@@ -43,12 +43,7 @@ from asymcolor.graphs import (
     is_two_connected,
     octahedron_graph,
 )
-from asymcolor.grow import (
-    check_external_density,
-    flower_deltas,
-    grow_alt,
-    verify_overlap_density_gain,
-)
+from asymcolor.grow import grow_alt
 from asymcolor.harness import edge_probability, render_csv, sample_gnp, sweep
 from asymcolor.regular import (
     RegularPairParams,
@@ -58,7 +53,7 @@ from asymcolor.regular import (
     gap_poly,
     m2_pair_regular,
 )
-from test_grow import random_flower
+from flower import check_external_density, flower_deltas, random_flower, verify_overlap_density_gain
 
 
 @contextmanager

@@ -13,6 +13,7 @@ from asymcolor.families import (
     RED,
     Coloring,
     ColoringSearch,
+    _under_cap,
     blocker_decomposition,
     color_by_members,
     decomposition_from_copies,
@@ -24,6 +25,7 @@ from asymcolor.families import (
     pin_partner,
     search_from_copies,
     unpinned_edge,
+    verdict_from_copies,
     verify_coloring,
     verify_from_copies,
 )
@@ -556,6 +558,19 @@ def test_is_blocker_basics():
     assert not is_blocker(complete_graph(6), pair)  # m = 5/2 over the cap
     assert not is_blocker(shared_edge_graph(), pair)  # fails the anchored test
     assert not is_blocker(complete_graph(4), pair)
+
+
+def test_verdict_from_copies_matches_the_family_report():
+    # the catalog's early-exit verdict equals the full report's pinned and
+    # anchored flags on every class up to 7 vertices under each pair's cap
+    c4 = cycle_graph(4)
+    pairs = (pair_k3k3(), pair_k4c4(), pair_k3c4(), build_pair_spec(c4, c4))
+    for pair in pairs:
+        for g in graphs_up_to(7, keep=lambda g: _under_cap(g, pair)):
+            h1_copies, h2_copies = pair_copies(g, pair)
+            report = family_report(g, pair)
+            assert verdict_from_copies(g, h1_copies, h2_copies, False) == report.pinned
+            assert verdict_from_copies(g, h1_copies, h2_copies, True) == report.anchored
 
 
 def brute_pinned_triangles(g: Graph) -> bool:

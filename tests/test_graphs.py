@@ -511,6 +511,28 @@ def test_empty_graph_canonical():
     assert mapping == ()
 
 
+def test_automorphism_generators_match_networkx():
+    # the canonical search's generators are automorphisms, and the group
+    # they generate has networkx's Aut(g) orbits, on every graph up to 6
+    # vertices and on seeded random graphs up to 9
+    rng = random.Random(58)
+    hosts = graphs_up_to(6) + [
+        permuted(random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8)), rng) for _ in range(80)
+    ]
+    hosts += [cycle_graph(9), cube_graph(), octahedron_graph(), complete_bipartite(3, 4)]
+    for g in hosts:
+        n = g.vertex_count
+        _, generators = graphs._canonical_search(g)
+        edges = g.edge_set()
+        for sigma in generators:
+            assert sorted(sigma) == list(range(n))
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges} == edges
+        roots = graphs._orbit_roots(n, generators)
+        got = {frozenset(v for v in range(n) if roots[v] == r) for r in roots}
+        automorphisms = nx_automorphisms(g)
+        assert got == {frozenset(sigma[v] for sigma in automorphisms) for v in range(n)}, g.edges
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_canonical_congruence_property(n, data):
@@ -627,6 +649,32 @@ def test_generation_matches_every_extension_reference():
             # keep saw each class once, as its canonical form
             assert len(set(seen)) == len(seen), (name, n)
             assert all(canonical_form(g)[0] == g for g in seen), (name, n)
+
+
+def test_generation_runs_about_one_canonical_search_per_class(monkeypatch):
+    # canonical augmentation: each class offered to keep costs about one
+    # canonical search, and keep sees each class exactly once
+    k3k3 = build_pair_spec(complete_graph(3), complete_graph(3))
+    searches = 0
+    search = graphs._canonical_search
+
+    def counted(g):
+        nonlocal searches
+        searches += 1
+        return search(g)
+
+    monkeypatch.setattr(graphs, "_canonical_search", counted)
+    offered = []
+
+    def keep(g):
+        offered.append(g)
+        return families._under_cap(g, k3k3)
+
+    got = graphs_up_to(7, keep)
+    assert len(set(offered)) == len(offered) == 1249  # the empty graph included
+    assert searches <= 1.1 * len(offered)
+    assert len(set(got)) == len(got) == 1160
+    assert set(got) == {g for g in offered if families._under_cap(g, k3k3)}
 
 
 def test_graphs_up_to_includes_small():

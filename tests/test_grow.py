@@ -21,19 +21,21 @@ from asymcolor.graphs import (
     norm_edge,
 )
 from asymcolor.grow import (
-    FlowerError,
     GrowError,
     GrowStep,
-    _classify_flower,
     _extend_alt,
     _extend_anchored,
-    check_external_density,
     eligible_edge,
-    flower_deltas,
     grow,
     grow_alt,
+)
+from flower import (
+    FlowerError,
+    check_external_density,
+    flower_deltas,
     make_flower,
     order_edges,
+    random_flower,
     verify_overlap_density_gain,
 )
 
@@ -497,77 +499,6 @@ def test_grow_trace_serializes():
 
 # ---------------------------------------------------------------------------
 # flower attachments
-
-
-def random_flower(base, anchor_edge, pair, rng, overlap=False):
-    """Sample an attachment of the pair's h2 to base at anchor_edge, drawing
-    from rng; overlap=True keeps resampling until pendants share material
-    (an instance outside the disjoint family). Raises FlowerError after 400
-    failed samples."""
-    anchor = norm_edge(*anchor_edge)
-    h1, h2 = pair.h1, pair.h2
-    base_verts = set(range(base.vertex_count))
-    for _ in range(400):
-        next_label = base.vertex_count
-        h2_edges = list(h2.edges)
-        a2, b2 = h2_edges[rng.randrange(len(h2_edges))]
-        if rng.random() < 0.5:
-            a2, b2 = b2, a2
-        vmap = {a2: anchor[0], b2: anchor[1]}
-        for v in range(h2.vertex_count):
-            if v not in vmap:
-                vmap[v] = next_label
-                next_label += 1
-        inner = Copy(
-            frozenset(norm_edge(vmap[u], vmap[v]) for u, v in h2.edges),
-            frozenset(vmap.values()),
-        )
-        blocked_edges = base.edge_set() | inner.edges
-        pendants: list[tuple[Edge, Copy]] = []
-        outer_pool = set(inner.vertices)
-        ok = True
-        for f in sorted(inner.edges - {anchor}):
-            placed = None
-            for _ in range(60):
-                h1_edges = list(h1.edges)
-                a1, b1 = h1_edges[rng.randrange(len(h1_edges))]
-                if rng.random() < 0.5:
-                    a1, b1 = b1, a1
-                pmap = {a1: f[0], b1: f[1]}
-                used = {f[0], f[1]}
-                trial_next = next_label
-                for v in range(h1.vertex_count):
-                    if v in pmap:
-                        continue
-                    pool = sorted(outer_pool - used)
-                    if overlap and pool and rng.random() < 0.5:
-                        pmap[v] = pool[rng.randrange(len(pool))]
-                    else:
-                        pmap[v] = trial_next
-                        trial_next += 1
-                    used.add(pmap[v])
-                edges = frozenset(norm_edge(pmap[u], pmap[v]) for u, v in h1.edges)
-                if (edges - {f}) & blocked_edges:
-                    continue
-                if frozenset(pmap.values()) & (base_verts - set(anchor)):
-                    continue
-                placed = Copy(edges, frozenset(pmap.values()))
-                next_label = trial_next
-                break
-            if placed is None:
-                ok = False
-                break
-            pendants.append((f, placed))
-            outer_pool |= placed.vertices - set(f)
-        if not ok:
-            continue
-        cls = _classify_flower(inner, pendants)
-        if overlap and cls != "overlapping":
-            continue
-        if not overlap and cls != "disjoint":
-            continue
-        return make_flower(base, anchor, pair, inner, pendants)
-    raise FlowerError("could not sample an attachment with the requested shape")
 
 
 def figure_flower():
