@@ -428,6 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     budget_arg = argparse.ArgumentParser(add_help=False)
     budget_arg.add_argument("--budget", type=_positive, default=DEFAULT_ORACLE_BUDGET)
 
+    graph_arg = argparse.ArgumentParser(add_help=False)
+    graph_arg.add_argument("--graph", required=True)
+
+    a_hat_arg = argparse.ArgumentParser(add_help=False)
+    a_hat_arg.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
+
     top = argparse.ArgumentParser(prog="asymcolor")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -444,46 +450,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser(
-        "oracle", parents=[common, pair_args, budget_arg], help="exhaustive colorability check"
+        "oracle", parents=[common, pair_args, budget_arg, graph_arg], help="exhaustive colorability check"
     )
-    p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
-        "color", parents=[common, out_arg, pair_args, budget_arg], help="run the stack colorer"
+        "color",
+        parents=[common, out_arg, pair_args, budget_arg, graph_arg, a_hat_arg],
+        help="run the stack colorer",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser(
-        "grow", parents=[common, out_arg, pair_args, budget_arg], help="grow a witness from a host"
+        "grow",
+        parents=[common, out_arg, pair_args, budget_arg, graph_arg, a_hat_arg],
+        help="grow a witness from a host",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser(
         "trial",
-        parents=[common, out_arg, seed_arg, pair_args, budget_arg],
+        parents=[common, out_arg, seed_arg, pair_args, budget_arg, a_hat_arg],
         help="one seeded G(n,p) trial",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=_fraction, required=True)
     p.add_argument("--mode", choices=tuple(_MODES), default="oracle")
-    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser(
         "sweep",
-        parents=[common, out_arg, seed_arg, pair_args, budget_arg],
+        parents=[common, out_arg, seed_arg, pair_args, budget_arg, a_hat_arg],
         help="trial grid over n and b",
     )
     p.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 12,16,20")
     p.add_argument("--b", type=_fraction_list, default=_fraction_list(DEFAULT_B_GRID))
     p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--mode", choices=tuple(_MODES), default="color")
-    p.add_argument("--a-hat-bound", type=_count, default=DEFAULT_A_HAT_BOUND)
     p.add_argument("--csv-timing", action="store_true", help="real mean_ms in the CSV (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,6 +1,9 @@
 """The stack colorer: delete edges that nothing pins, hand the sparse core to
 the member-wise colorer, then replay the stack re-adding edges blue and
-flipping one edge red on each fully-blue tracked copy.
+flipping one edge red on each fully-blue tracked copy. The stack is the
+deletion phase's part of one log of (action, edge, h2-copy position or -1)
+entries; the outcome's trace of TraceEvents is built from the log when
+first read, so sweeps, which keep only the status, build none.
 
 "Pins" is families.pin_partner over the live h1-copies: an edge is deleted
 when no tracked h2-copy through it has a pin partner there, a tracked copy
@@ -51,7 +54,7 @@ early what that decomposition would, so no output changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from typing import Literal, Sequence
 
@@ -76,13 +79,6 @@ from .graphs import CopySet, Edge, Graph, bit_positions, emit_graph6, enumerate_
 
 
 @dataclass(frozen=True)
-class StackEntry:
-    kind: Literal["edge", "h2copy"]
-    edge: Edge | None = None
-    copy_edges: frozenset[Edge] | None = None
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     step: int
     action: str
@@ -101,25 +97,40 @@ class TraceEvent:
         return out
 
 
+LogEntry = tuple[str, Edge | None, int]
+_COLORS = {"readd_edge": BLUE, "recolor_red": RED}
+
+
+def _trace_events(log: Sequence[LogEntry], h2: CopySet, start: int = 0) -> tuple[TraceEvent, ...]:
+    """The TraceEvents of log[start:]; an event's step is its entry's index."""
+    return tuple(
+        TraceEvent(step, action, e, h2.copies[li].sort_key() if li >= 0 else None, _COLORS.get(action))
+        for step, (action, e, li) in enumerate(log[start:], start)
+    )
+
+
 @dataclass(frozen=True)
 class ColorerOutcome:
     status: Literal["colored", "stuck"]
     coloring: Coloring | None
     residual: Graph | None
     live_anchors: CopySet | None
-    trace: tuple[TraceEvent, ...]
+    log: tuple[LogEntry, ...]
     blockers: tuple[Graph, ...]
     h1_copies: CopySet  # every copy of h1 and of h2 in the input
     h2_copies: CopySet
 
+    @cached_property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        return _trace_events(self.log, self.h2_copies)
+
 
 class ColorerInternalError(Exception):
-    """An assertion the correctness proof forbids has fired; carries the trace."""
+    """An assertion the correctness proof forbids has fired; trace is the log's last 20 events."""
 
-    def __init__(self, message: str, trace: Sequence[TraceEvent]):
-        lines = [message] + [str(ev.to_dict()) for ev in trace[-20:]]
-        super().__init__("\n".join(lines))
-        self.trace = tuple(trace)
+    def __init__(self, message: str, log: Sequence[LogEntry], h2_copies: CopySet):
+        self.trace = _trace_events(log, h2_copies, max(0, len(log) - 20))
+        super().__init__("\n".join([message] + [str(ev.to_dict()) for ev in self.trace]))
 
 
 class UncolorableMemberError(Exception):
@@ -159,7 +170,7 @@ def asym_edge_color(
 
     Returns Colored (with a verified coloring) or Stuck (with the residual
     and the still-tracked copies). Internal contract violations raise
-    ColorerInternalError with the trace attached; an uncolorable sparse-core
+    ColorerInternalError with the log's tail attached; an uncolorable sparse-core
     member raises UncolorableMemberError.
     """
     loose = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
@@ -175,14 +186,7 @@ def asym_edge_color(
     blocker_alive: list[int] = []
     widest = max((b.vertex_count for b in blockers), default=0)
     witness: Edge | None = None  # a live edge that rules_out
-    stack: list[StackEntry] = []
-    trace: list[TraceEvent] = []
-    step = 0
-
-    def log(action: str, edge=None, l_copy=None, color=None):
-        nonlocal step
-        trace.append(TraceEvent(step, action, edge, l_copy, color))
-        step += 1
+    log: list[LogEntry] = []
 
     def pinned_by_tracked(e: Edge) -> bool:
         return any(
@@ -281,13 +285,9 @@ def asym_edge_color(
         if unpinned:
             e = heappop(unpinned)
             dropped = tracked & h2.index.get(e, 0)
-            for li in bit_positions(dropped):
-                L_edges = h2.copies[li].edges
-                stack.append(StackEntry("h2copy", copy_edges=L_edges))
-                log("push_l", edge=e, l_copy=tuple(sorted(L_edges)))
+            log.extend(("push_l", e, li) for li in bit_positions(dropped))
             tracked &= ~dropped
             killed = alive1 & h1.index.get(e, 0)
-            stack.append(StackEntry("edge", edge=e))
             live.discard(e)
             alive1 &= ~killed
             killed_since |= killed
@@ -296,46 +296,44 @@ def asym_edge_color(
                 blocker_alive = [a & ~bs.index.get(e, 0) for bs, a in zip(blocker_sets, blocker_alive)]
             # every tracked copy stays fully alive in the residual
             assert not tracked & ~alive2
-            log("delete_edge", edge=e)
+            log.append(("delete_edge", e, -1))
             retest(h1, killed)
             retest(h2, dropped)
             clean = clean_residual()
         elif (li := least_loose()) is not None:
-            L_edges = h2.copies[li].edges
-            stack.append(StackEntry("h2copy", copy_edges=L_edges))
             tracked &= ~(1 << li)
-            log("retire_l", edge=unpinned_edge(L_edges, h1, alive1), l_copy=tuple(sorted(L_edges)))
+            # the edge replay would flip if it ran now; alive1 shrinks later
+            log.append(("retire_l", unpinned_edge(h2.copies[li].edges, h1, alive1), li))
             retest(h2, 1 << li)
         else:
-            log("stuck")
+            log.append(("stuck", None, -1))
             residual = graph(g.vertex_count, live)
             live_anchors = CopySet(pair.h2, tuple(h2.copies[li] for li in bit_positions(tracked)))
             return ColorerOutcome(
-                "stuck", None, residual, live_anchors, tuple(trace), tuple(blockers), h1, h2
+                "stuck", None, residual, live_anchors, tuple(log), tuple(blockers), h1, h2
             )
         assert len(live) + tracked.bit_count() < measure  # the loop must shrink
 
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
     # with its h1/h2 copies as the live-filtered input copies
-    log("handoff")
+    log.append(("handoff", None, -1))
     base = color_by_members(clean, pair, budget)
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)
 
-    while stack:
-        entry = stack.pop()
-        if entry.kind == "edge":
-            e = entry.edge
+    # the entries before the handoff, last first, are the stack
+    for action, e, li in reversed(log[:-1]):
+        if action == "delete_edge":
             live.add(e)
             # a copy through e is alive again once all its edges are
             for i in bit_positions(h1.index.get(e, 0)):
                 if h1.copies[i].edges <= live:
                     alive1 |= 1 << i
             assignment[e] = BLUE
-            log("readd_edge", edge=e, color=BLUE)
-        else:
-            L_edges = entry.copy_edges
+            log.append(("readd_edge", e, -1))
+        else:  # push_l or retire_l: a tracked copy
+            L_edges = h2.copies[li].edges
             if not all(assignment.get(f) == BLUE for f in L_edges):
                 continue
             flip = unpinned_edge(L_edges, h1, alive1)
@@ -343,23 +341,21 @@ def asym_edge_color(
                 raise ColorerInternalError(
                     "fully-blue tracked copy with every edge uniquely intersected; "
                     "the replay guarantee is broken",
-                    trace,
+                    log, h2,
                 )
             assignment[flip] = RED
-            log("recolor_red", edge=flip, l_copy=tuple(sorted(L_edges)), color=RED)
+            log.append(("recolor_red", flip, li))
             for i in bit_positions(alive1 & h1.index.get(flip, 0)):
                 if all(assignment.get(x) == RED for x in h1.copies[i].edges):
                     raise ColorerInternalError(
-                        f"recoloring {flip} red completed a red copy", trace
+                        f"recoloring {flip} red completed a red copy", log, h2
                     )
 
     coloring = Coloring(g, assignment)
     check = verify_from_copies(coloring, h1, h2)
     if not check.ok:
-        raise ColorerInternalError(f"final coloring invalid: {check}", trace)
-    return ColorerOutcome(
-        "colored", coloring, None, None, tuple(trace), tuple(blockers), h1, h2
-    )
+        raise ColorerInternalError(f"final coloring invalid: {check}", log, h2)
+    return ColorerOutcome("colored", coloring, None, None, tuple(log), tuple(blockers), h1, h2)
 
 
 def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecomposition:
@@ -371,21 +367,20 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecompo
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
+
+    def error(message: str) -> ColorerInternalError:
+        return ColorerInternalError(message, outcome.log, outcome.h2_copies)
+
     if residual.edge_count == 0:
-        raise ColorerInternalError("stuck with an empty residual", outcome.trace)
+        raise error("stuck with an empty residual")
     decomp = blocker_decomposition(residual, pair, outcome.blockers)
     report = decomp.report
     if not report.anchored:
-        raise ColorerInternalError(
-            f"stuck residual is not anchored; failures {report.anchored_failures}",
-            outcome.trace,
-        )
+        raise error(f"stuck residual is not anchored; failures {report.anchored_failures}")
     anchored_sets = {c.edges for c in report.anchored_copies.copies}
     for L in outcome.live_anchors.copies:
         if L.edges not in anchored_sets:
-            raise ColorerInternalError("a live tracked copy is not anchored", outcome.trace)
+            raise error("a live tracked copy is not anchored")
     if decomp.covered_once and decomp.sparse:
-        raise ColorerInternalError(
-            "stuck residual is already a cleanly-covered sparse union", outcome.trace
-        )
+        raise error("stuck residual is already a cleanly-covered sparse union")
     return decomp

@@ -28,7 +28,7 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
 )
-from asymcolor.harness import TrialConfig, derive_seed, edge_probability, run_trial, sample_gnp
+from asymcolor.harness import TrialConfig, derive_seed, edge_probability, run_trial, sample_gnp, sweep
 
 
 def pair_k4c4():
@@ -182,6 +182,46 @@ def test_trace_serializes_to_jsonl(k3k3_setup):
         assert set(d) <= allowed
         json.loads(json.dumps(d))
     assert [ev.step for ev in out.trace] == list(range(len(out.trace)))
+
+
+def test_sweeps_build_no_trace_until_it_is_read(k3k3_setup, monkeypatch):
+    # the colorer keeps a log of plain tuples; its TraceEvents are built
+    # only when an outcome's trace is read, once
+    built = []
+    original = colorer.TraceEvent
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(colorer, "TraceEvent", counting)
+    pair, _ = k3k3_setup
+    for mode in ("ColorOnly", "FullPipeline"):
+        report = sweep(pair, [8], [Fraction(1), Fraction(3)], trials=3, seed=5, mode=mode, a_hat_bound=5)
+        assert sum(c.colored for c in report.cells) and sum(c.stuck for c in report.cells)
+        assert built == []
+    out = asym_edge_color(cycle_graph(4), pair_k4c4(), ())
+    assert built == []
+    trace = out.trace
+    assert len(built) == len(trace) == 11 and out.trace is trace
+
+
+def test_error_tail_keeps_the_last_20_events_with_their_steps():
+    h2 = graphs.enumerate_copies(cycle_graph(4), cycle_graph(4))
+    log = [("push_l", (0, 1), 0)] + [("delete_edge", (i, i + 1), -1) for i in range(29)]
+    err = ColorerInternalError("boom", log, h2)
+    assert [ev.step for ev in err.trace] == list(range(10, 30))
+    assert err.trace[-1] == colorer.TraceEvent(29, "delete_edge", (28, 29))
+    assert str(err).splitlines()[1:] == [str(ev.to_dict()) for ev in err.trace]
+
+
+def test_check_stuck_rejects_an_empty_residual():
+    h2 = graphs.enumerate_copies(graph(4), cycle_graph(4))
+    out = colorer.ColorerOutcome("stuck", None, graph(4), h2, (("stuck", None, -1),), (), h2, h2)
+    with pytest.raises(ColorerInternalError, match="empty residual") as exc:
+        check_stuck_state(out, pair_k4c4())
+    assert exc.value.trace == (colorer.TraceEvent(0, "stuck"),)
+    assert "'action': 'stuck'" in str(exc.value)
 
 
 def test_deterministic_trace(k3k3_setup):
