@@ -1,7 +1,8 @@
 """Exact rational density measures and the pair bookkeeping built on them.
 
 Everything here is exact (Fraction or int). The density test m(g) <= c is
-max_gain(g, c) == 0, one max-flow. The measures with a least maximizing
+max_gain(g, c) == 0: peel the vertices of degree <= c, then one max-flow
+on the core that is left. The measures with a least maximizing
 witness (m_density, m2_density, m2_asym) and the balancedness tests
 iterate over vertex subsets and take all induced edges, which is sound
 because adding an edge at a fixed vertex set never lowers any of the
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
-from .graphs import Graph, adjacency_masks, canonical_key, induced_subgraph
+from .graphs import Graph, adjacency_masks, adjacency_sets, canonical_key, induced_subgraph
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -167,11 +168,26 @@ def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
 
 
 # ---------------------------------------------------------------------------
-# the density test, by max-flow
+# the density test, by max-flow on the core
 #
-# With c = p/q, maximising gain(S) = q*e(S) - p*|S| over vertex subsets is
-# the project-selection cut of Picard (1976): an edge yields q but needs
-# both endpoints, each vertex costs p, and max gain = q*|E| - mincut.
+# With c = p/q, gain(S) = q*e(S) - p*|S| is supermodular, so its maximisers
+# are closed under intersection and a least one S* lies inside all the
+# others (Picard and Queyranne 1982).
+#
+# Peeling.  Every u in S* has q*deg_S*(u) > p, for otherwise S* - u would
+# gain as much and S* would not be least.  So deleting vertices of
+# q*deg <= p, until none is left, keeps S* and the maximum gain; what is
+# left is the core.
+#
+# Goldberg's network (1984) on the core, with m edges and n vertices, has
+# source -> v of capacity q*m, v -> sink of q*m + 2p - q*deg(v), and q each
+# way along every edge.  The cut with source side {source} + S costs
+# q*m*n + 2*(p*|S| - q*e(S)), so max gain = (q*m*n - mincut) / 2, and the
+# least maximiser is the vertex set that the final residual network
+# reaches from the source.  Pushing the flow along every source -> v -> sink
+# up front leaves the source arc x(v) = q*deg(v) - 2p where that is
+# positive and the sink arc -x(v) where it is negative, so the network
+# solved is that residual one, and max gain = (sum of positive x - flow) / 2.
 
 
 def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> tuple[int, list[int]]:
@@ -179,7 +195,9 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> tuple[int, list[int
 
     Returns the flow value and the last BFS level: the nodes with level >= 0
     are those the final residual network reaches from s, the source side of
-    the minimum cut with the fewest nodes.
+    the minimum cut with the fewest nodes.  Augmenting paths are walked
+    with an explicit stack, since the level graph can be as deep as the
+    network has nodes.
     """
     total = 0
     while True:
@@ -194,24 +212,31 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> tuple[int, list[int
         if level[t] < 0:
             return total, level
         iters = [0] * len(adj)
-
-        def push(u: int, limit: int) -> int:
-            if u == t:
-                return limit
-            while iters[u] < len(adj[u]):
-                arc = adj[u][iters[u]]
-                v, cap, rev = arc
-                if cap > 0 and level[v] == level[u] + 1:
-                    got = push(v, min(limit, cap))
-                    if got:
-                        arc[1] -= got
-                        adj[v][rev][1] += got
-                        return got
+        path: list[list[int]] = []  # the arcs walked from s to u
+        u = s
+        while True:
+            arcs = adj[u]
+            i = iters[u]
+            while i < len(arcs) and not (arcs[i][1] > 0 and level[arcs[i][0]] == level[u] + 1):
+                i += 1
+            iters[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = arcs[i][0]
+                if u == t:
+                    pushed = min(arc[1] for arc in path)
+                    for arc in path:
+                        arc[1] -= pushed
+                        adj[arc[0]][arc[2]][1] += pushed
+                    total += pushed
+                    path.clear()
+                    u = s
+            elif path:  # a dead end: step back over the arc into u
+                arc = path.pop()
+                u = adj[arc[0]][arc[2]][0]
                 iters[u] += 1
-            return 0
-
-        while pushed := push(s, 1 << 62):
-            total += pushed
+            else:
+                break
 
 
 def max_gain(g: Graph, c: Fraction) -> int:
@@ -223,32 +248,50 @@ def max_gain(g: Graph, c: Fraction) -> int:
 def least_max_gain_set(g: Graph, c: Fraction) -> tuple[int, tuple[int, ...]]:
     """max_gain(g, c) and the smallest vertex subset attaining it.
 
-    The gain is supermodular, so its maximisers are closed under
-    intersection and one of them lies inside all the others (Picard and
-    Queyranne 1982).  That one is the set of vertex nodes on the source
-    side of the minimal minimum cut, which the flow's residual network
-    reaches from the source.  It is empty when the maximum gain is 0.
+    The vertices of q*deg <= p are peeled off with a worklist, in time
+    linear in the graph, and Goldberg's network is solved on the core that
+    remains; the least maximiser is the set of core vertices on the source
+    side of the minimal minimum cut.  It is empty when the maximum gain is
+    0, as it is when the core is.
     """
     if c < 0:
         raise ValueError(f"density bound must be non-negative, got {c}")
     p, q = c.numerator, c.denominator
-    ecount = g.edge_count
-    source, sink = 0, 1 + ecount + g.vertex_count
-    adj: list[list[list[int]]] = [[] for _ in range(sink + 1)]
+    nbrs = adjacency_sets(g)
+    deg = [len(ws) for ws in nbrs]
+    peeled = [q * d <= p for d in deg]
+    work = [v for v, gone in enumerate(peeled) if gone]
+    while work:
+        for w in nbrs[work.pop()]:
+            if not peeled[w]:
+                deg[w] -= 1
+                if q * deg[w] <= p:
+                    peeled[w] = True
+                    work.append(w)
+    core = [v for v, gone in enumerate(peeled) if not gone]
+    node = {v: i for i, v in enumerate(core, 2)}
+    source, sink = 0, 1
+    adj: list[list[list[int]]] = [[] for _ in range(len(core) + 2)]
 
-    def add(u: int, v: int, cap: int) -> None:
+    def add(u: int, v: int, cap: int, back: int = 0) -> None:
         adj[u].append([v, cap, len(adj[v])])
-        adj[v].append([u, 0, len(adj[u]) - 1])
+        adj[v].append([u, back, len(adj[u]) - 1])
 
-    for i, (u, v) in enumerate(g.edges):
-        add(source, 1 + i, q)
-        add(1 + i, 1 + ecount + u, q * ecount + 1)
-        add(1 + i, 1 + ecount + v, q * ecount + 1)
-    for v in range(g.vertex_count):
-        add(1 + ecount + v, sink, p)
+    excess = 0
+    for v in core:
+        x = q * deg[v] - 2 * p
+        if x > 0:
+            excess += x
+            add(source, node[v], x)
+        elif x < 0:
+            add(node[v], sink, -x)
+    if not excess:  # no source arcs, as when the core is empty
+        return 0, ()
+    for u, v in g.edges:
+        if not (peeled[u] or peeled[v]):
+            add(node[u], node[v], q, q)
     flow, level = _max_flow(adj, source, sink)
-    reached = tuple(v for v in range(g.vertex_count) if level[1 + ecount + v] >= 0)
-    return q * ecount - flow, reached
+    return (excess - flow) // 2, tuple(v for v in core if level[node[v]] >= 0)
 
 
 def density_profile(g: Graph) -> DensityProfile:

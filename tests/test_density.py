@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from asymcolor.density import (
     DEFAULT_EPSILON,
+    _max_flow,
     asym_balancedness,
     balancedness,
     build_pair_spec,
@@ -125,30 +129,167 @@ def test_subset_limit_guard():
         m_density(graph(21))
 
 
+def subset_scan_least_max_gain_sets(
+    g: Graph, caps: list[Fraction]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The maximum gain and least maximiser at each cap, over every vertex subset."""
+    subsets = [
+        (frozenset(verts), sum(1 for u, v in g.edges if u in verts and v in verts))
+        for k in range(g.vertex_count + 1)
+        for verts in map(set, itertools.combinations(range(g.vertex_count), k))
+    ]
+    results = []
+    for c in caps:
+        p, q = c.numerator, c.denominator
+        gain = max(q * e - p * len(verts) for verts, e in subsets)
+        maximisers = [verts for verts, e in subsets if q * e - p * len(verts) == gain]
+        # the least maximiser: inside every maximiser, and one itself
+        least = frozenset.intersection(*maximisers)
+        assert least in maximisers, (g.edges, c)
+        results.append((gain, tuple(sorted(least))))
+    return results
+
+
+def picard_least_max_gain_set(g: Graph, c: Fraction) -> tuple[int, tuple[int, ...]]:
+    """The same pair from Picard's project-selection network on the whole
+    graph: an edge node yields q but needs both endpoints, each vertex costs
+    p, and max gain = q*|E| - mincut. No peeling, and |E| + |V| + 2 nodes."""
+    p, q = c.numerator, c.denominator
+    ecount = g.edge_count
+    source, sink = 0, 1 + ecount + g.vertex_count
+    adj: list[list[list[int]]] = [[] for _ in range(sink + 1)]
+
+    def add(u: int, v: int, cap: int) -> None:
+        adj[u].append([v, cap, len(adj[v])])
+        adj[v].append([u, 0, len(adj[u]) - 1])
+
+    for i, (u, v) in enumerate(g.edges):
+        add(source, 1 + i, q)
+        add(1 + i, 1 + ecount + u, q * ecount + 1)
+        add(1 + i, 1 + ecount + v, q * ecount + 1)
+    for v in range(g.vertex_count):
+        add(1 + ecount + v, sink, p)
+    flow, level = _max_flow(adj, source, sink)
+    reached = tuple(v for v in range(g.vertex_count) if level[1 + ecount + v] >= 0)
+    return q * ecount - flow, reached
+
+
+def core_of(g: Graph, c: Fraction) -> set[int]:
+    """The vertices left after deleting those of degree <= c, pass by pass."""
+    core = set(range(g.vertex_count))
+    while True:
+        low = {v for v in core if sum(1 for e in g.edges if v in e and set(e) <= core) <= c}
+        if not low:
+            return core
+        core -= low
+
+
+def petersen_graph() -> Graph:
+    return graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+
+
+def k8_ladder(rungs: int) -> Graph:
+    """K8 on 0..7 with 6 and 7 joined to the first rung of a ladder whose
+    rails run 8, 10, ... and 9, 11, ...: the rail vertices have degree 3,
+    except the two at the far end, which have degree 2."""
+    edges = list(complete_graph(8).edges) + [(6, 8), (7, 9)]
+    for i in range(rungs):
+        a, b = 8 + 2 * i, 9 + 2 * i
+        edges.append((a, b))
+        if i + 1 < rungs:
+            edges += [(a, a + 2), (b, b + 2)]
+    return graph(8 + 2 * rungs, edges)
+
+
+# the caps 201/100 and 113/50 are m2_pair + epsilon of K3/K3 and K4/C4
+CAPS = [F(0), F(1, 2), F(1), F(3, 2), F(201, 100), F(113, 50), F(5, 2)]
+
+
 def test_max_gain_matches_subset_scan():
-    # the caps 201/100 and 113/50 are m2_pair + epsilon of K3/K3 and K4/C4
-    caps = [F(0), F(1, 2), F(1), F(3, 2), F(201, 100), F(113, 50), F(5, 2)]
     rng = random.Random(20260816)
     pool = graphs_up_to(6) + [random_graph(rng, n, 0.5) for n in range(1, 13) for _ in range(2)]
-    for g in pool:
-        subsets = [
-            (frozenset(verts), sum(1 for u, v in g.edges if u in verts and v in verts))
-            for k in range(g.vertex_count + 1)
-            for verts in map(set, itertools.combinations(range(g.vertex_count), k))
-        ]
+    # K5 with a path hanging off it: the path peels away at every cap >= 1
+    dense_tail = graph(9, list(complete_graph(5).edges) + [(4, 5), (5, 6), (6, 7), (7, 8)])
+    cases = [(g, CAPS) for g in pool] + [
+        (dense_tail, CAPS + [F(2)]),
+        # every degree equals the cap, so everything peels at once
+        (cycle_graph(5), [F(2)]),
+        (complete_graph(4), [F(3)]),
+        (petersen_graph(), [F(3), F(5, 2)]),
+        # c = 0 peels exactly the isolated vertices
+        (graph(6, [(0, 1), (1, 2), (4, 5)]), [F(0)]),
+        (graph(4), [F(0)]),
+    ]
+    for g, caps in cases:
         m, _ = m_density(g)
-        for c in caps:
-            p, q = c.numerator, c.denominator
-            gain = max_gain(g, c)
-            assert gain == max(q * e - p * len(verts) for verts, e in subsets), (g.edges, c)
+        for c, expected in zip(caps, subset_scan_least_max_gain_sets(g, caps)):
+            gain, least = least_max_gain_set(g, c)
+            assert (gain, least) == expected, (g.edges, c)
+            assert max_gain(g, c) == gain
             assert (gain == 0) == (m <= c), (g.edges, c)
-            # the least maximiser: inside every maximiser, and one itself
-            maximisers = [verts for verts, e in subsets if q * e - p * len(verts) == gain]
-            least = frozenset.intersection(*maximisers)
-            assert least in maximisers, (g.edges, c)
-            assert least_max_gain_set(g, c) == (gain, tuple(sorted(least))), (g.edges, c)
+            assert set(least) <= core_of(g, c), (g.edges, c)
     with pytest.raises(ValueError):
         max_gain(complete_graph(3), F(-1))
+
+
+def test_max_gain_matches_picard_network():
+    rng = random.Random(20261019)
+    for n in [8, 15, 20, 30, 40, 50, 60] * 3:
+        # edge probabilities around the caps' densities: m(G(n, p)) is near np/2
+        g = random_graph(rng, n, rng.uniform(0.5, 6.0) / n)
+        for c in CAPS + [F(3), F(7, 3)]:
+            gain, least = least_max_gain_set(g, c)
+            assert (gain, least) == picard_least_max_gain_set(g, c), (g.edges, c)
+            assert set(least) <= core_of(g, c), (g.edges, c)
+
+
+def test_max_flow_walks_deep_level_graphs_without_recursion():
+    # at c = 3/2 every vertex is in the core, the K8 vertices have source
+    # arcs of 2*deg - 6 > 0 and only the two far-end ladder vertices, of
+    # degree 2, have sink arcs, so every augmenting path runs the length of
+    # the ladder: the level graph is over 1,000 deep
+    g = k8_ladder(1000)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        result = least_max_gain_set(g, F(3, 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    # K8 gains 2*28 - 3*8 = 32, and adding the whole ladder ties it
+    assert result == (32, tuple(range(8)))
+
+
+def test_peeling_is_linear():
+    # at c = 2 the ladder peels rung by rung from its far end, so peeling in
+    # passes would take one pass per rung; a worklist takes one overall
+    assert least_max_gain_set(k8_ladder(1000), F(2)) == (12, tuple(range(8)))
+
+    def best_time(g: Graph) -> float:
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            least_max_gain_set(g, F(2))
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = k8_ladder(500), k8_ladder(4000)
+    # the cycle collector's pauses grow with the whole test process's heap
+    gc.disable()
+    try:
+        small_s, large_s = best_time(small), best_time(large)
+    finally:
+        gc.enable()
+    # 8 times the rungs: linear peeling takes about 8 times as long, and
+    # peeling in passes about 64 times
+    assert large_s < 24 * small_s
 
 
 # ---------------------------------------------------------------------------
