@@ -22,7 +22,9 @@ carries the input's h1 and h2 copy sets, which the stuck oracle searches
 instead of enumerating the input again, and the final colouring is checked
 against them (families.verify_from_copies): enumerating g again would give
 the same sets. The stuck audit (check_stuck_state) still enumerates the
-residual's copies afresh: it is the independent check.
+residual's copies afresh: it is the independent check. It enumerates the
+blocker copies through one edge at a time, only for the edges its tests
+read.
 
 Each edge is tested for a pin once up front. Before the hand-off the alive
 and tracked masks only shrink, so an unpinned edge stays unpinned until it
@@ -45,10 +47,12 @@ Copy.vertices also holds the images of isolated pattern vertices. The
 blocker copies are enumerated only in the first residual no edge rules
 out, and the later residuals, its subgraphs, read them through alive masks.
 The guard then builds the residual's BlockerDecomposition from the live
-copies and reads covered_once and sparse, unless some live edge has no
-live blocker copy through it (it lies in no member); the decomposition
-that passes is handed to the member-wise colorer. The rules only answer
-early what that decomposition would, so no output changes.
+copies, indexed per edge, and reads covered_once and sparse, unless some
+live edge has no live blocker copy through it (it lies in no member).
+Both pick the members of one edge at a time and stop at the first edge
+or copy that fails; the decomposition that passes is handed to the
+member-wise colorer. The rules only answer early what that decomposition
+would, so no output changes.
 """
 
 from __future__ import annotations
@@ -361,9 +365,14 @@ def asym_edge_color(
 def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecomposition:
     """Independently verify what a Stuck outcome promises: the residual is in
     the anchored family and is not a cleanly-covered sparse union. The
-    residual's copies are enumerated afresh, not taken from the colorer,
-    once each: the returned blocker decomposition holds its h1/h2 copy sets
-    and the family report built from them, for growth."""
+    residual's copies are enumerated afresh, not taken from the colorer:
+    its h1/h2 copies once each, and its blocker copies through one edge at
+    a time (`enumerate_copies_through`), only for the edges that
+    covered_once and sparse read. Those stop at the first edge whose
+    member count is not 1 and at the first straddling copy. The returned
+    blocker decomposition keeps the members found per edge, the h1/h2 copy
+    sets and the family report built from them, for growth, which asks
+    for more edges only when it needs them."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual

@@ -14,20 +14,22 @@ theory, renamed for what it checks):
   (anchored implies pinned);
 - a "blocker" is a 2-connected graph of max density at most m2_pair + epsilon
   that is anchored (strict case) or pinned (equal case);
-- a blocker decomposition splits a host into maximal blocker-subgraphs and
-  classifies copies of h1/h2 as trivial (inside one member) or not; it
-  carries the host's h1 and h2 copy sets, and builds the straddling copies
-  and the pinned/anchored report from them on first use, which the stuck
-  audit and growth both read. Its covered_once and sparse are the one test
-  of "a clean sparse union of blocker members": the colorer's guard, the
-  stuck audit, member coloring and growth all read them.
+- a blocker decomposition splits a host into maximal blocker-subgraphs
+  (members), found one edge at a time, and classifies copies of h1/h2 as
+  trivial (inside one member) or not; it carries the host's h1 and h2 copy
+  sets, and builds the straddling copies and the pinned/anchored report
+  from them on first use, which the stuck audit and growth both read. Its
+  covered_once and sparse are the one test of "a clean sparse union of
+  blocker members": the colorer's guard, the stuck audit, member coloring
+  and growth all read them, and they stop at their first answer.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .density import PairSpec, max_gain
 from .graphs import (
@@ -37,6 +39,7 @@ from .graphs import (
     Graph,
     bit_positions,
     enumerate_copies,
+    enumerate_copies_through,
     extract_from_edges,
     graphs_up_to,
     is_two_connected,
@@ -336,13 +339,14 @@ def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> Fami
         h2_copies.pattern,
         tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_copies) is None),
     )
+    copies, index = h2_copies.copies, h2_copies.index
     pinned_failures = tuple(
         e
         for e in g.edges
-        if not any(pin_partner(L.edges, e, h1_copies) for L in h2_copies.through(e))
+        if not any(pin_partner(copies[i].edges, e, h1_copies) for i in bit_positions(index.get(e, 0)))
     )
     report = FamilyReport(
-        anchored, pinned_failures, tuple(e for e in g.edges if not anchored.through(e))
+        anchored, pinned_failures, tuple(e for e in g.edges if e not in anchored.index)
     )
     assert report.pinned or not report.anchored  # anchored membership implies pinned
     return report
@@ -440,91 +444,162 @@ class PatternCopy:
     copy: Copy
 
 
-@dataclass(frozen=True)
+def _maximal(copies: Iterable[Copy]) -> tuple[Copy, ...]:
+    """The copies, one per edge set, that lie inside no other, in
+    `Copy.sort_key` order. Sizes are tested from the largest down, and a
+    copy is kept unless one kept at a larger size contains it (none of its
+    own size can): kept[e] has bit i set when the i-th kept copy contains
+    e, so a copy lies inside a kept one exactly when the masks of its edges
+    share a bit. The bits of a size's kept copies are joined into the masks
+    once that size is done, as setting them one at a time would copy the
+    whole mask each time."""
+    by_size: dict[int, dict[frozenset[Edge], Copy]] = {}
+    for c in copies:
+        by_size.setdefault(len(c.edges), {}).setdefault(c.edges, c)
+    maximal: list[Copy] = []
+    kept: dict[Edge, int] = {}
+    sizes = sorted(by_size, reverse=True)
+    for size in sizes:
+        fresh = []
+        for edges, c in by_size[size].items():
+            inside = -1
+            for e in edges:
+                inside &= kept.get(e, 0)
+                if not inside:
+                    fresh.append(c)
+                    break
+        if size != sizes[-1]:  # a smaller size is still to be tested
+            positions: defaultdict[Edge, list[int]] = defaultdict(list)
+            for i, c in enumerate(fresh, len(maximal)):
+                for e in c.edges:
+                    positions[e].append(i)
+            for e, ps in positions.items():
+                kept[e] = kept.get(e, 0) | _mask(ps)
+        maximal += fresh
+    return tuple(sorted(maximal, key=Copy.sort_key))
+
+
+def _mask(positions: list[int]) -> int:
+    """The mask with bits set at ascending positions, built in time linear
+    in its width."""
+    digits = bytearray(b"0") * (positions[-1] + 1)  # most significant first
+    for i in positions:
+        digits[-1 - i] = 49  # ord("1")
+    return int(digits, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class BlockerDecomposition:
-    """members_of maps every edge of graph to the ascending indices of the
-    members that contain it; h1_copies and h2_copies are all copies of h1
-    and h2 in graph, from which the straddling copies and the pinned/anchored
-    report are built on first use. covered_once and sparse together are the
-    one test of "graph is a clean sparse union of blocker members"."""
+    """The maximal blocker copies of graph (its members), asked for one edge
+    at a time, and all copies of h1 and h2 in graph, from which the
+    straddling copies and the pinned/anchored report are built on first
+    use. covered_once and sparse together are the one test of "graph is a
+    clean sparse union of blocker members"; they scan edges and copies in
+    order and stop at their first answer. members, members_of and
+    nontrivial_copies ask every edge.
+
+    blocker_copies_through(e) gives the blocker copies in graph that
+    contain edge e, of any patterns, in any order. A blocker copy that
+    contains one through e contains e too, so the members through e are
+    the maximal copies among those; members_through(e) picks them and
+    keeps the answer, with one Copy per member across edges."""
 
     graph: Graph
-    members: tuple[Copy, ...]
-    members_of: dict[Edge, tuple[int, ...]]
+    blocker_copies_through: Callable[[Edge], Iterable[Copy]]
     h1_copies: CopySet
     h2_copies: CopySet
+    _through: dict[Edge, tuple[Copy, ...]] = field(default_factory=dict, init=False, repr=False)
+    _found: dict[frozenset[Edge], Copy] = field(default_factory=dict, init=False, repr=False)
+
+    def members_through(self, e: Edge) -> tuple[Copy, ...]:
+        """The members that contain edge e, in `Copy.sort_key` order."""
+        members = self._through.get(e)
+        if members is None:
+            found = self._found
+            members = self._through[e] = tuple(
+                found.setdefault(m.edges, m) for m in _maximal(self.blocker_copies_through(e))
+            )
+        return members
+
+    @cached_property
+    def members(self) -> tuple[Copy, ...]:
+        """Every member, in `Copy.sort_key` order."""
+        for e in self.graph.edges:
+            self.members_through(e)
+        return tuple(sorted(self._found.values(), key=Copy.sort_key))
+
+    @cached_property
+    def members_of(self) -> dict[Edge, tuple[int, ...]]:
+        """Every edge of graph with the ascending indices in members of the
+        members that contain it."""
+        position = {m.edges: i for i, m in enumerate(self.members)}
+        return {e: tuple(position[m.edges] for m in self.members_through(e)) for e in self.graph.edges}
 
     @cached_property
     def report(self) -> FamilyReport:
         return report_from_copies(self.graph, self.h1_copies, self.h2_copies)
 
-    @cached_property
-    def nontrivial_copies(self) -> tuple[PatternCopy, ...]:
+    def straddlers(self) -> Iterator[PatternCopy]:
         """The h1- then h2-copies, each set in its copy order, that touch two
         or more members; one copy per edge set."""
         seen: set[frozenset[Edge]] = set()
-        out: list[PatternCopy] = []
         for kind, copies in (("h1", self.h1_copies), ("h2", self.h2_copies)):
             for c in copies.copies:
-                touched = {mi for e in c.edges for mi in self.members_of[e]}
-                if len(touched) >= 2 and c.edges not in seen:
+                if c.edges not in seen and self._straddles(c):
                     seen.add(c.edges)
-                    out.append(PatternCopy(kind, c))
-        return tuple(out)
+                    yield PatternCopy(kind, c)
 
-    @property
+    def _straddles(self, c: Copy) -> bool:
+        """c touches two or more members; asks about c's edges, least first,
+        only until it meets a second member (members_through gives one Copy
+        per member)."""
+        touched = None
+        for e in sorted(c.edges):
+            for m in self.members_through(e):
+                if touched is None:
+                    touched = m
+                elif m is not touched:
+                    return True
+        return False
+
+    @cached_property
+    def nontrivial_copies(self) -> tuple[PatternCopy, ...]:
+        """Every copy straddlers() yields."""
+        return tuple(self.straddlers())
+
+    @cached_property
     def covered_once(self) -> bool:
         """Every edge in exactly one member (the decomposition is clean)."""
-        return all(len(ms) == 1 for ms in self.members_of.values())
+        return all(len(self.members_through(e)) == 1 for e in self.graph.edges)
 
-    @property
+    @cached_property
     def sparse(self) -> bool:
         """No copy of h1 or h2 straddles two members."""
-        return not self.nontrivial_copies
+        return next(self.straddlers(), None) is None
 
 
 def decomposition_from_copies(
     g: Graph, blocker_copies: Iterable[Copy], h1_copies: CopySet, h2_copies: CopySet
 ) -> BlockerDecomposition:
     """The blocker decomposition of g, from the blocker copies in g (any
-    patterns, in any order) and all copies of h1 and of h2 in g: the
-    members are the maximal blocker copies, one per edge set."""
-    pool: dict[frozenset[Edge], Copy] = {}
+    patterns, in any order) and all copies of h1 and of h2 in g; each edge's
+    members are picked from the copies through it."""
+    through: dict[Edge, list[Copy]] = {}
     for c in blocker_copies:
-        pool.setdefault(c.edges, c)
-    # kept[e] has bit i set when the i-th kept copy contains e; a copy lies
-    # inside a kept one exactly when the masks of its edges share a bit
-    maximal: list[Copy] = []
-    kept: dict[Edge, int] = {}
-    for c in sorted(pool.values(), key=lambda c: (-len(c.edges), c.sort_key())):
-        inside = -1
         for e in c.edges:
-            inside &= kept.get(e, 0)
-            if not inside:
-                break
-        if not inside:
-            bit = 1 << len(maximal)
-            for e in c.edges:
-                kept[e] = kept.get(e, 0) | bit
-            maximal.append(c)
-    members = tuple(sorted(maximal, key=Copy.sort_key))
-
-    index: dict[Edge, list[int]] = {e: [] for e in g.edges}
-    for mi, mem in enumerate(members):
-        for e in mem.edges:
-            index[e].append(mi)
-    members_of = {e: tuple(ms) for e, ms in index.items()}
-    return BlockerDecomposition(g, members, members_of, h1_copies, h2_copies)
+            through.setdefault(e, []).append(c)
+    return BlockerDecomposition(g, lambda e: through.get(e, ()), h1_copies, h2_copies)
 
 
 def blocker_decomposition(
     g: Graph, pair: PairSpec, blockers: Sequence[Graph]
 ) -> BlockerDecomposition:
-    """Maximal blocker-subgraphs of g, per-edge coverage, straddling copies,
-    and the h1/h2 copy sets of g, each enumerated once."""
-    return decomposition_from_copies(
+    """The blocker decomposition of g, with g's h1/h2 copy sets, each
+    enumerated once. The blocker copies through an edge are enumerated when
+    its members are first asked for (`enumerate_copies_through`)."""
+    return BlockerDecomposition(
         g,
-        (c for pattern in blockers for c in enumerate_copies(g, pattern).copies),
+        lambda e: [c for b in blockers for c in enumerate_copies_through(g, b, e)],
         *pair_copies(g, pair),
     )
 

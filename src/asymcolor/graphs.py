@@ -18,6 +18,10 @@ Copy enumeration builds one vertex map per Aut(pattern)-orbit, not every
 automorphic image: symmetry-breaking conditions from a stabiliser chain of
 the pattern's automorphism group (Grochow & Kellis, RECOMB 2007) admit only
 each orbit's least map, and the first embedding of a copy is that map.
+enumerate_copies_through finds only the copies through one host edge: it
+places one pattern arc per arc orbit on the edge and extends the map under
+the same kind of conditions, as the update-rooted matching of continuous
+subgraph matching does (TurboFlux, Kim et al., SIGMOD 2018).
 """
 
 from __future__ import annotations
@@ -223,13 +227,14 @@ class CopySet:
 
 
 @lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
-def _pattern_order(pattern: Graph) -> tuple[int, ...]:
-    # Greedy connected expansion starting from a max-degree vertex; isolated
-    # pattern vertices go last. Keeps the backtracking search well anchored.
+def _pattern_order(pattern: Graph, root: tuple[int, ...] = ()) -> tuple[int, ...]:
+    # The root vertices first, then greedy connected expansion (from a
+    # max-degree vertex when there is no root); isolated pattern vertices go
+    # last. Keeps the backtracking search well anchored.
     deg = pattern.degree_sequence()
     adj = adjacency_sets(pattern)
-    remaining = set(range(pattern.vertex_count))
-    order: list[int] = []
+    remaining = set(range(pattern.vertex_count)) - set(root)
+    order: list[int] = list(root)
     while remaining:
         placed = set(order)
         best = max(
@@ -242,18 +247,86 @@ def _pattern_order(pattern: Graph) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
-def _search_plan(pattern: Graph, floors: tuple[tuple[int, ...], ...]) -> tuple:
-    """`_pattern_order`, the pattern's distinct degrees, and per depth along
-    the order the vertex's degree and the depths of its placed neighbours
-    and of its floors."""
-    order = _pattern_order(pattern)
+def _search_plan(
+    pattern: Graph, floors: tuple[tuple[int, ...], ...], root: tuple[int, ...] = ()
+) -> tuple:
+    """`_pattern_order` from root, the pattern's largest degree, and per
+    depth along the order the vertex's degree and the depths of its placed
+    neighbours and of its floors."""
+    order = _pattern_order(pattern, root)
     depth_of = {pv: depth for depth, pv in enumerate(order)}
     padj = adjacency_sets(pattern)
-    return order, frozenset(pattern.degree_sequence()), tuple(
+    return order, max(pattern.degree_sequence(), default=0), tuple(
         (len(padj[pv]), tuple(depth_of[q] for q in padj[pv] if depth_of[q] < depth),
          tuple(depth_of[q] for q in floors[pv]) if floors else ())
         for depth, pv in enumerate(order)
     )
+
+
+@lru_cache(maxsize=1)  # the rooted search asks about one host edge by edge
+def _host_side(host: Graph) -> tuple[list[int], list[int], list[dict[int, Edge]]]:
+    """The matcher's view of host: its adjacency masks; at index d, for d up
+    to the largest degree, the mask of the vertices of degree at least d;
+    and per vertex, its neighbours' edge tuples (the host's own)."""
+    degrees = host.degree_sequence()
+    at_least = [0] * (max(degrees, default=0) + 1)
+    for v, d in enumerate(degrees):
+        at_least[d] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    edge_at: list[dict[int, Edge]] = [{} for _ in range(host.vertex_count)]
+    for e in host.edges:
+        u, v = e
+        edge_at[u][v] = edge_at[v][u] = e
+    return adjacency_masks(host), at_least, edge_at
+
+
+def _extend(side: tuple, plan: tuple, size: int, start: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """The embeddings into the host of side (a `_host_side`), along plan (a
+    `_search_plan` of a pattern on size vertices), that map the plan's first
+    depths to the host vertices start; see enumerate_embeddings."""
+    order, max_degree, steps = plan
+    hmask, fit, _ = side
+    if max_degree >= len(fit):  # a pattern vertex of larger degree than any host vertex
+        return
+    if not order:
+        yield ()
+        return
+    # the host vertices each depth may take: only its start vertex for the
+    # pre-placed depths, any for the rest
+    pins = [1 << v for v in start] + [-1] * (len(order) - len(start))
+    last = len(order) - 1
+    image = [0] * len(order)  # the host vertex placed at each depth
+    untried = [0] * len(order)  # the candidates left at each depth
+    assignment = [-1] * size
+    used = depth = 0
+    cand = fit[steps[0][0]] & pins[0]
+    while True:
+        if depth == last:
+            pv = order[last]
+            while cand:
+                low = cand & -cand
+                assignment[pv] = low.bit_length() - 1
+                yield tuple(assignment)
+                cand ^= low
+        if cand:  # place the least candidate and descend
+            low = cand & -cand
+            untried[depth] = cand ^ low
+            image[depth] = assignment[order[depth]] = low.bit_length() - 1
+            used |= low
+            depth += 1
+            degree, anchors, above = steps[depth]
+            cand = fit[degree] & ~used & pins[depth]
+            for a in anchors:
+                cand &= hmask[image[a]]
+            for a in above:
+                cand &= -(2 << image[a])  # host vertices above that depth's image
+        elif depth:  # back up to the previous depth's next candidate
+            depth -= 1
+            used ^= 1 << image[depth]
+            cand = untried[depth]
+        else:
+            return
 
 
 def enumerate_embeddings(
@@ -274,70 +347,57 @@ def enumerate_embeddings(
     before it whose images v's image must exceed; one more AND each. Only
     the maps that meet them are built.
 
-    The search is a loop over per-depth candidate masks, not a recursion;
-    its pattern side, `_search_plan`, is computed once per (pattern, floors).
+    The search (`_extend`) is a loop over per-depth candidate masks, not a
+    recursion; its pattern side, `_search_plan`, is computed once per
+    (pattern, floors), and its host side, `_host_side`, once per run of
+    calls on one host.
     """
-    order, degrees, steps = _search_plan(pattern, tuple(map(tuple, floors)))
-    if not order:
-        yield ()
-        return
-    hmask = adjacency_masks(host)
-    hdeg = host.degree_sequence()
-    fit = {d: sum(1 << v for v, hd in enumerate(hdeg) if hd >= d) for d in degrees}
-    last = len(order) - 1
-    image = [0] * len(order)  # the host vertex placed at each depth
-    untried = [0] * len(order)  # the candidates left at each depth
-    assignment = [-1] * pattern.vertex_count
-    used = depth = 0
-    cand = fit[steps[0][0]]
-    while True:
-        if depth == last:
-            pv = order[last]
-            while cand:
-                low = cand & -cand
-                assignment[pv] = low.bit_length() - 1
-                yield tuple(assignment)
-                cand ^= low
-        if cand:  # place the least candidate and descend
-            low = cand & -cand
-            untried[depth] = cand ^ low
-            image[depth] = assignment[order[depth]] = low.bit_length() - 1
-            used |= low
-            depth += 1
-            degree, anchors, above = steps[depth]
-            cand = fit[degree] & ~used
-            for a in anchors:
-                cand &= hmask[image[a]]
-            for a in above:
-                cand &= -(2 << image[a])  # host vertices above that depth's image
-        elif depth:  # back up to the previous depth's next candidate
-            depth -= 1
-            used ^= 1 << image[depth]
-            cand = untried[depth]
-        else:
-            return
+    plan = _search_plan(pattern, tuple(map(tuple, floors)))
+    return _extend(_host_side(host), plan, pattern.vertex_count)
 
 
 @lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
-def _orbit_floors(pattern: Graph) -> tuple[tuple[int, ...], ...]:
-    """Symmetry-breaking floors of pattern, in `enumerate_embeddings` form.
+def _orbit_floors(pattern: Graph, root: tuple[int, ...] = ()) -> tuple[tuple[int, ...], ...]:
+    """Symmetry-breaking floors of pattern, in `enumerate_embeddings` form,
+    under the automorphisms of pattern that fix every root vertex.
 
-    Walk `_pattern_order` down a stabiliser chain of Aut(pattern): at depth
-    k, every u != order[k] in the orbit of order[k] under the pointwise
-    stabiliser of order[0..k-1] gets floor order[k], that is φ(u) >
-    φ(order[k]). The least map φ of an Aut-orbit meets them: for σ in that
-    stabiliser with σ(order[k]) = u, φ∘σ agrees with φ before depth k and
-    has φ(u) at depth k. No other map of the orbit does: if φ∘σ met them
-    too, at the first depth k that σ moves, φ(σ(order[k])) would lie both
-    above and below φ(order[k]). Computed once per pattern, on first use.
+    Walk `_pattern_order(pattern, root)` down a stabiliser chain of that
+    group: at depth k, every u != order[k] in the orbit of order[k] under
+    the pointwise stabiliser of order[0..k-1] gets floor order[k], that is
+    φ(u) > φ(order[k]). The least map φ of an orbit meets them: for σ in
+    that stabiliser with σ(order[k]) = u, φ∘σ agrees with φ before depth k
+    and has φ(u) at depth k. No other map of the orbit does: if φ∘σ met
+    them too, at the first depth k that σ moves, φ(σ(order[k])) would lie
+    both above and below φ(order[k]). The root vertices come first in the
+    order and are fixed, so they get no floor. Computed once per (pattern,
+    root), on first use.
     """
-    group = list(enumerate_embeddings(pattern, pattern))
+    group = [s for s in enumerate_embeddings(pattern, pattern) if all(s[v] == v for v in root)]
     floors: list[list[int]] = [[] for _ in range(pattern.vertex_count)]
-    for v in _pattern_order(pattern):
+    for v in _pattern_order(pattern, root):
         for u in {sigma[v] for sigma in group} - {v}:
             floors[u].append(v)
         group = [sigma for sigma in group if sigma[v] == v]
     return tuple(tuple(f) for f in floors)
+
+
+@lru_cache(maxsize=256)  # a run meets few patterns: h1, h2 and the blocker members
+def _rooted_plans(pattern: Graph) -> tuple[tuple[tuple, int], ...]:
+    """One `_search_plan` per Aut(pattern)-orbit of arcs (a pattern edge with
+    an orientation), from the orbit's least arc (a, b): its order starts a,
+    b, and its floors are those of the automorphisms that fix a and b. Each
+    comes with the number of common neighbours of a and b, which the ends
+    of a host edge must have too."""
+    group = list(enumerate_embeddings(pattern, pattern))
+    masks = adjacency_masks(pattern)
+    plans = []
+    seen: set[tuple[int, int]] = set()
+    for a, b in sorted([(u, v) for u, v in pattern.edges] + [(v, u) for u, v in pattern.edges]):
+        if (a, b) not in seen:
+            seen |= {(sigma[a], sigma[b]) for sigma in group}
+            plan = _search_plan(pattern, _orbit_floors(pattern, (a, b)), (a, b))
+            plans.append((plan, (masks[a] & masks[b]).bit_count()))
+    return tuple(plans)
 
 
 def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
@@ -353,17 +413,50 @@ def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     """
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
-    edge_at: list[dict[int, Edge]] = [{} for _ in range(host.vertex_count)]
-    for e in host.edges:  # the host's own edge tuple, looked up from either end
-        u, v = e
-        edge_at[u][v] = edge_at[v][u] = e
+    floors = _orbit_floors(pattern)
+    _, _, edge_at = _host_side(host)  # the host's own edge tuples, from either end
     found: dict[frozenset[Edge], Copy] = {}
-    for vm in enumerate_embeddings(host, pattern, _orbit_floors(pattern)):
+    for vm in enumerate_embeddings(host, pattern, floors):
         image = frozenset([edge_at[vm[u]][vm[v]] for u, v in pattern.edges])
         if image not in found:
             found[image] = Copy(image, frozenset(vm))
     copies = tuple(sorted(found.values(), key=Copy.sort_key))
     return CopySet(pattern, copies)
+
+
+def enumerate_copies_through(host: Graph, pattern: Graph, e: Edge) -> tuple[Copy, ...]:
+    """The copies of pattern in host that contain edge e, in `Copy.sort_key`
+    order, found without enumerating the others.
+
+    A map whose image holds e = (u, v) carries exactly one arc of pattern
+    onto (u, v), and the maps with one image that do so differ by an
+    automorphism fixing that arc's ends, so the arc's Aut(pattern)-orbit is
+    the image's. Each orbit's least arc is placed on (u, v) in turn (a
+    reversed arc is an arc too, so both orientations of e are covered),
+    and the matcher extends it under the floors of the automorphisms that
+    fix its ends (`_rooted_plans`), which admit one map per copy. Copies
+    are deduplicated by edge image. For a pattern without isolated
+    vertices they equal enumerate_copies(host, pattern).through(e), witness
+    vertex sets included.
+    """
+    if pattern.edge_count == 0:
+        raise ValueError("pattern must have at least one edge")
+    u, v = e
+    plans = _rooted_plans(pattern)
+    side = _host_side(host)
+    hmask, _, edge_at = side
+    if v not in edge_at[u]:
+        return ()
+    common = (hmask[u] & hmask[v]).bit_count()
+    found: dict[frozenset[Edge], Copy] = {}
+    for plan, needs in plans:
+        if needs > common:
+            continue
+        for vm in _extend(side, plan, pattern.vertex_count, e):
+            image = frozenset([edge_at[vm[x]][vm[y]] for x, y in pattern.edges])
+            if image not in found:
+                found[image] = Copy(image, frozenset(vm))
+    return tuple(sorted(found.values(), key=Copy.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +595,9 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]
             used[v] = False
 
     dfs(0, [])
+    # dfs reaches itself through its closure cell; emptying the cell frees
+    # the search's state now, not at the next cycle collection
+    del dfs
     assert best_order is not None
     generators = []
     for tie in ties:

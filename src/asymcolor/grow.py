@@ -195,6 +195,21 @@ def _special_return(
     return final, trace
 
 
+def _shared_or_seed(decomp: BlockerDecomposition) -> tuple[Edge | None, Edge | None]:
+    """The least edge of decomp.graph on two or more members, with None; or,
+    when there is none, None with the least edge on no member (None when
+    every edge has one). One pass in edge order, which stops at the shared
+    edge."""
+    seed = None
+    for e in decomp.graph.edges:
+        count = len(decomp.members_through(e))
+        if count >= 2:
+            return e, None
+        if not count and seed is None:
+            seed = e
+    return None, seed
+
+
 def _grow(
     decomp: BlockerDecomposition, pair: PairSpec, variant: Variant
 ) -> tuple[Graph, GrowTrace]:
@@ -202,29 +217,27 @@ def _grow(
     if host.edge_count == 0:
         raise GrowError("empty host has no seed edge")
 
-    members, members_of = decomp.members, decomp.members_of
     if decomp.covered_once:
         # every edge on exactly one catalog member: return the members a
         # straddling copy touches
-        if decomp.sparse:
+        straddler = next(decomp.straddlers(), None)
+        if straddler is None:
             raise GrowError(
                 "every edge lies on exactly one catalog member but no copy of "
                 "h1 or h2 straddles two members; the host is a sparse member "
                 "union and should not have been grown"
             )
-        straddler = decomp.nontrivial_copies[0].copy
         union: set[Edge] = set()
-        for e in sorted(straddler.edges):
-            for mi in members_of[e]:
-                union |= members[mi].edges
+        for e in straddler.copy.edges:
+            for m in decomp.members_through(e):
+                union |= m.edges
         return _special_return("special_case_1", union, pair)
 
-    shared = next((e for e in sorted(host.edges) if len(members_of[e]) >= 2), None)
+    shared, seed_edge = _shared_or_seed(decomp)
     if shared is not None:
-        m1, m2 = (members[mi] for mi in members_of[shared][:2])
+        m1, m2 = decomp.members_through(shared)[:2]
         return _special_return("special_case_2", set(m1.edges | m2.edges), pair)
 
-    seed_edge = min(e for e in host.edges if not members_of[e])
     h1_copies = decomp.h1_copies
     # grow attaches an anchored h2-copy with its pendant h1-copies, grow_alt
     # one side of a copy pair drawn from all h2-copies

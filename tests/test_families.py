@@ -13,6 +13,7 @@ from asymcolor.families import (
     RED,
     Coloring,
     ColoringSearch,
+    PatternCopy,
     _under_cap,
     blocker_decomposition,
     color_by_members,
@@ -43,6 +44,7 @@ from asymcolor.graphs import (
     graphs_up_to,
     octahedron_graph,
 )
+from asymcolor.grow import _shared_or_seed
 from asymcolor.harness import derive_seed, edge_probability, sample_gnp
 
 F = Fraction
@@ -754,6 +756,108 @@ def test_maximal_members_match_pairwise_scan():
         }
         members += len(d.members)
     assert members > 1000
+
+
+def kept_mask_members(blocker_copies):
+    """The global kept-mask scan the decomposition ran before members were
+    asked for per edge: the blocker copies, one per edge set, largest
+    first, each kept unless the masks of its edges share the bit of a kept
+    copy; the kept ones in copy order."""
+    pool = {}
+    for c in blocker_copies:
+        pool.setdefault(c.edges, c)
+    maximal = []
+    kept = {}
+    for c in sorted(pool.values(), key=lambda c: (-len(c.edges), c.sort_key())):
+        inside = -1
+        for e in c.edges:
+            inside &= kept.get(e, 0)
+            if not inside:
+                break
+        if not inside:
+            bit = 1 << len(maximal)
+            for e in c.edges:
+                kept[e] = kept.get(e, 0) | bit
+            maximal.append(c)
+    return tuple(sorted(maximal, key=Copy.sort_key))
+
+
+def eager_answers(g, pair, blockers):
+    """What the decomposition of g answers, from the global scan: the
+    members and members_of, covered_once, the straddling copies, the least
+    shared edge with its two least members, and the seed edge, the least on
+    no member, when no edge is shared."""
+    members = kept_mask_members(c for b in blockers for c in enumerate_copies(g, b).copies)
+    index = {e: [] for e in g.edges}
+    for i, m in enumerate(members):
+        for e in m.edges:
+            index[e].append(i)
+    members_of = {e: tuple(ms) for e, ms in index.items()}
+    straddlers, seen = [], set()
+    for kind, copies in zip(("h1", "h2"), pair_copies(g, pair)):
+        for c in copies.copies:
+            if len({i for e in c.edges for i in members_of[e]}) >= 2 and c.edges not in seen:
+                seen.add(c.edges)
+                straddlers.append(PatternCopy(kind, c))
+    shared = next((e for e in g.edges if len(members_of[e]) >= 2), None)
+    return {
+        "members": members,
+        "members_of": members_of,
+        "covered_once": all(len(ms) == 1 for ms in members_of.values()),
+        "straddlers": tuple(straddlers),
+        "shared": shared,
+        "pair": tuple(members[i] for i in members_of[shared][:2]) if shared else None,
+        "seed": None if shared else min((e for e in g.edges if not members_of[e]), default=None),
+    }
+
+
+def test_lazy_decomposition_matches_the_global_scan():
+    # each answer is read from a fresh decomposition, so it is computed by
+    # its own early-stopping scan; every one must equal the global scan's.
+    # Hosts: seeded stuck residuals and K5-K9 under K3/K3 with the bound-6
+    # catalog, its members themselves, and small hosts under K3/C4 with K4
+    # as the only blocker, and K6 with none.
+    # Reading every member of a dense host asks every edge, so the full
+    # members, members_of and straddling copies are compared up to K8
+    k3k3 = pair_k3k3()
+    catalog = enumerate_blockers(k3k3, 6).members
+    cases = [(complete_graph(k), k3k3, catalog, k <= 8) for k in range(5, 10)]
+    cases += [(m, k3k3, catalog, True) for m in catalog]
+    cases += [
+        (g, pair_k3c4(), [complete_graph(4)], True)
+        for g in (two_disjoint_k4(), two_k4_sharing_edge(), shared_edge_graph(), flower_graph())
+    ]
+    cases.append((complete_graph(6), k3k3, (), True))
+    for n, b, trials in ((12, F(3, 2), 6), (12, F(2), 6), (20, F(3, 2), 12)):
+        for trial in range(trials):
+            g = sample_gnp(n, edge_probability(k3k3, n, b), derive_seed(7, n, b, trial))
+            out = asym_edge_color(g, k3k3, catalog)
+            if out.status == "stuck":
+                cases.append((out.residual, k3k3, catalog, True))
+    assert len(cases) > 30
+    seen = Counter()
+    for g, pair, blockers, whole in cases:
+        want = eager_answers(g, pair, blockers)
+
+        def fresh():
+            return blocker_decomposition(g, pair, blockers)
+
+        assert fresh().covered_once == want["covered_once"]
+        assert fresh().sparse == (not want["straddlers"])
+        assert next(fresh().straddlers(), None) == next(iter(want["straddlers"]), None)
+        d = fresh()
+        assert _shared_or_seed(d) == (want["shared"], want["seed"])
+        if want["shared"]:
+            assert d.members_through(want["shared"])[:2] == want["pair"]
+        if whole:
+            d = fresh()
+            assert d.members == want["members"] and d.members_of == want["members_of"]
+            assert d.nontrivial_copies == want["straddlers"]
+        seen["covered_once"] += want["covered_once"]
+        seen["straddled"] += bool(want["straddlers"])
+        seen["shared"] += want["shared"] is not None
+        seen["seed"] += want["seed"] is not None
+    assert min(seen.values()) >= 2, seen
 
 
 def test_color_by_members_disjoint_union():

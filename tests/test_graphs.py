@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -28,6 +29,7 @@ from asymcolor.graphs import (
     cycle_graph,
     emit_graph6,
     enumerate_copies,
+    enumerate_copies_through,
     enumerate_embeddings,
     extract_from_edges,
     graph,
@@ -420,6 +422,55 @@ def test_copy_enumeration_needs_no_recursion():
     assert len(copies) == 1 and copies.copies[0].edges == path.edge_set()
 
 
+def test_copies_through_an_edge_match_the_full_enumeration(monkeypatch):
+    # the rooted search places one arc per Aut-orbit of arcs on e and
+    # extends it; on seeded G(n, p) hosts it finds exactly the copies
+    # through e of the full enumeration, witness vertex sets included, with
+    # one map per copy. Patterns: the bound-6 blocker members of K3/K3 and of
+    # K4/C4 (which has none), K3, C4, K4 and K2,3
+    members = [
+        m
+        for h1, h2 in ((complete_graph(3), complete_graph(3)), (complete_graph(4), cycle_graph(4)))
+        for m in enumerate_blockers(build_pair_spec(h1, h2), 6).members
+    ]
+    assert len(members) == 7
+    patterns = [complete_graph(3), cycle_graph(4), complete_graph(4), complete_bipartite(2, 3), *members]
+    original = graphs._extend
+    maps = []
+
+    def counting(*args):
+        for vm in original(*args):
+            maps.append(vm)
+            yield vm
+
+    rng = random.Random(2018)
+    copies = 0
+    for n, p in ((6, 0.8), (9, 0.6), (10, 0.75), (12, 0.45), (16, 0.3)):
+        host = random_graph(rng, n, p)
+        for pattern in patterns:
+            full = enumerate_copies(host, pattern)
+            graphs._rooted_plans(pattern)  # the automorphism search, outside the count
+            for e in host.edges:
+                maps.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(graphs, "_extend", counting)
+                    through = enumerate_copies_through(host, pattern, e)
+                assert through == full.through(e)
+                assert len(maps) == len(through)
+                copies += len(through)
+            missing = next(f for f in itertools.combinations(range(n), 2) if f not in host.edge_set())
+            assert enumerate_copies_through(host, pattern, missing) == ()
+    assert copies > 20_000
+    # with an isolated pattern vertex the edge images still match
+    host = random_graph(rng, 8, 0.5)
+    pattern = graph(3, [(0, 1)])
+    full = enumerate_copies(host, pattern)
+    for e in host.edges:
+        assert [c.edges for c in enumerate_copies_through(host, pattern, e)] == [c.edges for c in full.through(e)]
+    with pytest.raises(ValueError):
+        enumerate_copies_through(host, graph(2), host.edges[0])
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -509,6 +560,18 @@ def test_empty_graph_canonical():
     canon, mapping = canonical_form(graph(0))
     assert canon == graph(0)
     assert mapping == ()
+
+
+def test_canonical_search_leaves_no_garbage():
+    # the search's nested dfs must not keep its state alive in a reference
+    # cycle: with the collector off, one search leaves nothing for it
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_form(cube_graph())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphism_generators_match_networkx():
