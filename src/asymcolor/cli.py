@@ -254,7 +254,7 @@ def cmd_color(args) -> int:
     payload: dict = {
         "graph6": emit_graph6(g),
         "status": outcome.status,
-        "trace_events": len(outcome.trace),
+        "trace_events": len(outcome.log),  # one event per log entry
         "blockers": len(blockers),
     }
     if outcome.status == "colored":
@@ -271,8 +271,9 @@ def cmd_color(args) -> int:
         payload["live_anchors"] = len(outcome.live_anchors)
         payload["covered_once"] = decomp.covered_once
         payload["sparse"] = decomp.sparse
-    _write_artifact(args.out, "color_trace.jsonl", _jsonl(ev.to_dict() for ev in outcome.trace))
-    _write_artifact(args.out, "color.json", json.dumps(payload, indent=2) + "\n")
+    if args.out is not None:  # the trace's TraceEvents are built only to be written
+        _write_artifact(args.out, "color_trace.jsonl", _jsonl(ev.to_dict() for ev in outcome.trace))
+        _write_artifact(args.out, "color.json", json.dumps(payload, indent=2) + "\n")
     _emit(payload, args.format)
     return 0
 

@@ -6,7 +6,8 @@ entries; the outcome's trace of TraceEvents is built from the log when
 first read, so sweeps, which keep only the status, build none.
 
 "Pins" is families.pin_partner over the live h1-copies: an edge is deleted
-when no tracked h2-copy through it has a pin partner there, a tracked copy
+when no tracked h2-copy through it has a pin partner there
+(families.is_pinned over the tracked and alive masks), a tracked copy
 is retired at its families.unpinned_edge, and replay flips the
 unpinned_edge of each fully-blue tracked copy red.
 
@@ -47,8 +48,9 @@ Copy.vertices also holds the images of isolated pattern vertices. The
 blocker copies are enumerated only in the first residual no edge rules
 out, and the later residuals, its subgraphs, read them through alive masks.
 The guard then builds the residual's BlockerDecomposition from the live
-copies, indexed per edge, and reads covered_once and sparse, unless some
-live edge has no live blocker copy through it (it lies in no member).
+copies, reading each blocker set's index through its alive mask, and
+reads covered_once and sparse, unless some live edge has no live blocker
+copy through it (it lies in no member).
 Both pick the members of one edge at a time and stop at the first edge
 or copy that fails; the decomposition that passes is handed to the
 member-wise colorer. The rules only answer early what that decomposition
@@ -71,10 +73,9 @@ from .families import (
     MemberColoringResult,
     blocker_decomposition,
     color_by_members,
-    decomposition_from_copies,
     family_report,
+    is_pinned,
     pair_copies,
-    pin_partner,
     unpinned_edge,
     verify_from_copies,
     DEFAULT_ORACLE_BUDGET,
@@ -192,15 +193,9 @@ def asym_edge_color(
     witness: Edge | None = None  # a live edge that rules_out
     log: list[LogEntry] = []
 
-    def pinned_by_tracked(e: Edge) -> bool:
-        return any(
-            pin_partner(h2.copies[li].edges, e, h1, alive1)
-            for li in bit_positions(tracked & h2.index.get(e, 0))
-        )
-
     # unpinned is a heap of exactly the unpinned live edges: an edge stays
     # unpinned until deleted, and only retest unpins a pinned one
-    pinned = {e for e in live if pinned_by_tracked(e)}
+    pinned = {e for e in live if is_pinned(e, h2, h1, tracked, alive1)}
     unpinned = sorted(live - pinned)
 
     def retest(copies: CopySet, gone: int) -> None:
@@ -208,7 +203,7 @@ def asym_edge_color(
         have just left alive1 or tracked."""
         for i in bit_positions(gone):
             for f in copies.copies[i].edges:
-                if f in pinned and not pinned_by_tracked(f):
+                if f in pinned and not is_pinned(f, h2, h1, tracked, alive1):
                     pinned.discard(f)
                     heappush(unpinned, f)
 
@@ -252,7 +247,9 @@ def asym_edge_color(
 
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
-        is a clean sparse union of blocker members; None otherwise.
+        is a clean sparse union of blocker members; None otherwise. Its
+        blocker copies through an edge are read off each blocker set's
+        index through its alive mask.
 
         A witness, a live edge that rules_out, rules the residual out. Its
         span can shrink as copies die, so it is tested again on each call,
@@ -273,9 +270,9 @@ def asym_edge_color(
         live_sets = list(zip(blocker_sets, blocker_alive))
         if not all(any(a & bs.index.get(e, 0) for bs, a in live_sets) for e in live):
             return None
-        decomp = decomposition_from_copies(
+        decomp = BlockerDecomposition(
             graph(g.vertex_count, live),
-            (bs.copies[i] for bs, a in live_sets for i in bit_positions(a)),
+            lambda e: [bs.copies[i] for bs, a in live_sets for i in bit_positions(a & bs.index.get(e, 0))],
             CopySet(pair.h1, tuple(h1.copies[i] for i in bit_positions(alive1))),
             CopySet(pair.h2, tuple(h2.copies[i] for i in bit_positions(alive2))),
         )

@@ -6,19 +6,21 @@ theory, renamed for what it checks):
 
 - a copy R of h1 "pins" edge e for a copy L of h2 when E(L) cap E(R) = {e};
   pin_partner is the one test of this relation, a mask of h1-copy
-  positions read off CopySet.index, and unpinned_edge finds the least
-  edge of L that nothing pins;
+  positions read off CopySet.index; unpinned_edge finds the least edge of
+  L that nothing pins, and is_pinned asks whether e is pinned for some
+  copy of h2 through it;
 - an "anchored" copy is a copy L of h2 every edge of which is pinned;
 - a graph is "pinned" when each of its edges is pinned for some copy of h2,
   and "anchored" when every edge lies on an anchored copy
-  (anchored implies pinned);
+  (anchored implies pinned); FamilyReport is the one test of both, and
+  computes each verdict and failure witness on first read;
 - a "blocker" is a 2-connected graph of max density at most m2_pair + epsilon
   that is anchored (strict case) or pinned (equal case);
 - a blocker decomposition splits a host into maximal blocker-subgraphs
   (members), found one edge at a time, and classifies copies of h1/h2 as
   trivial (inside one member) or not; it carries the host's h1 and h2 copy
-  sets, and builds the straddling copies and the pinned/anchored report
-  from them on first use, which the stuck audit and growth both read. Its
+  sets, and builds the straddling copies and its FamilyReport from them
+  on first use, which the stuck audit and growth both read. Its
   covered_once and sparse are the one test of "a clean sparse union of
   blocker members": the colorer's guard, the stuck audit, member coloring
   and growth all read them, and they stop at their first answer.
@@ -317,44 +319,73 @@ def unpinned_edge(l_edges: frozenset[Edge], h1_copies: CopySet, alive: int = -1)
     return None
 
 
-@dataclass(frozen=True)
+def is_pinned(e: Edge, h2_copies: CopySet, h1_copies: CopySet, alive2: int = -1, alive1: int = -1) -> bool:
+    """Some copy among h2_copies, restricted to alive2, through e has a
+    copy among h1_copies, restricted to alive1, that pins e for it."""
+    copies = h2_copies.copies
+    return any(
+        pin_partner(copies[i].edges, e, h1_copies, alive1)
+        for i in bit_positions(alive2 & h2_copies.index.get(e, 0))
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class FamilyReport:
-    anchored_copies: CopySet
-    pinned_failures: tuple[Edge, ...]
-    anchored_failures: tuple[Edge, ...]
+    """Pinned/anchored verdicts of graph with per-edge failure witnesses,
+    from all copies of h1 and of h2 in graph. Each is computed on first
+    read. pinned and anchored test edges in order and stop at the first
+    that fails; pinned_failures tests every edge, and anchored_failures
+    reads the index of anchored_copies. Each h2-copy is tested for being
+    anchored at most once, whichever of anchored and anchored_copies asks."""
 
-    @property
+    graph: Graph
+    h1_copies: CopySet
+    h2_copies: CopySet
+    _tested: dict[int, bool] = field(default_factory=dict, init=False, repr=False)
+
+    def _is_anchored(self, i: int) -> bool:
+        """The h2-copy at position i is anchored."""
+        tested = self._tested
+        if i not in tested:
+            tested[i] = unpinned_edge(self.h2_copies.copies[i].edges, self.h1_copies) is None
+        return tested[i]
+
+    @cached_property
     def pinned(self) -> bool:
-        return not self.pinned_failures
+        return all(is_pinned(e, self.h2_copies, self.h1_copies) for e in self.graph.edges)
 
-    @property
+    @cached_property
+    def pinned_failures(self) -> tuple[Edge, ...]:
+        return tuple(e for e in self.graph.edges if not is_pinned(e, self.h2_copies, self.h1_copies))
+
+    @cached_property
     def anchored(self) -> bool:
-        return not self.anchored_failures
+        index = self.h2_copies.index
+        for e in self.graph.edges:
+            for i in bit_positions(index.get(e, 0)):
+                if self._is_anchored(i):
+                    break
+            else:
+                return False
+        assert self.pinned  # anchored membership implies pinned
+        return True
 
+    @cached_property
+    def anchored_copies(self) -> CopySet:
+        copies = self.h2_copies.copies
+        return CopySet(
+            self.h2_copies.pattern, tuple(L for i, L in enumerate(copies) if self._is_anchored(i))
+        )
 
-def report_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet) -> FamilyReport:
-    """Pinned/anchored verdicts with per-edge failure witnesses, from all
-    copies of h1 and of h2 in g."""
-    anchored = CopySet(
-        h2_copies.pattern,
-        tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_copies) is None),
-    )
-    copies, index = h2_copies.copies, h2_copies.index
-    pinned_failures = tuple(
-        e
-        for e in g.edges
-        if not any(pin_partner(copies[i].edges, e, h1_copies) for i in bit_positions(index.get(e, 0)))
-    )
-    report = FamilyReport(
-        anchored, pinned_failures, tuple(e for e in g.edges if e not in anchored.index)
-    )
-    assert report.pinned or not report.anchored  # anchored membership implies pinned
-    return report
+    @cached_property
+    def anchored_failures(self) -> tuple[Edge, ...]:
+        index = self.anchored_copies.index
+        return tuple(e for e in self.graph.edges if e not in index)
 
 
 def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
     """Pinned/anchored verdicts of g, enumerating its h1 and h2 copies."""
-    return report_from_copies(g, *pair_copies(g, pair))
+    return FamilyReport(g, *pair_copies(g, pair))
 
 
 def _under_cap(g: Graph, pair: PairSpec) -> bool:
@@ -362,34 +393,12 @@ def _under_cap(g: Graph, pair: PairSpec) -> bool:
     return max_gain(g, pair.m2_pair + pair.epsilon) == 0
 
 
-def verdict_from_copies(g: Graph, h1_copies: CopySet, h2_copies: CopySet, anchored: bool) -> bool:
-    """report_from_copies(g, h1_copies, h2_copies).anchored when anchored,
-    else its .pinned, without the report: edges are tested in order, and
-    the first that fails ends the test."""
-    copies = h2_copies.copies
-    index = h2_copies.index
-    if not anchored:
-        return all(
-            any(pin_partner(copies[i].edges, e, h1_copies) for i in bit_positions(index.get(e, 0)))
-            for e in g.edges
-        )
-    is_anchored: dict[int, bool] = {}  # per h2-copy position, tested once
-    for e in g.edges:
-        for i in bit_positions(index.get(e, 0)):
-            if i not in is_anchored:
-                is_anchored[i] = unpinned_edge(copies[i].edges, h1_copies) is None
-            if is_anchored[i]:
-                break
-        else:
-            return False
-    return True
-
-
 def _capped_blocker(a: Graph, pair: PairSpec) -> bool:
     """is_blocker for a graph already known to be under the density cap."""
-    return is_two_connected(a) and verdict_from_copies(
-        a, *pair_copies(a, pair), pair.case == "strict"
-    )
+    if not is_two_connected(a):
+        return False
+    report = family_report(a, pair)
+    return report.anchored if pair.case == "strict" else report.pinned
 
 
 def is_blocker(a: Graph, pair: PairSpec) -> bool:
@@ -495,8 +504,7 @@ class BlockerDecomposition:
     straddling copies and the pinned/anchored report are built on first
     use. covered_once and sparse together are the one test of "graph is a
     clean sparse union of blocker members"; they scan edges and copies in
-    order and stop at their first answer. members, members_of and
-    nontrivial_copies ask every edge.
+    order and stop at their first answer. members asks every edge.
 
     blocker_copies_through(e) gives the blocker copies in graph that
     contain edge e, of any patterns, in any order. A blocker copy that
@@ -529,15 +537,8 @@ class BlockerDecomposition:
         return tuple(sorted(self._found.values(), key=Copy.sort_key))
 
     @cached_property
-    def members_of(self) -> dict[Edge, tuple[int, ...]]:
-        """Every edge of graph with the ascending indices in members of the
-        members that contain it."""
-        position = {m.edges: i for i, m in enumerate(self.members)}
-        return {e: tuple(position[m.edges] for m in self.members_through(e)) for e in self.graph.edges}
-
-    @cached_property
     def report(self) -> FamilyReport:
-        return report_from_copies(self.graph, self.h1_copies, self.h2_copies)
+        return FamilyReport(self.graph, self.h1_copies, self.h2_copies)
 
     def straddlers(self) -> Iterator[PatternCopy]:
         """The h1- then h2-copies, each set in its copy order, that touch two
@@ -563,11 +564,6 @@ class BlockerDecomposition:
         return False
 
     @cached_property
-    def nontrivial_copies(self) -> tuple[PatternCopy, ...]:
-        """Every copy straddlers() yields."""
-        return tuple(self.straddlers())
-
-    @cached_property
     def covered_once(self) -> bool:
         """Every edge in exactly one member (the decomposition is clean)."""
         return all(len(self.members_through(e)) == 1 for e in self.graph.edges)
@@ -576,19 +572,6 @@ class BlockerDecomposition:
     def sparse(self) -> bool:
         """No copy of h1 or h2 straddles two members."""
         return next(self.straddlers(), None) is None
-
-
-def decomposition_from_copies(
-    g: Graph, blocker_copies: Iterable[Copy], h1_copies: CopySet, h2_copies: CopySet
-) -> BlockerDecomposition:
-    """The blocker decomposition of g, from the blocker copies in g (any
-    patterns, in any order) and all copies of h1 and of h2 in g; each edge's
-    members are picked from the copies through it."""
-    through: dict[Edge, list[Copy]] = {}
-    for c in blocker_copies:
-        for e in c.edges:
-            through.setdefault(e, []).append(c)
-    return BlockerDecomposition(g, lambda e: through.get(e, ()), h1_copies, h2_copies)
 
 
 def blocker_decomposition(

@@ -400,6 +400,20 @@ def _rooted_plans(pattern: Graph) -> tuple[tuple[tuple, int], ...]:
     return tuple(plans)
 
 
+def _collect_copies(
+    maps: Iterable[tuple[int, ...]], pattern: Graph, edge_at: list[dict[int, Edge]]
+) -> tuple[Copy, ...]:
+    """The copies the vertex maps of pattern carry it onto, one per edge
+    image (the first map's witness vertex set), in `Copy.sort_key` order;
+    edge_at is the host's edge tuples from either end (`_host_side`)."""
+    found: dict[frozenset[Edge], Copy] = {}
+    for vm in maps:
+        image = frozenset([edge_at[vm[u]][vm[v]] for u, v in pattern.edges])
+        if image not in found:
+            found[image] = Copy(image, frozenset(vm))
+    return tuple(sorted(found.values(), key=Copy.sort_key))
+
+
 def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     """All copies of pattern in host, deduplicated by edge image.
 
@@ -413,15 +427,8 @@ def enumerate_copies(host: Graph, pattern: Graph) -> CopySet:
     """
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
-    floors = _orbit_floors(pattern)
-    _, _, edge_at = _host_side(host)  # the host's own edge tuples, from either end
-    found: dict[frozenset[Edge], Copy] = {}
-    for vm in enumerate_embeddings(host, pattern, floors):
-        image = frozenset([edge_at[vm[u]][vm[v]] for u, v in pattern.edges])
-        if image not in found:
-            found[image] = Copy(image, frozenset(vm))
-    copies = tuple(sorted(found.values(), key=Copy.sort_key))
-    return CopySet(pattern, copies)
+    maps = enumerate_embeddings(host, pattern, _orbit_floors(pattern))
+    return CopySet(pattern, _collect_copies(maps, pattern, _host_side(host)[2]))
 
 
 def enumerate_copies_through(host: Graph, pattern: Graph, e: Edge) -> tuple[Copy, ...]:
@@ -448,15 +455,10 @@ def enumerate_copies_through(host: Graph, pattern: Graph, e: Edge) -> tuple[Copy
     if v not in edge_at[u]:
         return ()
     common = (hmask[u] & hmask[v]).bit_count()
-    found: dict[frozenset[Edge], Copy] = {}
-    for plan, needs in plans:
-        if needs > common:
-            continue
-        for vm in _extend(side, plan, pattern.vertex_count, e):
-            image = frozenset([edge_at[vm[x]][vm[y]] for x, y in pattern.edges])
-            if image not in found:
-                found[image] = Copy(image, frozenset(vm))
-    return tuple(sorted(found.values(), key=Copy.sort_key))
+    maps = itertools.chain.from_iterable(
+        [_extend(side, plan, pattern.vertex_count, e) for plan, needs in plans if needs <= common]
+    )
+    return _collect_copies(maps, pattern, edge_at)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from asymcolor import cli
+from asymcolor import cli, colorer
 from asymcolor.colorer import UncolorableMemberError
 from asymcolor.graphs import (
     canonical_key,
@@ -123,6 +123,32 @@ def test_color_writes_artifacts(capsys, tmp_path):
     assert len(trace_lines) == blob["trace_events"]
     assert json.loads(trace_lines[0])["action"] == "push_l"
     assert json.loads((tmp_path / "color.json").read_text())["status"] == "colored"
+
+
+def test_color_builds_trace_events_only_for_out(capsys, tmp_path, monkeypatch):
+    # the colorer keeps a log of plain tuples; `color` counts its entries,
+    # and builds TraceEvents only to write color_trace.jsonl under --out
+    built = []
+    original = colorer.TraceEvent
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(colorer, "TraceEvent", counting)
+    for argv, status, events in (
+        (["--h1", "K4", "--h2", "C4", "--graph", "C4", "--a-hat-bound", "0"], "colored", 11),
+        (["--h1", "K3", "--h2", "K3", "--graph", "K6", "--a-hat-bound", "5"], "stuck", 1),
+    ):
+        built.clear()
+        rc, out, _ = run_cli(capsys, "color", *argv)
+        blob = json.loads(out)
+        assert rc == 0 and blob["status"] == status and blob["trace_events"] == events
+        assert built == []
+        rc, out, _ = run_cli(capsys, "color", *argv, "--out", str(tmp_path))
+        assert rc == 0 and json.loads(out) == blob
+        assert len(built) == events
+        assert len((tmp_path / "color_trace.jsonl").read_text().splitlines()) == events
 
 
 def test_grow_command_artifacts(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from asymcolor.density import build_pair_spec
 from asymcolor.families import (
     BLUE,
     RED,
+    BlockerDecomposition,
     Coloring,
     ColoringSearch,
+    FamilyReport,
     PatternCopy,
     _under_cap,
     blocker_decomposition,
     color_by_members,
-    decomposition_from_copies,
     enumerate_blockers,
     family_report,
     has_valid_coloring,
@@ -26,7 +28,6 @@ from asymcolor.families import (
     pin_partner,
     search_from_copies,
     unpinned_edge,
-    verdict_from_copies,
     verify_coloring,
     verify_from_copies,
 )
@@ -34,6 +35,7 @@ from asymcolor.graphs import (
     Copy,
     CopySet,
     Graph,
+    bit_positions,
     canonical_key,
     complete_bipartite,
     complete_graph,
@@ -562,17 +564,87 @@ def test_is_blocker_basics():
     assert not is_blocker(complete_graph(4), pair)
 
 
-def test_verdict_from_copies_matches_the_family_report():
-    # the catalog's early-exit verdict equals the full report's pinned and
-    # anchored flags on every class up to 7 vertices under each pair's cap
+@dataclass(frozen=True)
+class EagerReport:
+    """The eager reference for FamilyReport: every field built up front."""
+
+    anchored_copies: CopySet
+    pinned_failures: tuple
+    anchored_failures: tuple
+
+    @property
+    def pinned(self) -> bool:
+        return not self.pinned_failures
+
+    @property
+    def anchored(self) -> bool:
+        return not self.anchored_failures
+
+
+def report_from_copies(g, h1_copies, h2_copies):
+    """Pinned/anchored verdicts with per-edge failure witnesses, from all
+    copies of h1 and of h2 in g."""
+    anchored = CopySet(
+        h2_copies.pattern,
+        tuple(L for L in h2_copies.copies if unpinned_edge(L.edges, h1_copies) is None),
+    )
+    copies, index = h2_copies.copies, h2_copies.index
+    pinned_failures = tuple(
+        e
+        for e in g.edges
+        if not any(pin_partner(copies[i].edges, e, h1_copies) for i in bit_positions(index.get(e, 0)))
+    )
+    report = EagerReport(
+        anchored, pinned_failures, tuple(e for e in g.edges if e not in anchored.index)
+    )
+    assert report.pinned or not report.anchored  # anchored membership implies pinned
+    return report
+
+
+def seeded_stuck_residuals(pair, catalog):
+    """The stuck residuals of seeded G(12, p) and G(20, p) samples."""
+    residuals = []
+    for n, b, trials in ((12, F(3, 2), 6), (12, F(2), 6), (20, F(3, 2), 12)):
+        for trial in range(trials):
+            g = sample_gnp(n, edge_probability(pair, n, b), derive_seed(7, n, b, trial))
+            out = asym_edge_color(g, pair, catalog)
+            if out.status == "stuck":
+                residuals.append(out.residual)
+    return residuals
+
+
+def test_lazy_family_report_matches_the_eager_reference():
+    # every class up to 7 vertices under each pair's cap, K5-K9 and the
+    # seeded stuck residuals under K3/K3. pinned and anchored are each read
+    # first from a fresh report, so their early exits run alone; the
+    # anchored copies are read both after anchored, which tested some
+    # copies already, and from a fresh report
     c4 = cycle_graph(4)
-    pairs = (pair_k3k3(), pair_k4c4(), pair_k3c4(), build_pair_spec(c4, c4))
-    for pair in pairs:
-        for g in graphs_up_to(7, keep=lambda g: _under_cap(g, pair)):
-            h1_copies, h2_copies = pair_copies(g, pair)
-            report = family_report(g, pair)
-            assert verdict_from_copies(g, h1_copies, h2_copies, False) == report.pinned
-            assert verdict_from_copies(g, h1_copies, h2_copies, True) == report.anchored
+    k3k3 = pair_k3k3()
+    cases = [
+        (g, pair)
+        for pair in (k3k3, pair_k4c4(), pair_k3c4(), build_pair_spec(c4, c4))
+        for g in graphs_up_to(7, keep=lambda g: _under_cap(g, pair))
+    ]
+    cases += [(complete_graph(k), k3k3) for k in range(5, 10)]
+    residuals = seeded_stuck_residuals(k3k3, enumerate_blockers(k3k3, 6).members)
+    assert len(residuals) == 19
+    cases += [(g, k3k3) for g in residuals]
+    seen = Counter()
+    for g, pair in cases:
+        h1_copies, h2_copies = pair_copies(g, pair)
+        want = report_from_copies(g, h1_copies, h2_copies)
+        assert FamilyReport(g, h1_copies, h2_copies).pinned == want.pinned
+        report = FamilyReport(g, h1_copies, h2_copies)
+        assert report.anchored == want.anchored
+        assert report.anchored_copies == want.anchored_copies
+        report = FamilyReport(g, h1_copies, h2_copies)
+        assert report.pinned_failures == want.pinned_failures
+        assert report.anchored_failures == want.anchored_failures
+        assert report.anchored_copies == want.anchored_copies
+        seen[want.pinned, want.anchored] += 1
+    # every combination anchored implies pinned allows is met
+    assert set(seen) == {(False, False), (True, False), (True, True)}, seen
 
 
 def brute_pinned_triangles(g: Graph) -> bool:
@@ -666,11 +738,18 @@ def two_k4_sharing_edge() -> Graph:
     return graph(6, list(complete_graph(4).edges) + second)
 
 
+def members_of(d):
+    """Every edge of d.graph with the ascending indices in d.members of the
+    members that contain it."""
+    position = {m.edges: i for i, m in enumerate(d.members)}
+    return {e: tuple(position[m.edges] for m in d.members_through(e)) for e in d.graph.edges}
+
+
 def test_decomposition_vacuous_family():
     pair = pair_k3c4()
     d = blocker_decomposition(complete_graph(4), pair, [])
     assert d.members == ()
-    assert all(not ms for ms in d.members_of.values())
+    assert all(not ms for ms in members_of(d).values())
     assert not d.covered_once
     assert d.sparse
     empty = blocker_decomposition(graph(3), pair, [])
@@ -688,13 +767,13 @@ def test_decomposition_shared_edge_counts():
     pair = pair_k3c4()
     d = blocker_decomposition(two_k4_sharing_edge(), pair, [complete_graph(4)])
     assert len(d.members) == 2
-    assert len(d.members_of[(0, 1)]) == 2
+    assert len(members_of(d)[(0, 1)]) == 2
     assert not d.covered_once
     # every triangle and 4-cycle through the shared edge, or across the two
     # K4s, has edges in both members; h1 copies come first, each kind in
     # copy order (growth's special case 1 reads the first)
     assert not d.sparse
-    assert [(pc.kind, sorted(pc.copy.edges)) for pc in d.nontrivial_copies] == [
+    assert [(pc.kind, sorted(pc.copy.edges)) for pc in d.straddlers()] == [
         ("h1", [(0, 1), (0, 2), (1, 2)]),
         ("h1", [(0, 1), (0, 3), (1, 3)]),
         ("h1", [(0, 1), (0, 4), (1, 4)]),
@@ -749,9 +828,15 @@ def test_maximal_members_match_pairwise_scan():
     for g in hosts:
         copies = [c for m in blockers for c in enumerate_copies(g, m).copies]
         rng.shuffle(copies)
-        d = decomposition_from_copies(g, copies, enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2))
+        through = {}
+        for c in copies:
+            for e in c.edges:
+                through.setdefault(e, []).append(c)
+        d = BlockerDecomposition(
+            g, lambda e: through.get(e, ()), enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2)
+        )
         assert d.members == reference_members(copies)
-        assert d.members_of == {
+        assert members_of(d) == {
             e: tuple(mi for mi, m in enumerate(d.members) if e in m.edges) for e in g.edges
         }
         members += len(d.members)
@@ -828,12 +913,7 @@ def test_lazy_decomposition_matches_the_global_scan():
         for g in (two_disjoint_k4(), two_k4_sharing_edge(), shared_edge_graph(), flower_graph())
     ]
     cases.append((complete_graph(6), k3k3, (), True))
-    for n, b, trials in ((12, F(3, 2), 6), (12, F(2), 6), (20, F(3, 2), 12)):
-        for trial in range(trials):
-            g = sample_gnp(n, edge_probability(k3k3, n, b), derive_seed(7, n, b, trial))
-            out = asym_edge_color(g, k3k3, catalog)
-            if out.status == "stuck":
-                cases.append((out.residual, k3k3, catalog, True))
+    cases += [(g, k3k3, catalog, True) for g in seeded_stuck_residuals(k3k3, catalog)]
     assert len(cases) > 30
     seen = Counter()
     for g, pair, blockers, whole in cases:
@@ -851,8 +931,8 @@ def test_lazy_decomposition_matches_the_global_scan():
             assert d.members_through(want["shared"])[:2] == want["pair"]
         if whole:
             d = fresh()
-            assert d.members == want["members"] and d.members_of == want["members_of"]
-            assert d.nontrivial_copies == want["straddlers"]
+            assert d.members == want["members"] and members_of(d) == want["members_of"]
+            assert tuple(d.straddlers()) == want["straddlers"]
         seen["covered_once"] += want["covered_once"]
         seen["straddled"] += bool(want["straddlers"])
         seen["shared"] += want["shared"] is not None

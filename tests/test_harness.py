@@ -275,7 +275,7 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
     assert pair.h1 is not pair.h2 and k4c4.case == "strict"
     originals = {
         "enumerate_copies": graphs.enumerate_copies,
-        "report_from_copies": families.report_from_copies,
+        "FamilyReport": families.FamilyReport,
     }
     calls = {name: [] for name in originals}  # holding the graphs keeps their ids apart
 
@@ -333,7 +333,7 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
             # copies), the residual by the audit alone
             for host in (sample_graph, decomp.graph):
                 assert sum(h is host and p == pattern for h, p in calls["enumerate_copies"]) == 1
-        assert sum(g is decomp.graph for g, *_ in calls["report_from_copies"]) == 1
+        assert sum(g is decomp.graph for g, *_ in calls["FamilyReport"]) == 1
 
 
 # --- sweeps -----------------------------------------------------------------
