@@ -44,9 +44,12 @@ more endpoints than widest, the largest blocker vertex count. This span
 rule's proof: in a clean sparse union e lies in one member M; no copy
 through e straddles, so its edges, each in some member, all lie in M, which
 has at most widest vertices. It counts endpoints of copy edges, since
-Copy.vertices also holds the images of isolated pattern vertices. The
-blocker copies are enumerated only in the first residual no edge rules
-out, and the later residuals, its subgraphs, read them through alive masks.
+Copy.vertices also holds the images of isolated pattern vertices, and
+stops at the first copy that takes the count past widest; with widest
+below 2 (no catalog) it reads none, as every copy through e has e's 2
+endpoints. The blocker copies are enumerated only in the first residual
+no edge rules out, and the later residuals, its subgraphs, read them
+through alive masks.
 The guard then builds the residual's BlockerDecomposition from the live
 copies, reading each blocker set's index through its alive mask, and
 reads covered_once and sparse, unless some live edge has no live blocker
@@ -237,13 +240,16 @@ def asym_edge_color(
     def rules_out(e: Edge) -> bool:
         """e is on no live h2-copy, or its live h1/h2-copies span > widest."""
         through2 = alive2 & h2.index.get(e, 0)
-        if not through2:
+        # a copy through e spans at least e's 2 endpoints
+        if not through2 or widest < 2:
             return True
         span = 0
         for copies, through in ((h1, alive1 & h1.index.get(e, 0)), (h2, through2)):
             for i in bit_positions(through):
                 span |= copies.endpoint_masks[i]
-        return span.bit_count() > widest
+                if span.bit_count() > widest:
+                    return True
+        return False
 
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it

@@ -321,10 +321,15 @@ def unpinned_edge(l_edges: frozenset[Edge], h1_copies: CopySet, alive: int = -1)
 
 def is_pinned(e: Edge, h2_copies: CopySet, h1_copies: CopySet, alive2: int = -1, alive1: int = -1) -> bool:
     """Some copy among h2_copies, restricted to alive2, through e has a
-    copy among h1_copies, restricted to alive1, that pins e for it."""
+    copy among h1_copies, restricted to alive1, that pins e for it. False
+    at once when no such h1-copy passes through e; otherwise it stops at
+    the first h2-copy through e with a pin partner."""
+    cand = alive1 & h1_copies.index.get(e, 0)
+    if not cand:
+        return False
     copies = h2_copies.copies
     return any(
-        pin_partner(copies[i].edges, e, h1_copies, alive1)
+        pin_partner(copies[i].edges, e, h1_copies, cand)
         for i in bit_positions(alive2 & h2_copies.index.get(e, 0))
     )
 

@@ -352,6 +352,21 @@ def test_dense_inputs_enumerate_no_blocker_copy(k3k3_setup, monkeypatch):
         assert not [pattern for _, pattern in calls if pattern in catalog]
 
 
+def test_span_rule_without_catalog_reads_no_endpoints():
+    # with no catalog the widest blocker has 0 vertices, and every copy
+    # through an edge spans its 2 endpoints, so the span rule rules out an
+    # edge on a live h2-copy without building either set's endpoint_masks
+    ruled, b = 0, Fraction(2)
+    for pair in (pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4))):
+        for t in range(4):
+            g = sample_gnp(16, edge_probability(pair, 16, b), derive_seed(20261019, 16, b, t))
+            out = asym_edge_color(g, pair, ())
+            assert "endpoint_masks" not in vars(out.h1_copies)
+            assert "endpoint_masks" not in vars(out.h2_copies)
+            ruled += len(out.h2_copies) > 0
+    assert ruled
+
+
 def test_span_rule_rules_out_no_clean_residual(k3k3_setup):
     # the span rule's lemma, against the full decomposition: when the edges
     # of the h1- and h2-copies through some edge have more endpoints than

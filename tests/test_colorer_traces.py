@@ -4,9 +4,9 @@ rewritten around a heap of unpinned edges and on-demand blocker copies.
 Each line of data/colorer_traces.jsonl names one seeded host and holds the
 sha256 of everything asym_edge_color returns about it: status, trace,
 coloring, residual and live anchors. The hosts are G(n, p(b)) samples for
-n in {12, 16, 20} and b in {1, 3/2, 2} under K3/K3 (bound-6 catalog) and
-K4/C4 (no catalog), plus K6..K9 under K3/K3. Running this file as a script
-rewrites the data file from the colorer it imports.
+n in {12, 16, 20} and b in {1, 3/2, 2} under K3/K3 (bound-6 catalog),
+K4/C4 and K5/C4 (no catalog), plus K6..K9 under K3/K3. Running this file as
+a script rewrites the data file from the colorer it imports.
 """
 
 import hashlib
@@ -50,8 +50,10 @@ def traced_hosts():
     """(label, pair, blockers, host) for every pinned host, in file order."""
     k3k3 = build_pair_spec(complete_graph(3), complete_graph(3))
     k4c4 = build_pair_spec(complete_graph(4), cycle_graph(4))
+    k5c4 = build_pair_spec(complete_graph(5), cycle_graph(4))
     catalog = enumerate_blockers(k3k3, 6).members
-    for name, pair, blockers in (("K3/K3", k3k3, catalog), ("K4/C4", k4c4, ())):
+    pairs = (("K3/K3", k3k3, catalog), ("K4/C4", k4c4, ()), ("K5/C4", k5c4, ()))
+    for name, pair, blockers in pairs:
         for n in (12, 16, 20):
             for b in (Fraction(1), Fraction(3, 2), Fraction(2)):
                 p = edge_probability(pair, n, b)

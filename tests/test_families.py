@@ -24,6 +24,7 @@ from asymcolor.families import (
     family_report,
     has_valid_coloring,
     is_blocker,
+    is_pinned,
     pair_copies,
     pin_partner,
     search_from_copies,
@@ -58,6 +59,10 @@ def pair_k4c4():
 
 def pair_k3k3():
     return build_pair_spec(complete_graph(3), complete_graph(3))
+
+
+def pair_k5c4():
+    return build_pair_spec(complete_graph(5), cycle_graph(4))
 
 
 def pair_k3c4():
@@ -476,6 +481,39 @@ def test_pin_relation_matches_its_definition_on_gnp(pair_of):
                 seen["anchored" if unpinned is None else "unpinned"] += 1
     # no partner, one, several; anchored copies and unpinned ones
     assert all(seen[k] for k in (0, 1, 2, "anchored", "unpinned")), seen
+
+
+def literal_pinned(e, h2_copies: CopySet, h1_copies: CopySet, alive2: int, alive1: int) -> bool:
+    """The reference: some L among h2_copies and R among h1_copies, with
+    their bits set in alive2 and alive1, have E(L) & E(R) == {e}."""
+
+    def live(copies, alive):
+        return [c for i, c in enumerate(copies.copies) if alive >> i & 1 and e in c.edges]
+
+    return any(L.edges & R.edges == {e} for L in live(h2_copies, alive2) for R in live(h1_copies, alive1))
+
+
+@pytest.mark.parametrize("pair_of", [pair_k4c4, pair_k5c4, pair_k3k3])
+def test_is_pinned_matches_its_definition_on_gnp(pair_of):
+    # every copy alive, every h1-copy dead, and seeded random masks; the
+    # edges on no live h1-copy take is_pinned's early False
+    pair = pair_of()
+    rng = random.Random(26)
+    seen = Counter()
+    for p in (F(2, 5), F(7, 10)):
+        for t in range(4):
+            g = sample_gnp(10, float(p), derive_seed(26, 10, p, t))
+            h1, h2 = pair_copies(g, pair)
+            masks = ((-1, -1), (-1, 0), (rng.getrandbits(len(h2)), rng.getrandbits(len(h1))))
+            for alive2, alive1 in masks:
+                for e in g.edges:
+                    expect = literal_pinned(e, h2, h1, alive2, alive1)
+                    assert is_pinned(e, h2, h1, alive2, alive1) == expect
+                    seen[expect, e in h1.index] += 1
+            unpinned = tuple(e for e in g.edges if not literal_pinned(e, h2, h1, -1, -1))
+            assert FamilyReport(g, h1, h2).pinned_failures == unpinned
+    # pinned edges, unpinned ones on some h1-copy, and edges on none
+    assert all(seen[k] for k in ((True, True), (False, True), (False, False))), seen
 
 
 # ---------------------------------------------------------------------------
