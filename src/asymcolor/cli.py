@@ -31,6 +31,7 @@ from .density import build_pair_spec, density_profile, m2_asym
 from .families import (
     DEFAULT_ORACLE_BUDGET,
     blocker_decomposition,
+    blocker_members,
     enumerate_blockers,
     has_valid_coloring,
 )
@@ -207,8 +208,9 @@ def cmd_families(args) -> int:
     pair = _pair_from(args)
     catalog = enumerate_blockers(pair, args.max_vertices, args.budget)
     members = [
-        {"graph6": emit_graph6(m), "vertices": m.vertex_count, "edges": m.edge_count}
-        for m in catalog.members
+        {"graph6": emit_graph6(e.graph), "vertices": e.graph.vertex_count, "edges": e.graph.edge_count,
+         "status": e.search.status, "nodes_expanded": e.search.nodes_expanded}
+        for e in catalog.entries
     ]
     if args.format == "csv":
         print("graph6,vertices,edges")
@@ -249,7 +251,7 @@ def cmd_oracle(args) -> int:
 def cmd_color(args) -> int:
     pair = _pair_from(args)
     g = parse_graph_arg(args.graph)
-    blockers = enumerate_blockers(pair, args.a_hat_bound, args.budget).members
+    blockers = blocker_members(pair, args.a_hat_bound)
     outcome = asym_edge_color(g, pair, blockers, args.budget)
     payload: dict = {
         "graph6": emit_graph6(g),
@@ -281,7 +283,7 @@ def cmd_color(args) -> int:
 def cmd_grow(args) -> int:
     pair = _pair_from(args)
     host = parse_graph_arg(args.graph)
-    blockers = enumerate_blockers(pair, args.a_hat_bound, args.budget).members
+    blockers = blocker_members(pair, args.a_hat_bound)
     variant, grower = ("anchored", grow) if pair.case == "strict" else ("alt", grow_alt)
     final, trace = grower(blocker_decomposition(host, pair, blockers), pair)
     payload = {
@@ -395,9 +397,7 @@ def cmd_regular_cert(args) -> int:
     payload = result.to_dict()
     if args.enumerate is not None:
         pair = build_pair_spec(h1, h2) if h1 is not None and h2 is not None else None
-        enum = enumerate_a_hat(
-            params, args.enumerate, pair=pair, confirm_to=args.confirm or 0, budget=args.budget
-        )
+        enum = enumerate_a_hat(params, args.enumerate, pair=pair, confirm_to=args.confirm or 0)
         payload["a_hat"] = {
             "vertex_bound": enum.vertex_bound,
             "complete": enum.complete,
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "grow",
-        parents=[common, out_arg, pair_args, budget_arg, graph_arg, a_hat_arg],
+        parents=[common, out_arg, pair_args, graph_arg, a_hat_arg],
         help="grow a witness from a host",
     )
     p.set_defaults(func=cmd_grow)
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "regular-cert",
-        parents=[common, budget_arg],
+        parents=[common],
         help="emptiness certificates for regular pairs",
     )
     p.add_argument("--v1", type=int, default=None)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .density import PairSpec, max_gain
@@ -446,6 +446,13 @@ def enumerate_blockers(
         if _capped_blocker(g, pair):
             entries.append(BlockerEntry(g, has_valid_coloring(g, pair, coloring_budget)))
     return BlockerCatalog(pair, max_vertices, tuple(entries))
+
+
+@lru_cache(maxsize=32)
+def blocker_members(pair: PairSpec, max_vertices: int) -> tuple[Graph, ...]:
+    """enumerate_blockers(pair, max_vertices).members, built once per process:
+    the harness and CLI name their catalog by its vertex bound."""
+    return enumerate_blockers(pair, max_vertices).members
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .density import PairSpec
 from .families import (
     DEFAULT_ORACLE_BUDGET,
     ColoringSearch,
-    enumerate_blockers,
+    blocker_members,
     search_from_copies,
 )
 from .graphs import Graph, emit_graph6, graph
@@ -188,7 +188,7 @@ class TrialResult:
         return out
 
 
-def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> TrialResult:
+def run_trial(config: TrialConfig) -> TrialResult:
     """One seeded trial in the configured mode.
 
     The colorer always runs, and a coloring it returns has passed the
@@ -207,17 +207,13 @@ def run_trial(config: TrialConfig, blockers: Sequence[Graph] | None = None) -> T
     success argument presumes an empty blocker family and pairs like the
     triangle/triangle one genuinely do not have that.
 
-    blockers may be shared across trials to amortize the catalog; by
-    default they are enumerated at the config's bound.
+    The blocker catalog is families.blocker_members at the config's bound.
     """
     t0 = time.perf_counter()
     pair = config.pair
     p = edge_probability(pair, config.n, config.b)
     g = sample_gnp(config.n, p, config.seed)
-    if blockers is None:
-        blockers = enumerate_blockers(pair, config.a_hat_bound, config.budget).members
-
-    colorer = asym_edge_color(g, pair, blockers, config.budget)
+    colorer = asym_edge_color(g, pair, blocker_members(pair, config.a_hat_bound), config.budget)
     oracle = None
     trace = None
     summary = None
@@ -354,7 +350,7 @@ def sweep(
         raise ValueError(f"n = {min(ns)} < 1")
     if min(bs, default=1) <= 0:
         raise ValueError(f"b = {min(bs)} must be positive")
-    blockers = enumerate_blockers(pair, a_hat_bound, budget).members
+    blocker_count = len(blocker_members(pair, a_hat_bound))
     cells = []
     kept = []
     for n in ns:
@@ -363,8 +359,7 @@ def sweep(
             p = edge_probability(pair, n, b)
             results = [
                 run_trial(
-                    TrialConfig(pair, n, b, derive_seed(seed, n, b, t), budget, mode, a_hat_bound),
-                    blockers,
+                    TrialConfig(pair, n, b, derive_seed(seed, n, b, t), budget, mode, a_hat_bound)
                 )
                 for t in range(trials)
             ]
@@ -375,7 +370,7 @@ def sweep(
             if on_cell is not None:
                 on_cell(cell)
     return SweepReport(
-        pair, mode, seed, trials, a_hat_bound, len(blockers), tuple(cells), tuple(kept)
+        pair, mode, seed, trials, a_hat_bound, blocker_count, tuple(cells), tuple(kept)
     )
 
 

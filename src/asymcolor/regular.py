@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .density import PairSpec, build_pair_spec
-from .families import DEFAULT_ORACLE_BUDGET, enumerate_blockers
+from .families import blocker_members
 from .graphs import Graph
 
 Route = Literal["GeneralMonotone", "Case1Cycle", "Case2V1Is3", "Case3V2Le4"]
@@ -347,11 +347,7 @@ class AHatEnumeration:
 
 
 def enumerate_a_hat(
-    p: RegularPairParams,
-    max_vertices: int,
-    pair: PairSpec | None = None,
-    confirm_to: int = 0,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    p: RegularPairParams, max_vertices: int, pair: PairSpec | None = None, confirm_to: int = 0
 ) -> AHatEnumeration:
     """The blocker family at these parameters, up to max_vertices.
 
@@ -368,7 +364,7 @@ def enumerate_a_hat(
         if pair is not None and confirm_to > 0:
             star = build_pair_spec(pair.h1, pair.h2, cert.epsilon_star)
             assert star.m2_pair == cert.m2_pair
-            found = enumerate_blockers(star, min(confirm_to, max_vertices), budget).members
+            found = blocker_members(star, min(confirm_to, max_vertices))
             if found:
                 raise RuntimeError(
                     f"certified-empty family has {len(found)} members "
@@ -379,5 +375,5 @@ def enumerate_a_hat(
         raise ValueError(
             f"not certified ({cert.reason}); a concrete pair is required to search"
         )
-    catalog = enumerate_blockers(pair, max_vertices, budget)
-    return AHatEnumeration(p, max_vertices, catalog.members, False, "bounded_search")
+    members = blocker_members(pair, max_vertices)
+    return AHatEnumeration(p, max_vertices, members, False, "bounded_search")

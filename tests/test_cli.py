@@ -67,6 +67,16 @@ def test_families_csv_lists_the_4_clique(capsys):
     assert out.splitlines() == ["graph6,vertices,edges", "C~,4,6"]
 
 
+def test_families_json_gives_each_member_its_coloring_verdict(capsys):
+    rc, out, _ = run_cli(capsys, "families", "--h1", "K3", "--h2", "K3", "--max-vertices", "6")
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob["count"] == len(blob["members"]) == 7
+    for m in blob["members"]:
+        assert m["status"] == "valid"
+        assert m["nodes_expanded"] >= 1
+
+
 def test_oracle_valid_and_invalid(capsys):
     rc, out, _ = run_cli(capsys, "oracle", "--h1", "K3", "--h2", "K3", "--graph", "K5")
     assert rc == 0
@@ -224,6 +234,7 @@ def test_trial_full_pipeline(capsys, tmp_path):
 
 def test_flags_a_subcommand_ignores_are_rejected(capsys):
     # --seed only on trial/sweep, --out only where artifacts are written,
+    # --budget only where a coloring search's verdict is used or printed,
     # and --mode takes only the short names
     for argv in (
         ["density", "--h1", "K4", "--seed", "1"],
@@ -233,6 +244,8 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys):
         ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--variant", "alt"],
+        ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "5"],
+        ["regular-cert", "--grid", "4", "4", "--budget", "5"],
         ["trial", "--h1", "K4", "--h2", "C4", "--n", "12", "--b", "1/4", "--mode", "ColorOnly"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from asymcolor.families import (
     BLUE,
     RED,
     blocker_decomposition,
+    blocker_members,
     color_by_members,
     enumerate_blockers,
     has_valid_coloring,
@@ -345,10 +346,11 @@ def test_dense_inputs_enumerate_no_blocker_copy(k3k3_setup, monkeypatch):
         out = asym_edge_color(complete_graph(k), pair, blockers)
         assert out.status == "stuck" and len(out.trace) == 1
         assert not [pattern for _, pattern in calls if pattern in catalog]
+    blocker_members(pair, 6)  # the default-bound catalog run_trial reads, built before the count
     for t in range(3):
         config = TrialConfig(pair, 30, Fraction(4), derive_seed(20260816, 30, Fraction(4), t))
         calls.clear()
-        assert run_trial(config, blockers).outcome == "stuck"
+        assert run_trial(config).outcome == "stuck"
         assert not [pattern for _, pattern in calls if pattern in catalog]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asymcolor import families, graphs, harness
 from asymcolor.colorer import check_stuck_state
 from asymcolor.density import build_pair_spec
-from asymcolor.families import blocker_decomposition, enumerate_blockers
+from asymcolor.families import blocker_decomposition, blocker_members
 from asymcolor.graphs import complete_graph, cycle_graph, emit_graph6
 from asymcolor.grow import grow, grow_alt
 from asymcolor.harness import (
@@ -35,13 +35,6 @@ def pair_k4c4():
 
 def pair_k3k3():
     return build_pair_spec(complete_graph(3), complete_graph(3))
-
-
-@pytest.fixture(scope="module")
-def k3k3_setup():
-    pair = pair_k3k3()
-    cat = enumerate_blockers(pair, 6)
-    return pair, cat.members
 
 
 # --- sampler ----------------------------------------------------------------
@@ -132,7 +125,9 @@ def test_run_trial_colored_below_threshold():
     # (K4, C4) at n=20, b=1/4 sits far below the threshold scaling
     pair = pair_k4c4()
     results = [
-        run_trial(TrialConfig(pair, 20, Fraction(1, 4), seed=s, mode="ColorPlusOracle"), ())
+        run_trial(
+            TrialConfig(pair, 20, Fraction(1, 4), seed=s, mode="ColorPlusOracle", a_hat_bound=0)
+        )
         for s in range(12)
     ]
     assert [r.outcome for r in results] == ["colored"] * 12
@@ -145,43 +140,41 @@ def test_run_trial_colored_below_threshold():
 
 def test_run_trial_empty_sample_is_trivially_colored():
     pair = pair_k4c4()
-    r = run_trial(TrialConfig(pair, 16, Fraction(1, 10**6), seed=3), ())
+    r = run_trial(TrialConfig(pair, 16, Fraction(1, 10**6), seed=3, a_hat_bound=0))
     assert r.edge_count == 0
     assert r.outcome == "colored"
 
 
-def test_run_trial_k6_color_only(k3k3_setup):
+def test_run_trial_k6_color_only():
     # b = 3 forces p to clamp at 1, so the sample is K6, which no coloring fixes
-    pair, blockers = k3k3_setup
-    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="ColorOnly"), blockers)
+    pair = pair_k3k3()
+    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="ColorOnly"))
     assert r.edge_count == 15
     assert r.colorer_status == "stuck"
     assert r.outcome == "stuck"
     assert r.oracle is None
 
 
-def test_run_trial_k6_oracle_refutes(k3k3_setup):
-    pair, blockers = k3k3_setup
-    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="ColorPlusOracle"), blockers)
+def test_run_trial_k6_oracle_refutes():
+    pair = pair_k3k3()
+    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="ColorPlusOracle"))
     assert r.outcome == "oracle_invalid"
     assert r.oracle is not None and r.oracle.status == "invalid"
 
 
-def test_run_trial_k6_budget_exhaustion(k3k3_setup):
+def test_run_trial_k6_budget_exhaustion():
     # the stuck path never spends colorer budget, so a tiny budget throttles
     # only the adjudicating oracle
-    pair, blockers = k3k3_setup
-    r = run_trial(
-        TrialConfig(pair, 6, Fraction(3), seed=1, budget=5, mode="ColorPlusOracle"), blockers
-    )
+    pair = pair_k3k3()
+    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, budget=5, mode="ColorPlusOracle"))
     assert r.outcome == "budget_exceeded"
     assert r.oracle.status == "budget_exceeded"
     assert r.oracle.nodes_expanded <= 5 + 1  # the tripping node is counted
 
 
-def test_run_trial_k6_full_pipeline(k3k3_setup):
-    pair, blockers = k3k3_setup
-    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="FullPipeline"), blockers)
+def test_run_trial_k6_full_pipeline():
+    pair = pair_k3k3()
+    r = run_trial(TrialConfig(pair, 6, Fraction(3), seed=1, mode="FullPipeline"))
     assert r.outcome == "oracle_invalid"
     # growth on the residual either yields a trace or a recorded failure,
     # never a crash; here two catalog members share an edge of the residual,
@@ -197,9 +190,9 @@ def test_run_trial_k6_full_pipeline(k3k3_setup):
     json.dumps(row)
 
 
-def test_trial_result_serializes(k3k3_setup):
-    pair, blockers = k3k3_setup
-    r = run_trial(TrialConfig(pair, 8, Fraction(1, 4), seed=2, mode="ColorPlusOracle"), blockers)
+def test_trial_result_serializes():
+    pair = pair_k3k3()
+    r = run_trial(TrialConfig(pair, 8, Fraction(1, 4), seed=2, mode="ColorPlusOracle"))
     row = json.loads(json.dumps(r.to_dict()))
     assert row["n"] == 8 and row["b"] == "1/4"
     assert row["outcome"] in {"colored", "stuck", "oracle_valid", "oracle_invalid", "budget_exceeded"}
@@ -262,7 +255,7 @@ def test_full_pipeline_trials_match_golden():
     assert got == expected
 
 
-def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypatch):
+def test_full_pipeline_enumerates_each_stuck_residual_once(monkeypatch):
     # The colorer enumerates the sample's h1 and h2 copies, and the stuck
     # oracle searches those sets. The audit's blocker decomposition
     # enumerates the residual's h1 and h2 copies afresh and builds the
@@ -270,7 +263,7 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
     # and growth (grow reads the anchored copies in the strict case) both
     # read them from there. The package modules import these functions by
     # name, so every binding is wrapped.
-    pair, blockers = k3k3_setup
+    pair = pair_k3k3()
     k4c4 = pair_k4c4()
     assert pair.h1 is not pair.h2 and k4c4.case == "strict"
     originals = {
@@ -308,17 +301,17 @@ def test_full_pipeline_enumerates_each_stuck_residual_once(k3k3_setup, monkeypat
     monkeypatch.setattr(harness, "sample_gnp", sample)
     looped = strict_grown = 0
     # the bound-6 K3/K3 catalog gives residuals with members (special-case
-    # returns), an empty one gives the growth loop; K4/C4 at b=2 sticks on
+    # returns), the empty bound-0 one gives the growth loop; K4/C4 at b=2 sticks on
     # 5 of 8 trials at n=12 and 8 of 8 at n=16, all grown by grow
-    cells = [(pair, catalog, 16, Fraction(3, 2)) for catalog in (blockers, ())]
-    cells += [(k4c4, (), n, Fraction(2)) for n in (12, 16)]
-    for cell_pair, catalog, n, b in cells:
+    cells = [(pair, bound, 16, Fraction(3, 2)) for bound in (6, 0)]
+    cells += [(k4c4, 0, n, Fraction(2)) for n in (12, 16)]
+    for cell_pair, bound, n, b in cells:
         for t in range(8):
             config = TrialConfig(
                 cell_pair, n=n, b=b, seed=derive_seed(20260816, n, b, t),
-                budget=20_000, mode="FullPipeline",
+                budget=20_000, mode="FullPipeline", a_hat_bound=bound,
             )
-            trace = run_trial(config, catalog).grow_trace
+            trace = run_trial(config).grow_trace
             looped += trace is not None and trace.outcome != "special_case"
             strict_grown += trace is not None and cell_pair is k4c4
     assert len(audited) >= 8 and looped >= 1 and strict_grown >= 8
@@ -378,14 +371,37 @@ def test_sweep_is_byte_deterministic():
     assert one.count("\n") == 3  # header plus one row per cell
 
 
+def test_trials_and_sweeps_build_each_catalog_once(monkeypatch):
+    # sweep and run_trial name the catalog by its bound, and the process
+    # builds it on the first request
+    pair = pair_k3k3()
+    built = []
+    original = families.enumerate_blockers
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(families, "enumerate_blockers", counting)
+    blocker_members.cache_clear()
+    for seed in (1, 2):
+        report = sweep(pair, [8], [Fraction(1, 2)], trials=2, seed=seed, a_hat_bound=5)
+        assert report.blocker_count == 3
+    run_trial(TrialConfig(pair, 9, Fraction(1, 2), seed=3, a_hat_bound=5))
+    assert built == [(pair, 5)]
+
+
+def test_bound_0_catalog_is_empty():
+    assert blocker_members(pair_k3k3(), 0) == ()
+    assert blocker_members(pair_k4c4(), 0) == ()
+
+
 def test_sweep_single_trial_matches_run_trial():
     pair = pair_k3k3()
     b = Fraction(1, 2)
     report = sweep(pair, [9], [b], trials=1, seed=42, mode="ColorPlusOracle", a_hat_bound=4)
-    blockers = enumerate_blockers(pair, 4).members
     solo = run_trial(
-        TrialConfig(pair, 9, b, derive_seed(42, 9, b, 0), mode="ColorPlusOracle", a_hat_bound=4),
-        blockers,
+        TrialConfig(pair, 9, b, derive_seed(42, 9, b, 0), mode="ColorPlusOracle", a_hat_bound=4)
     )
     cell = report.cells[0]
     counts = {
