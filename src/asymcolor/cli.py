@@ -252,7 +252,7 @@ def cmd_color(args) -> int:
     pair = _pair_from(args)
     g = parse_graph_arg(args.graph)
     blockers = blocker_members(pair, args.a_hat_bound)
-    outcome = asym_edge_color(g, pair, blockers, args.budget)
+    outcome = asym_edge_color(g, pair, blockers)
     payload: dict = {
         "graph6": emit_graph6(g),
         "status": outcome.status,
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "color",
-        parents=[common, out_arg, pair_args, budget_arg, graph_arg, a_hat_arg],
+        parents=[common, out_arg, pair_args, graph_arg, a_hat_arg],
         help="run the stack colorer",
     )
     p.set_defaults(func=cmd_color)

@@ -81,7 +81,6 @@ from .families import (
     pair_copies,
     unpinned_edge,
     verify_from_copies,
-    DEFAULT_ORACLE_BUDGET,
 )
 from .graphs import CopySet, Edge, Graph, bit_positions, emit_graph6, enumerate_copies, graph
 
@@ -158,12 +157,7 @@ def _pinned(member: Graph, pair: PairSpec) -> bool:
     return family_report(member, pair).pinned
 
 
-def asym_edge_color(
-    g: Graph,
-    pair: PairSpec,
-    blockers: Sequence[Graph],
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> ColorerOutcome:
+def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> ColorerOutcome:
     """Run the full delete/hand-off/replay pipeline on g.
 
     Every graph in blockers must be pinned for pair, as every blocker is
@@ -179,7 +173,8 @@ def asym_edge_color(
     Returns Colored (with a verified coloring) or Stuck (with the residual
     and the still-tracked copies). Internal contract violations raise
     ColorerInternalError with the log's tail attached; an uncolorable sparse-core
-    member raises UncolorableMemberError.
+    member raises UncolorableMemberError; color_by_members searches each
+    member at the default budget.
     """
     loose = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
     if loose:
@@ -324,7 +319,7 @@ def asym_edge_color(
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
     # with its h1/h2 copies as the live-filtered input copies
     log.append(("handoff", None, -1))
-    base = color_by_members(clean, pair, budget)
+    base = color_by_members(clean, pair)
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)
@@ -367,15 +362,17 @@ def asym_edge_color(
 
 def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecomposition:
     """Independently verify what a Stuck outcome promises: the residual is in
-    the anchored family and is not a cleanly-covered sparse union. The
-    residual's copies are enumerated afresh, not taken from the colorer:
-    its h1/h2 copies once each, and its blocker copies through one edge at
-    a time (`enumerate_copies_through`), only for the edges that
-    covered_once and sparse read. Those stop at the first edge whose
-    member count is not 1 and at the first straddling copy. The returned
-    blocker decomposition keeps the members found per edge, the h1/h2 copy
-    sets and the family report built from them, for growth, which asks
-    for more edges only when it needs them."""
+    the anchored family, each live anchor is an h2-copy of the residual
+    that is anchored there, and the residual is not a cleanly-covered
+    sparse union. The residual's copies are enumerated afresh, not taken
+    from the colorer: its h1/h2 copies once each, against which the report
+    tests each live anchor (FamilyReport.is_anchored), and its blocker
+    copies through one edge at a time (`enumerate_copies_through`), only
+    for the edges that covered_once and sparse read. Those stop at the
+    first edge whose member count is not 1 and at the first straddling
+    copy. The returned blocker decomposition keeps the members found per
+    edge, the h1/h2 copy sets and the family report built from them, for
+    growth, which asks for more edges only when it needs them."""
     if outcome.status != "stuck":
         raise ValueError("outcome is not stuck")
     residual = outcome.residual
@@ -389,9 +386,9 @@ def check_stuck_state(outcome: ColorerOutcome, pair: PairSpec) -> BlockerDecompo
     report = decomp.report
     if not report.anchored:
         raise error(f"stuck residual is not anchored; failures {report.anchored_failures}")
-    anchored_sets = {c.edges for c in report.anchored_copies.copies}
+    residual_edges = residual.edge_set()
     for L in outcome.live_anchors.copies:
-        if L.edges not in anchored_sets:
+        if not (L.edges <= residual_edges and report.is_anchored(L)):
             raise error("a live tracked copy is not anchored")
     if decomp.covered_once and decomp.sparse:
         raise error("stuck residual is already a cleanly-covered sparse union")

@@ -13,7 +13,11 @@ theory, renamed for what it checks):
 - a graph is "pinned" when each of its edges is pinned for some copy of h2,
   and "anchored" when every edge lies on an anchored copy
   (anchored implies pinned); FamilyReport is the one test of both, and
-  computes each verdict and failure witness on first read;
+  computes each verdict and failure witness on first read. Its
+  is_anchored(L) tests one h2-copy, once per edge set, and
+  anchored_through(e) finds the least anchored copy through one edge off
+  the h2 copy index; the verdict, the failures, growth and the stuck
+  audit all ask these two;
 - a "blocker" is a 2-connected graph of max density at most m2_pair + epsilon
   that is anchored (strict case) or pinned (equal case);
 - a blocker decomposition splits a host into maximal blocker-subgraphs
@@ -339,21 +343,32 @@ class FamilyReport:
     """Pinned/anchored verdicts of graph with per-edge failure witnesses,
     from all copies of h1 and of h2 in graph. Each is computed on first
     read. pinned and anchored test edges in order and stop at the first
-    that fails; pinned_failures tests every edge, and anchored_failures
-    reads the index of anchored_copies. Each h2-copy is tested for being
-    anchored at most once, whichever of anchored and anchored_copies asks."""
+    that fails; pinned_failures and anchored_failures test every edge.
+    Every anchored answer is read off h2_copies.index through
+    anchored_through, and each h2-copy's edge set is tested for being
+    anchored at most once (is_anchored), whoever asks."""
 
     graph: Graph
     h1_copies: CopySet
     h2_copies: CopySet
-    _tested: dict[int, bool] = field(default_factory=dict, init=False, repr=False)
+    _tested: dict[frozenset[Edge], bool] = field(default_factory=dict, init=False, repr=False)
 
-    def _is_anchored(self, i: int) -> bool:
-        """The h2-copy at position i is anchored."""
-        tested = self._tested
-        if i not in tested:
-            tested[i] = unpinned_edge(self.h2_copies.copies[i].edges, self.h1_copies) is None
-        return tested[i]
+    def is_anchored(self, L: Copy) -> bool:
+        """The h2-copy L, a copy in graph, is anchored: some h1-copy pins each
+        of its edges."""
+        anchored = self._tested.get(L.edges)
+        if anchored is None:
+            anchored = self._tested[L.edges] = unpinned_edge(L.edges, self.h1_copies) is None
+        return anchored
+
+    def anchored_through(self, e: Edge) -> Copy | None:
+        """The least anchored h2-copy through e, None when there is none;
+        copies through e are tested in order until one is anchored."""
+        copies = self.h2_copies.copies
+        for i in bit_positions(self.h2_copies.index.get(e, 0)):
+            if self.is_anchored(copies[i]):
+                return copies[i]
+        return None
 
     @cached_property
     def pinned(self) -> bool:
@@ -365,27 +380,14 @@ class FamilyReport:
 
     @cached_property
     def anchored(self) -> bool:
-        index = self.h2_copies.index
-        for e in self.graph.edges:
-            for i in bit_positions(index.get(e, 0)):
-                if self._is_anchored(i):
-                    break
-            else:
-                return False
+        if not all(self.anchored_through(e) is not None for e in self.graph.edges):
+            return False
         assert self.pinned  # anchored membership implies pinned
         return True
 
     @cached_property
-    def anchored_copies(self) -> CopySet:
-        copies = self.h2_copies.copies
-        return CopySet(
-            self.h2_copies.pattern, tuple(L for i, L in enumerate(copies) if self._is_anchored(i))
-        )
-
-    @cached_property
     def anchored_failures(self) -> tuple[Edge, ...]:
-        index = self.anchored_copies.index
-        return tuple(e for e in self.graph.edges if e not in index)
+        return tuple(e for e in self.graph.edges if self.anchored_through(e) is None)
 
 
 def family_report(g: Graph, pair: PairSpec) -> FamilyReport:
@@ -613,13 +615,9 @@ class MemberColoringResult:
     failed_member: Copy | None
 
 
-def color_by_members(
-    decomp: BlockerDecomposition,
-    pair: PairSpec,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> MemberColoringResult:
-    """Color each maximal blocker member of decomp.graph locally and take
-    the union.
+def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> MemberColoringResult:
+    """Color each maximal blocker member of decomp.graph locally, each at
+    the default search budget, and take the union.
 
     Precondition (checked): the decomposition is clean (every edge in
     exactly one member) with no straddling h1/h2 copies. Local validity
@@ -631,7 +629,7 @@ def color_by_members(
     for mem in decomp.members:
         sub, index = extract_from_edges(mem.edges)
         back = {v: k for k, v in index.items()}
-        res = has_valid_coloring(sub, pair, budget)
+        res = has_valid_coloring(sub, pair)
         if res.status != "valid":
             finding = (
                 "blocker member admits no valid coloring; the emptiness premise "

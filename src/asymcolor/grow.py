@@ -19,9 +19,8 @@ from math import log
 from typing import Literal, Sequence
 
 from .density import PairSpec, density_slack, least_max_gain_set
-from .families import BlockerDecomposition, family_report, pin_partner
+from .families import BlockerDecomposition, FamilyReport, family_report, pin_partner
 from .graphs import (
-    CopySet,
     Edge,
     Graph,
     canonical_form,
@@ -64,18 +63,14 @@ def eligible_edge(f: Graph, pair: PairSpec, variant: Variant = "grow") -> Edge |
     return min(pool, key=lambda e: norm_edge(mapping[e[0]], mapping[e[1]]))
 
 
-def _extend_anchored(
-    f_edges: set[Edge],
-    f_verts: set[int],
-    e: Edge,
-    h1_copies: CopySet,
-    anchored: CopySet,
-) -> bool:
+def _extend_anchored(f_edges: set[Edge], f_verts: set[int], e: Edge, report: FamilyReport) -> bool:
     """Attach the least anchored h2-copy of the host through e, then pin each
-    new edge with an h1-copy meeting that copy in exactly this edge.  Mutates
-    f in place; returns whether the step is degenerate: whether some attached
-    copy met f outside the endpoints of the edge it was attached at."""
-    l_copy = next(iter(anchored.through(e)), None)
+    new edge with an h1-copy meeting that copy in exactly this edge.  The
+    host's copies are those of report.  Mutates f in place; returns whether
+    the step is degenerate: whether some attached copy met f outside the
+    endpoints of the edge it was attached at."""
+    h1_copies = report.h1_copies
+    l_copy = report.anchored_through(e)
     if l_copy is None:
         raise GrowError(
             f"no anchored h2-copy of the host passes through {e}; "
@@ -99,18 +94,14 @@ def _extend_anchored(
     return degenerate
 
 
-def _extend_alt(
-    f_edges: set[Edge],
-    f_verts: set[int],
-    e: Edge,
-    h1_copies: CopySet,
-    h2_copies: CopySet,
-) -> bool:
-    """Attach one side of the least (h2-copy, h1-copy) pair meeting in exactly
-    {e}: the h2 side if it is not yet inside f, otherwise the h1 side.
-    Mutates f in place; returns whether the step is degenerate: whether the
-    attached copy met f outside the endpoints of e."""
-    for l_copy in h2_copies.through(e):
+def _extend_alt(f_edges: set[Edge], f_verts: set[int], e: Edge, report: FamilyReport) -> bool:
+    """Attach one side of the least (h2-copy, h1-copy) pair of the host,
+    whose copies are those of report, meeting in exactly {e}: the h2 side if
+    it is not yet inside f, otherwise the h1 side.  Mutates f in place;
+    returns whether the step is degenerate: whether the attached copy met f
+    outside the endpoints of e."""
+    h1_copies = report.h1_copies
+    for l_copy in report.h2_copies.through(e):
         partners = pin_partner(l_copy.edges, e, h1_copies)
         if partners:
             r_copy = h1_copies.copies[(partners & -partners).bit_length() - 1]
@@ -243,10 +234,8 @@ def _grow(
     # one side of a copy pair drawn from all h2-copies
     if variant == "grow":
         extend, extend_kind = _extend_anchored, "extend_anchored"
-        attachable = decomp.report.anchored_copies
     else:
         extend, extend_kind = _extend_alt, "extend_alt"
-        attachable = decomp.h2_copies
 
     seed = next(iter(h1_copies.through(seed_edge)), None)
     if seed is None:
@@ -288,7 +277,7 @@ def _grow(
             f_verts |= absorbed.vertices
         else:
             e = _mapped_eligible(extracted, index, pair, variant, steps)
-            kind, degenerate = extend_kind, extend(f_edges, f_verts, e, h1_copies, attachable)
+            kind, degenerate = extend_kind, extend(f_edges, f_verts, e, decomp.report)
         if len(f_edges) <= before_e:
             raise GrowError("growth step added no edge; attachment bookkeeping is broken", steps)
         lam_after = Fraction(len(f_verts)) - Fraction(len(f_edges)) / pair.m2_pair

@@ -20,6 +20,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
@@ -157,9 +158,12 @@ class TrialResult:
     colorer_status: Literal["colored", "stuck"]
     oracle: ColoringSearch | None
     grow_trace: GrowTrace | None
-    grow_summary: GrowSummary | None
     grow_error: str | None
     wall_ms: float
+
+    @cached_property
+    def grow_summary(self) -> GrowSummary | None:
+        return None if self.grow_trace is None else summarize_trace(self.grow_trace)
 
     def to_dict(self) -> dict:
         c = self.config
@@ -198,6 +202,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
     says whether the graph was genuinely uncolorable or the greedy just
     missed. The searcher reads the sample's h1/h2 copy sets from the
     colorer's outcome, so the sample's copies are enumerated once.
+    config.budget bounds this search only; the colorer colours blocker
+    members at the default budget.
 
     In FullPipeline the stuck residual is structurally verified and then
     grown from the audit's blocker decomposition. The audit enumerates the
@@ -213,10 +219,9 @@ def run_trial(config: TrialConfig) -> TrialResult:
     pair = config.pair
     p = edge_probability(pair, config.n, config.b)
     g = sample_gnp(config.n, p, config.seed)
-    colorer = asym_edge_color(g, pair, blocker_members(pair, config.a_hat_bound), config.budget)
+    colorer = asym_edge_color(g, pair, blocker_members(pair, config.a_hat_bound))
     oracle = None
     trace = None
-    summary = None
     grow_error = None
 
     if colorer.status == "colored":
@@ -236,14 +241,11 @@ def run_trial(config: TrialConfig) -> TrialResult:
             grower = grow if pair.case == "strict" else grow_alt
             try:
                 _, trace = grower(decomp, pair)
-                summary = summarize_trace(trace)
             except GrowError as err:
                 grow_error = str(err)
 
     wall = (time.perf_counter() - t0) * 1000.0
-    return TrialResult(
-        config, g.edge_count, outcome, colorer.status, oracle, trace, summary, grow_error, wall
-    )
+    return TrialResult(config, g.edge_count, outcome, colorer.status, oracle, trace, grow_error, wall)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_criterion_4_colorer_soundness():
                 cfg = r.config
                 g = sample_gnp(cfg.n, edge_probability(cfg.pair, cfg.n, cfg.b), cfg.seed)
                 assert g.edge_count == r.edge_count
-                replay = asym_edge_color(g, cfg.pair, blockers, cfg.budget)
+                replay = asym_edge_color(g, cfg.pair, blockers)
                 assert replay.status == "colored"
                 assert verify_coloring(replay.coloring, cfg.pair).ok
             colored = sum(1 for r in results if r.outcome == "colored")

@@ -234,8 +234,9 @@ def test_trial_full_pipeline(capsys, tmp_path):
 
 def test_flags_a_subcommand_ignores_are_rejected(capsys):
     # --seed only on trial/sweep, --out only where artifacts are written,
-    # --budget only where a coloring search's verdict is used or printed,
-    # and --mode takes only the short names
+    # --budget only where a coloring search's verdict is used or printed
+    # (color colours blocker members at the default budget), and --mode
+    # takes only the short names
     for argv in (
         ["density", "--h1", "K4", "--seed", "1"],
         ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--out", "x"],
@@ -245,6 +246,7 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys):
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--seed", "1"],
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--variant", "alt"],
         ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "5"],
+        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K5", "--budget", "5"],
         ["regular-cert", "--grid", "4", "4", "--budget", "5"],
         ["trial", "--h1", "K4", "--h2", "C4", "--n", "12", "--b", "1/4", "--mode", "ColorOnly"],
     ):
@@ -278,6 +280,18 @@ def test_sweep_csv_stdout_matches_flushed_file(capsys, tmp_path):
     assert blob["master_seed"] == 7 and len(blob["cells"]) == 2
     rc, out2, _ = run_cli(capsys, *argv)
     assert out2 == out1  # byte-identical rerun
+
+
+def test_sweep_budget_bounds_only_the_oracle(capsys):
+    # every trial here is coloured, and the colorer colours the blocker
+    # members of its core at the default budget: a budget below a member's
+    # search once ended this sweep in a false counterexample (exit 3)
+    argv = ["sweep", "--h1", "K3", "--h2", "K3", "--n", "20,30", "--b", "1/4,1/2,1",
+            "--trials", "5", "--mode", "color", "--format", "csv"]
+    rc, want, _ = run_cli(capsys, *argv)
+    assert rc == 0 and want.count("\n") == 7
+    for budget in ("1", "10"):
+        assert run_cli(capsys, *argv, "--budget", budget) == (0, want, "")
 
 
 def test_sweep_empty_b_grid(capsys):
@@ -331,7 +345,7 @@ def test_exit_2_on_bad_input(capsys):
         ["sweep", "--h1", "K3", "--h2", "K3", "--n", "8", "--a-hat-bound", "-1"],
         ["sweep", "--h1", "K3", "--h2", "K3", "--n", "8", "--trials", "-3"],
         ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "0"],
-        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K4", "--budget", "-1"],
+        ["trial", "--h1", "K3", "--h2", "K3", "--n", "8", "--b", "1", "--budget", "0"],
         ["regular-cert", "--grid", "4", "4", "--enumerate", "-1"],
         ["regular-cert", "--v1", "5", "--l1", "4", "--v2", "4", "--l2", "3", "--confirm", "-2"],
     ],
@@ -386,7 +400,7 @@ def test_exit_2_on_a_resource_limit(capsys, monkeypatch, limit):
 
 
 def test_exit_3_names_an_uncolorable_member(capsys, monkeypatch):
-    def boom(g, pair, blockers, budget):
+    def boom(g, pair, blockers):
         raise UncolorableMemberError(SimpleNamespace(finding="member C~ has no valid coloring"))
 
     monkeypatch.setattr(cli, "asym_edge_color", boom)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -22,9 +23,12 @@ from asymcolor.families import (
     color_by_members,
     enumerate_blockers,
     has_valid_coloring,
+    pair_copies,
+    unpinned_edge,
     verify_coloring,
 )
 from asymcolor.graphs import (
+    CopySet,
     complete_graph,
     cycle_graph,
     graph,
@@ -225,6 +229,25 @@ def test_check_stuck_rejects_an_empty_residual():
     assert "'action': 'stuck'" in str(exc.value)
 
 
+def test_check_stuck_rejects_forged_live_anchors():
+    # a live anchor must be an h2-copy of the residual that is anchored
+    # there. Forge two stuck outcomes from a real one: one tracks a C4 of
+    # the residual with an unpinned edge, one a C4 of the input with an
+    # edge the colorer deleted
+    pair = pair_k4c4()
+    out = asym_edge_color(sample_gnp(12, 0.6, 2), pair, ())
+    assert out.status == "stuck"
+    check_stuck_state(out, pair)
+    residual_edges = out.residual.edge_set()
+    h1, h2 = pair_copies(out.residual, pair)
+    loose = next(L for L in h2.copies if unpinned_edge(L.edges, h1) is not None)
+    outside = next(L for L in out.h2_copies.copies if not L.edges <= residual_edges)
+    for forged in (loose, outside):
+        bad = dataclasses.replace(out, live_anchors=CopySet(pair.h2, (forged,)))
+        with pytest.raises(ColorerInternalError, match="a live tracked copy is not anchored"):
+            check_stuck_state(bad, pair)
+
+
 def test_deterministic_trace(k3k3_setup):
     pair, blockers = k3k3_setup
     g = gnp(12, 0.4, 1234)
@@ -267,9 +290,9 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
     # computed from scratch on the residual.
     handed = []
 
-    def spy(decomp, pair, budget):
+    def spy(decomp, pair):
         handed.append(decomp)
-        return color_by_members(decomp, pair, budget)
+        return color_by_members(decomp, pair)
 
     monkeypatch.setattr(colorer, "color_by_members", spy)
     k3k3, blockers = k3k3_setup

@@ -520,24 +520,32 @@ def test_is_pinned_matches_its_definition_on_gnp(pair_of):
 # anchored copies and membership reports
 
 
+def anchored_edge_sets(report: FamilyReport) -> set:
+    """The edge sets of the h2-copies that report.is_anchored accepts."""
+    return {L.edges for L in report.h2_copies.copies if report.is_anchored(L)}
+
+
 def test_anchored_copies_flower():
     pair = pair_k4c4()
-    fl = flower_graph()
-    anchored = family_report(fl, pair).anchored_copies
+    rep = family_report(flower_graph(), pair)
     central = frozenset([(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert central in {c.edges for c in anchored.copies}
+    assert central in anchored_edge_sets(rep)
+    assert all(rep.anchored_through(e) is not None for e in central)
 
 
 def test_anchored_copies_c4_alone_empty():
-    assert len(family_report(cycle_graph(4), pair_k4c4()).anchored_copies) == 0
+    c4 = cycle_graph(4)
+    rep = family_report(c4, pair_k4c4())
+    assert not anchored_edge_sets(rep)
+    assert all(rep.anchored_through(e) is None for e in c4.edges)
+    assert rep.anchored_failures == c4.edges
 
 
 def test_anchored_copies_shared_edge_graph():
     pair = pair_k4c4()
     g = shared_edge_graph()
     outer = frozenset([(0, 1), (1, 4), (4, 5), (0, 5)])
-    anchored = {c.edges for c in family_report(g, pair).anchored_copies.copies}
-    assert outer not in anchored
+    assert outer not in anchored_edge_sets(family_report(g, pair))
 
 
 def test_family_report_empty_graph_vacuous():
@@ -558,7 +566,7 @@ def test_family_report_k6_anchored():
     pair = pair_k4c4()
     rep6 = family_report(complete_graph(6), pair)
     assert rep6.anchored and rep6.pinned
-    anchored_edges = {e for c in rep6.anchored_copies.copies for e in c.edges}
+    anchored_edges = {e for edges in anchored_edge_sets(rep6) for e in edges}
     assert anchored_edges == set(complete_graph(6).edges)
     rep5 = family_report(complete_graph(5), pair)
     assert not rep5.anchored
@@ -573,8 +581,9 @@ def test_anchored_implies_pinned_random():
             rep = family_report(g, pair)
             if rep.anchored:
                 assert rep.pinned
-            for c in rep.anchored_copies.copies:
-                assert c.edges <= g.edge_set()
+            for e in g.edges:
+                L = rep.anchored_through(e)
+                assert L is None or (e in L.edges and rep.is_anchored(L))
 
 
 def test_pinned_two_connected_min_degree():
@@ -639,6 +648,40 @@ def report_from_copies(g, h1_copies, h2_copies):
     return report
 
 
+def assert_anchored_answers(report: FamilyReport, want: EagerReport) -> None:
+    """report.anchored_through(e) is the least eager anchored copy through
+    e for every edge, and report.is_anchored(L) is eager membership for
+    every h2-copy."""
+    for e in report.graph.edges:
+        assert report.anchored_through(e) == next(iter(want.anchored_copies.through(e)), None)
+    anchored = {L.edges for L in want.anchored_copies.copies}
+    for L in report.h2_copies.copies:
+        assert report.is_anchored(L) == (L.edges in anchored)
+
+
+def test_family_report_builds_no_copy_set(monkeypatch):
+    # every anchored answer is read off h2_copies.index and the per-copy
+    # memo, so reading each answer of a report builds no second CopySet
+    cases = [(g, pair_k4c4()) for g in (complete_graph(6), flower_graph(), shared_edge_graph())]
+    cases += [(complete_graph(6), pair_k3k3()), (octahedron_graph(), pair_k3k3())]
+    copies = [(g, *pair_copies(g, pair)) for g, pair in cases]
+    built = []
+    init = CopySet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CopySet, "__init__", counting_init)
+    anchored = 0
+    for g, h1_copies, h2_copies in copies:
+        report = FamilyReport(g, h1_copies, h2_copies)
+        report.pinned, report.pinned_failures, report.anchored_failures
+        anchored += report.anchored
+    assert built == []
+    assert 0 < anchored < len(cases)
+
+
 def seeded_stuck_residuals(pair, catalog):
     """The stuck residuals of seeded G(12, p) and G(20, p) samples."""
     residuals = []
@@ -655,8 +698,9 @@ def test_lazy_family_report_matches_the_eager_reference():
     # every class up to 7 vertices under each pair's cap, K5-K9 and the
     # seeded stuck residuals under K3/K3. pinned and anchored are each read
     # first from a fresh report, so their early exits run alone; the
-    # anchored copies are read both after anchored, which tested some
-    # copies already, and from a fresh report
+    # anchored copy through each edge and the anchored test of each h2-copy
+    # are read both after anchored, which tested some copies already, and
+    # after the failure lists
     c4 = cycle_graph(4)
     k3k3 = pair_k3k3()
     cases = [
@@ -675,11 +719,11 @@ def test_lazy_family_report_matches_the_eager_reference():
         assert FamilyReport(g, h1_copies, h2_copies).pinned == want.pinned
         report = FamilyReport(g, h1_copies, h2_copies)
         assert report.anchored == want.anchored
-        assert report.anchored_copies == want.anchored_copies
+        assert_anchored_answers(report, want)
         report = FamilyReport(g, h1_copies, h2_copies)
         assert report.pinned_failures == want.pinned_failures
         assert report.anchored_failures == want.anchored_failures
-        assert report.anchored_copies == want.anchored_copies
+        assert_anchored_answers(report, want)
         seen[want.pinned, want.anchored] += 1
     # every combination anchored implies pinned allows is met
     assert set(seen) == {(False, False), (True, False), (True, True)}, seen

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcolor.density import build_pair_spec, density_slack, least_max_gain_set, max_gain
-from asymcolor.families import blocker_decomposition
+from asymcolor.families import blocker_decomposition, unpinned_edge
 from asymcolor.graphs import (
     Copy,
+    CopySet,
     canonical_form,
     canonical_key,
     complete_graph,
@@ -215,8 +216,7 @@ def test_extend_anchored_one_step_on_rook():
     d = blocker_decomposition(host, pair, ())
     row0 = complete_graph(4)  # cells 0-3 are the first row clique
     f_edges, f_verts = set(row0.edges), set(range(4))
-    anchored = d.report.anchored_copies
-    assert not _extend_anchored(f_edges, f_verts, (0, 1), d.h1_copies, anchored)
+    assert not _extend_anchored(f_edges, f_verts, (0, 1), d.report)
     assert len(f_edges) == 24 and len(f_verts) == 12
     assert row0.edge_set() <= f_edges <= host.edge_set()
 
@@ -225,10 +225,10 @@ def test_extend_alt_one_step_on_k6():
     pair = pair_k3k3()
     d = blocker_decomposition(complete_graph(6), pair, ())
     f_edges, f_verts = {(0, 1), (0, 2), (1, 2)}, {0, 1, 2}
-    assert not _extend_alt(f_edges, f_verts, (0, 1), d.h1_copies, d.h2_copies)
+    assert not _extend_alt(f_edges, f_verts, (0, 1), d.report)
     assert f_edges == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
     # the triangle through (0, 2) and 3 closes K4 on vertices already in F
-    assert _extend_alt(f_edges, f_verts, (0, 2), d.h1_copies, d.h2_copies)
+    assert _extend_alt(f_edges, f_verts, (0, 2), d.report)
     assert f_edges == complete_graph(4).edge_set() and f_verts == {0, 1, 2, 3}
 
 
@@ -306,12 +306,12 @@ def pair_k5c4():
     return build_pair_spec(complete_graph(5), cycle_graph(4))
 
 
-def attach_to_copy(move, f_edges, f_verts, e, h1_copies, attachable):
+def attach_to_copy(move, f_edges, f_verts, e, *copies):
     """Run one move on a copy of F: (F after, returned value or None, error
     message or None)."""
     edges, verts = set(f_edges), set(f_verts)
     try:
-        return (edges, verts), move(edges, verts, e, h1_copies, attachable), None
+        return (edges, verts), move(edges, verts, e, *copies), None
     except GrowError as exc:
         return (edges, verts), None, str(exc)
 
@@ -327,9 +327,13 @@ def test_extend_verdicts_match_overlap_reference():
         pair = pair_fn()
         for seed in range(10):
             d = blocker_decomposition(gnp(n, p, seed), pair, ())
+            # the reference reads an eager set of the anchored h2-copies
+            anchored = CopySet(
+                d.h2_copies.pattern,
+                tuple(L for L in d.h2_copies.copies if unpinned_edge(L.edges, d.h1_copies) is None),
+            )
             moves = (
-                ("extend_anchored", _extend_anchored, reference_extend_anchored,
-                 d.report.anchored_copies),
+                ("extend_anchored", _extend_anchored, reference_extend_anchored, anchored),
                 ("extend_alt", _extend_alt, reference_extend_alt, d.h2_copies),
             )
             for kind, move, reference, attachable in moves:
@@ -338,9 +342,7 @@ def test_extend_verdicts_match_overlap_reference():
                     for _ in range(4):
                         grown = None
                         for e in sorted(f[0]):
-                            after, verdict, error = attach_to_copy(
-                                move, *f, e, d.h1_copies, attachable
-                            )
+                            after, verdict, error = attach_to_copy(move, *f, e, d.report)
                             ref_after, ref_out, ref_error = attach_to_copy(
                                 reference, *f, e, d.h1_copies, attachable
                             )
