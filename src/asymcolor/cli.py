@@ -119,12 +119,22 @@ def _positive(text: str) -> int:
     return value
 
 
+def _distinct(values: list) -> list:
+    """values, rejected if one repeats: a repeated grid value re-runs the
+    same trials and prints the same row twice. Fractions compare
+    normalized, so 1 and 2/2 repeat."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{value} is repeated")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _distinct([int(x) for x in text.split(",") if x.strip()])
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(x) for x in text.split(",") if x.strip()]
+    return _distinct([_fraction(x) for x in text.split(",") if x.strip()])
 
 
 def _pair_from(args):

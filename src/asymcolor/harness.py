@@ -7,7 +7,11 @@ exact machinery of the other modules.
 
 Randomness is counter-based: edge k of a sample is present iff
 sha256(seed, n, k) starts below p * 2**64, so a sample depends only on
-(seed, n, p) and not on iteration order or platform. Per-trial seeds are
+(seed, n, p) and not on iteration order or platform. The sampler pays
+only for that hash per potential edge: a small per-n table holds the
+potential edges in lexicographic order with the ASCII bytes of each
+index k, and each digest is compared with the threshold as bytes,
+without converting it to an integer. Per-trial seeds are
 themselves hashes of (master seed, n, b, trial index), which makes every
 cell of a sweep independently reproducible and the aggregation
 order-insensitive. Trials could run in parallel; this implementation
@@ -17,10 +21,11 @@ runs them sequentially and relies only on commutative counters.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
@@ -32,7 +37,7 @@ from .families import (
     blocker_members,
     search_from_copies,
 )
-from .graphs import Graph, emit_graph6, graph
+from .graphs import Edge, Graph, emit_graph6
 from .grow import GrowError, GrowTrace, grow, grow_alt
 
 Mode = Literal["ColorOnly", "ColorPlusOracle", "FullPipeline"]
@@ -53,28 +58,49 @@ def _hash64(*parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+@lru_cache(maxsize=1)
+def _edge_table(n: int) -> tuple[tuple[Edge, ...], tuple[bytes, ...]]:
+    """The potential edges on n vertices in lexicographic order, and the
+    ASCII bytes of each one's index k. One entry is enough: a sweep samples
+    one n at a time, and a rebuild costs less than one sample, while each
+    further entry would keep C(n, 2) edges alive for an n no longer used."""
+    edges = tuple(itertools.combinations(range(n), 2))
+    return edges, tuple(str(k).encode() for k in range(len(edges)))
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with one hash per potential edge.
 
     Edge number k (in lexicographic order) is present iff
     sha64(seed, n, k) < p * 2**64. Deterministic across platforms and
     independent of the order edges are visited in.
+
+    The loop does only the hash: edges and index bytes come from the per-n
+    table, and a 32-byte digest sorts below the threshold's 8 big-endian
+    bytes exactly when its first 8 bytes, read as an integer, are below
+    the threshold (on equal first bytes the longer digest sorts above,
+    which is "not below"). At p = 1 the threshold 2**64 does not fit in 8
+    bytes, and the sample is complete. The table is sorted and unique, so
+    the Graph skips graph()'s normalization.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} is outside [0, 1]")
+    if n < 0:
+        raise ValueError(f"n = {n} < 0")
+    potential, keys = _edge_table(n)
     threshold = int(p * _U64)
+    if threshold == _U64:
+        return Graph(n, potential)
+    cut = threshold.to_bytes(8, "big")
     # the digest of "seed:n:k" is the prefix's hash state extended by k
-    prefix = hashlib.sha256(f"{seed}:{n}:".encode())
+    copy = hashlib.sha256(f"{seed}:{n}:".encode()).copy
     edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            h = prefix.copy()
-            h.update(str(k).encode())
-            if int.from_bytes(h.digest()[:8], "big") < threshold:
-                edges.append((u, v))
-            k += 1
-    return graph(n, edges)
+    for e, k in zip(potential, keys):
+        h = copy()
+        h.update(k)
+        if h.digest() < cut:
+            edges.append(e)
+    return Graph(n, tuple(edges))
 
 
 def edge_probability(pair: PairSpec, n: int, b: Fraction) -> float:

@@ -304,6 +304,21 @@ def test_sweep_empty_b_grid(capsys):
     assert out == cli.CSV_HEADER + "\n"
 
 
+@pytest.mark.parametrize(
+    "n, b, repeated",
+    [("20,20", "1", "--n: 20 is repeated"), ("20", "1,2/2", "--b: 1 is repeated"),
+     ("20", "1/4,1/2,2/4", "--b: 1/2 is repeated")],
+    ids=["n", "b", "b-normalized"],
+)
+def test_sweep_rejects_a_repeated_grid_value(capsys, n, b, repeated):
+    # a repeated n or b would re-run the same trials and print the same row
+    # twice; b values repeat after normalization
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--h1", "K3", "--h2", "K3", "--n", n, "--b", b, "--trials", "1"])
+    assert exc.value.code == 2
+    assert f"argument {repeated}" in capsys.readouterr().err
+
+
 # --- exit codes -------------------------------------------------------------
 
 

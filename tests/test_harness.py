@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -48,6 +49,8 @@ def test_sample_gnp_extremes():
         sample_gnp(5, -0.1, 0)
     with pytest.raises(ValueError, match="outside"):
         sample_gnp(5, 1.5, 0)
+    with pytest.raises(ValueError, match="n = -1"):
+        sample_gnp(-1, 0.5, 0)
 
 
 def test_sample_gnp_reproducible_and_seed_sensitive():
@@ -60,12 +63,38 @@ def test_sample_gnp_reproducible_and_seed_sensitive():
 
 def test_sample_gnp_matches_per_edge_hash_definition():
     # edge k of the sample is present iff _hash64(seed, n, k) < p * 2**64,
-    # whatever hash state sample_gnp reuses between edges
-    for n, p, seed in ((1, 0.5, 0), (9, 0.3, 7), (16, 0.88, 2**64 - 1), (23, 0.5, 20260816)):
-        threshold = int(p * 2**64)
+    # whatever hash state, edge table or byte comparison sample_gnp uses;
+    # the p values include the extremes of the threshold, 0 and 2**64
+    for n in (0, 1, 2, 9, 16, 23, 40):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        want = tuple(e for k, e in enumerate(pairs) if harness._hash64(seed, n, k) < threshold)
-        assert sample_gnp(n, p, seed).edges == want
+        for p in (0.0, 5e-324, 2**-64, 0.3, 0.5, 0.88, 1 - 2**-53, 1.0):
+            threshold = int(p * 2**64)
+            for seed in (0, 7, 20260816, 2**64 - 1):
+                g = sample_gnp(n, p, seed)
+                want = tuple(
+                    e for k, e in enumerate(pairs) if harness._hash64(seed, n, k) < threshold
+                )
+                assert g.vertex_count == n and g.edges == want, (n, p, seed)
+                # the sampler builds its Graph directly, not through graph()
+                assert graphs.graph(n, g.edges) == g
+
+
+def test_sample_gnp_grid_samples_digest():
+    # the 162 samples of the benchmark grid (3 pairs x n 20-40 x b 1/4-1 x
+    # 6 trials, master seed 20260816), hashed as their edge tuples, so a
+    # change to which edges a sample holds fails here and not only in the
+    # benchmark's CSV hashes
+    digest = hashlib.sha256()
+    for h1, h2 in ((complete_graph(4), cycle_graph(4)), (complete_graph(5), cycle_graph(4)),
+                   (complete_graph(3), complete_graph(3))):
+        pair = build_pair_spec(h1, h2)
+        for n in (20, 30, 40):
+            for b in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                p = edge_probability(pair, n, b)
+                for t in range(6):
+                    g = sample_gnp(n, p, derive_seed(20260816, n, b, t))
+                    digest.update(repr(g.edges).encode() + b"\n")
+    assert digest.hexdigest() == "9494816e870273311b6333c6152c8646b093a60440d7f1cde8589c1aff7377b5"
 
 
 def test_sample_gnp_edge_count_near_mean():
