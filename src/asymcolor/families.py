@@ -44,10 +44,11 @@ from .graphs import (
     Edge,
     Graph,
     bit_positions,
+    canonical_form,
     enumerate_copies,
     enumerate_copies_through,
     extract_from_edges,
-    graphs_up_to,
+    graph_stream,
     is_two_connected,
     norm_edge,
 )
@@ -401,10 +402,17 @@ def _under_cap(g: Graph, pair: PairSpec) -> bool:
 
 
 def _capped_blocker(a: Graph, pair: PairSpec) -> bool:
-    """is_blocker for a graph already known to be under the density cap."""
+    """is_blocker for a graph already known to be under the density cap.
+    Pinned and anchored both need every edge on an h1-copy (is_pinned is
+    False through an edge with none), so h2's copies are enumerated only
+    when every edge is on one."""
     if not is_two_connected(a):
         return False
-    report = family_report(a, pair)
+    h1_copies = enumerate_copies(a, pair.h1)
+    if len(h1_copies.index) < a.edge_count:
+        return False
+    h2_copies = h1_copies if pair.h2 == pair.h1 else enumerate_copies(a, pair.h2)
+    report = FamilyReport(a, h1_copies, h2_copies)
     return report.anchored if pair.case == "strict" else report.pinned
 
 
@@ -438,16 +446,22 @@ def enumerate_blockers(
     pair: PairSpec, max_vertices: int, coloring_budget: int = DEFAULT_ORACLE_BUDGET
 ) -> BlockerCatalog:
     """All blockers up to max_vertices vertices, up to isomorphism, each with
-    its coloring-search verdict.
+    its coloring-search verdict, in canonical form, sorted by (order, edge
+    count, edges).
 
     Generation prunes by the density cap (it survives vertex deletion, so no
-    blocker is lost), so the graphs it yields need no second cap test.
+    blocker is lost), so the graphs it streams need no second cap test. The
+    blocker test is isomorphism-invariant, so it runs on each graph as
+    streamed; only the members are put in canonical form, and each is
+    searched for a colouring in that form.
     """
-    entries = []
-    for g in graphs_up_to(max_vertices, keep=lambda g: _under_cap(g, pair)):
-        if _capped_blocker(g, pair):
-            entries.append(BlockerEntry(g, has_valid_coloring(g, pair, coloring_budget)))
-    return BlockerCatalog(pair, max_vertices, tuple(entries))
+    stream = graph_stream(max_vertices, keep=lambda g: _under_cap(g, pair))
+    members = sorted(
+        (canonical_form(g)[0] for g in stream if _capped_blocker(g, pair)),
+        key=lambda g: (g.vertex_count, g.edge_count, g.edges),
+    )
+    entries = tuple(BlockerEntry(g, has_valid_coloring(g, pair, coloring_budget)) for g in members)
+    return BlockerCatalog(pair, max_vertices, entries)
 
 
 @lru_cache(maxsize=32)

@@ -698,11 +698,13 @@ def _subset_orbit_representatives(
 
 
 def _children(
-    g: Graph, generators: Sequence[Sequence[int]]
+    g: Graph, generators: Sequence[Sequence[int]], last: bool
 ) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
     """The children of the canonical form g whose canonical parent is g,
     each as its canonical form and generators of its automorphism group in
-    canonical labels; generators generate Aut(g).
+    canonical labels; generators generate Aut(g). When last is set the
+    children will not be grown, so each comes as built, in no canonical
+    labelling, with no generators.
 
     A child adds vertex k = g.vertex_count of maximum degree d, joined to
     one d-subset per Aut(g)-orbit of the vertices of degree below d.
@@ -710,7 +712,9 @@ def _children(
     w*: among the vertices of maximum invariant (degree, then neighbour
     degrees in ascending order), the one first in canonical order. A child
     in which some vertex's invariant beats k's is dropped before its
-    canonical search, and orbits are computed only when w* is not k.
+    canonical search, and orbits are computed only when w* is not k. A
+    child in which no vertex ties k's invariant has w* = k, so under last
+    it is accepted with no canonical search at all.
     """
     k = g.vertex_count
     size = k + 1
@@ -735,26 +739,32 @@ def _children(
             if any(inv > top for _, inv in rivals):
                 continue
             child = Graph(size, tuple(sorted(g.edges + tuple((v, k) for v in nbrs))))
-            order, child_generators = _canonical_search(child)
             tied = {v for v, inv in rivals if inv == top}
-            if tied:
-                w = next(v for v in order if v == k or v in tied)
-                if w != k:
-                    roots = _orbit_roots(size, child_generators)
-                    if roots[w] != roots[k]:
-                        continue
-            canon, mapping = _relabel(child, order)
-            # sigma in canonical labels: i -> mapping[sigma[order[i]]]
-            yield canon, [tuple(mapping[sigma[v]] for v in order) for sigma in child_generators]
+            if tied or not last:
+                order, child_generators = _canonical_search(child)
+                if tied:
+                    w = next(v for v in order if v == k or v in tied)
+                    if w != k:
+                        roots = _orbit_roots(size, child_generators)
+                        if roots[w] != roots[k]:
+                            continue
+            if last:
+                yield child, []
+            else:
+                canon, mapping = _relabel(child, order)
+                # sigma in canonical labels: i -> mapping[sigma[order[i]]]
+                yield canon, [tuple(mapping[sigma[v]] for v in order) for sigma in child_generators]
 
 
-def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
-    """Non-isomorphic graphs on 0..n vertices (canonical forms), by order,
-    each order sorted by (edge count, edges). `keep` optionally prunes the
-    search. It is evaluated once per isomorphism class, on the canonical
-    form, so it must be isomorphism-invariant; a class failing it is dropped
-    and never extended, so it must be monotone under taking supergraphs on
-    more vertices. Density caps e(G) <= c * v(G) + d qualify.
+def graph_stream(n: int, keep: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
+    """One graph per isomorphism class on 0..n vertices, depth first: each
+    class right after its canonical parent. Classes on fewer than n
+    vertices come in canonical form; those on n vertices come as built, in
+    no canonical labelling. `keep` optionally prunes the search. It is
+    evaluated once per class, on the graph the stream would yield, so it
+    must be isomorphism-invariant; a class failing it is dropped and never
+    extended, so it must be monotone under taking supergraphs on more
+    vertices. Density caps e(G) <= c * v(G) + d qualify.
 
     Isomorph-free enumeration by canonical augmentation (McKay, J.
     Algorithms 1998; the method of nauty's geng). The canonical parent of a
@@ -766,25 +776,41 @@ def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Gr
     when its new vertex lies in the Aut-orbit of its w*. Each kept class
     then comes from exactly one parent, its G - w* (kept, as keep is
     monotone), and one orbit, so no child is compared with another: every
-    accepted child is a new class. A child costs one canonical search once
-    it passes a cheap invariant filter, and that search
-    (`_canonical_search`) also yields the generators of its automorphism
-    group that its own children are pruned by.
+    accepted child is a new class, and no level of classes is held. A child
+    below order n costs one canonical search once it passes a cheap
+    invariant filter, and that search (`_canonical_search`) also yields the
+    generators of its automorphism group that its own children are pruned
+    by. A child on n vertices has no children: it costs a search only when
+    a rival ties its new vertex's invariant (`_children` under last).
     """
     if n < 0:
         raise ValueError(f"vertex count {n} < 0")
     start = graph(0)
-    level: list[tuple[Graph, list[tuple[int, ...]]]] = []
-    if keep is None or keep(start):
-        level.append((start, []))
-    out = [g for g, _ in level]
-    for _ in range(n):
-        level = sorted(
-            (child for parent in level for child in _children(*parent) if keep is None or keep(child[0])),
-            key=lambda child: (child[0].edge_count, child[0].edges),
-        )
-        out.extend(g for g, _ in level)
-    return out
+    if keep is not None and not keep(start):
+        return
+    yield start
+    # stack[i] yields the children on i + 1 vertices of the class last
+    # yielded on i vertices
+    stack = [_children(start, [], n == 1)] if n else []
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif keep is None or keep(child[0]):
+            yield child[0]
+            if len(stack) < n:
+                stack.append(_children(*child, len(stack) + 1 == n))
+
+
+def graphs_up_to(n: int, keep: Callable[[Graph], bool] | None = None) -> list[Graph]:
+    """The canonical forms of `graph_stream(n, keep)`, by order, each order
+    sorted by (edge count, edges). keep sees each class once, on the graph
+    the stream yields, which on n vertices is not necessarily in canonical
+    form."""
+    return sorted(
+        (g if g.vertex_count < n else canonical_form(g)[0] for g in graph_stream(n, keep)),
+        key=lambda g: (g.vertex_count, g.edge_count, g.edges),
+    )
 
 
 # ---------------------------------------------------------------------------

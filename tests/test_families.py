@@ -17,6 +17,7 @@ from asymcolor.families import (
     ColoringSearch,
     FamilyReport,
     PatternCopy,
+    _capped_blocker,
     _under_cap,
     blocker_decomposition,
     color_by_members,
@@ -45,6 +46,7 @@ from asymcolor.graphs import (
     enumerate_copies,
     graph,
     graphs_up_to,
+    is_two_connected,
     octahedron_graph,
 )
 from asymcolor.grow import _shared_or_seed
@@ -805,6 +807,26 @@ def test_enumerate_blockers_matches_is_blocker():
     every = graphs_up_to(6)
     for pair in (pair_k3k3(), pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4))):
         assert enumerate_blockers(pair, 6).members == tuple(g for g in every if is_blocker(g, pair))
+
+
+def test_capped_blocker_matches_the_family_report():
+    # _capped_blocker stops before h2's copies when some edge is on no
+    # h1-copy; on every 2-connected class under each pair's cap up to 7
+    # vertices it must still give the report's anchored (strict case) or
+    # pinned (equal case) verdict. K4/K3 joins the four pairs as a strict
+    # pair with members this small
+    c4 = cycle_graph(4)
+    k4k3 = build_pair_spec(complete_graph(4), complete_graph(3))
+    verdicts = Counter()
+    for pair in (pair_k3k3(), pair_k4c4(), pair_k3c4(), build_pair_spec(c4, c4), k4k3):
+        for g in graphs_up_to(7, keep=lambda g: _under_cap(g, pair)):
+            if is_two_connected(g):
+                report = family_report(g, pair)
+                want = report.anchored if pair.case == "strict" else report.pinned
+                assert _capped_blocker(g, pair) == want, (pair.case, emit_graph6(g))
+                verdicts[pair.case, want] += 1
+    # both cases meet both verdicts
+    assert len(verdicts) == 4, verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from asymcolor.graphs import (
     enumerate_embeddings,
     extract_from_edges,
     graph,
+    graph_stream,
     graphs_up_to,
     induced_subgraph,
     is_two_connected,
@@ -639,8 +640,8 @@ def test_generation_is_pairwise_nonisomorphic():
 
 def test_generation_with_density_cap():
     # keep only graphs with e <= v: the pruned search finds exactly the
-    # graphs that satisfy it, and keep sees each isomorphism class once, as
-    # its canonical form
+    # graphs that satisfy it, and keep sees each isomorphism class once:
+    # below order n as its canonical form, at order n as built
     for n in range(7):
         seen = []
 
@@ -649,14 +650,54 @@ def test_generation_with_density_cap():
             return g.edge_count <= g.vertex_count
 
         gs = graphs_on(n, keep=keep)
-        assert all(canonical_form(g)[0] == g for g in seen)
-        assert len(set(seen)) == len(seen)
-        assert gs == [g for g in graphs_on(n) if g.edge_count <= g.vertex_count]
+        below = [g for g in seen if g.vertex_count < n]
+        assert all(canonical_form(g)[0] == g for g in below)
+        assert len(set(below)) == len(below)
+        at_n = [g for g in seen if g.vertex_count == n]
+        assert len({canonical_key(g) for g in at_n}) == len(at_n)
+        want = [g for g in graphs_on(n) if g.edge_count <= g.vertex_count]
+        assert gs == want
+        assert {canonical_form(g)[0] for g in at_n if g.edge_count <= g.vertex_count} == set(want)
 
 
 def test_generation_rejects_a_negative_order():
     with pytest.raises(ValueError):
         graphs_up_to(-1)
+    with pytest.raises(ValueError):
+        list(graph_stream(-1))
+
+
+def test_stream_at_orders_zero_and_one(monkeypatch):
+    # at n = 0 the empty graph is the whole stream and has no child
+    # expanded; at n = 1 it is followed by its one child, K1
+    expanded = []
+    children = graphs._children
+
+    def recording(g, generators, last):
+        expanded.append((g, last))
+        return children(g, generators, last)
+
+    monkeypatch.setattr(graphs, "_children", recording)
+    assert list(graph_stream(0)) == [graph(0)]
+    assert expanded == []
+    assert list(graph_stream(1)) == [graph(0), graph(1)]
+    assert expanded == [(graph(0), True)]
+    assert graphs_up_to(0) == [graph(0)]
+    assert graphs_up_to(1) == [graph(0), graph(1)]
+
+
+def test_stream_with_a_keep_that_rejects_the_empty_graph():
+    offered = []
+
+    def keep(g):
+        offered.append(g)
+        return g.vertex_count > 0
+
+    for n in range(3):
+        offered.clear()
+        assert list(graph_stream(n, keep)) == []
+        assert offered == [graph(0)]
+        assert graphs_up_to(n, keep) == []
 
 
 def every_extension_graphs_up_to(n, keep=None):
@@ -709,14 +750,23 @@ def test_generation_matches_every_extension_reference():
             got = graphs_up_to(n, keep)
             assert got == [g for g in want if g.vertex_count <= n], (name, n)
             assert graphs_up_to(n, recording) == got, (name, n)
-            # keep saw each class once, as its canonical form
-            assert len(set(seen)) == len(seen), (name, n)
-            assert all(canonical_form(g)[0] == g for g in seen), (name, n)
+            # keep saw each class once: below n as its canonical form, at n
+            # as built, and the classes it kept at n are the reference's
+            below = [g for g in seen if g.vertex_count < n]
+            assert len(set(below)) == len(below), (name, n)
+            assert all(canonical_form(g)[0] == g for g in below), (name, n)
+            at_n = [g for g in seen if g.vertex_count == n]
+            assert len({canonical_key(g) for g in at_n}) == len(at_n), (name, n)
+            assert {canonical_form(g)[0] for g in at_n if keep is None or keep(g)} == {
+                g for g in want if g.vertex_count == n
+            }, (name, n)
 
 
-def test_generation_runs_about_one_canonical_search_per_class(monkeypatch):
-    # canonical augmentation: each class offered to keep costs about one
-    # canonical search, and keep sees each class exactly once
+def test_stream_runs_a_canonical_search_per_class_below_the_last_order(monkeypatch):
+    # canonical augmentation, depth first: each class below the last order
+    # costs about one canonical search, a last-order class costs one only
+    # when a rival ties its new vertex's invariant, and the catalog adds
+    # one per member for its canonical form. keep sees each class once
     k3k3 = build_pair_spec(complete_graph(3), complete_graph(3))
     searches = 0
     search = graphs._canonical_search
@@ -727,17 +777,20 @@ def test_generation_runs_about_one_canonical_search_per_class(monkeypatch):
         return search(g)
 
     monkeypatch.setattr(graphs, "_canonical_search", counted)
+    assert len(enumerate_blockers(k3k3, 7).members) == 9
+    assert searches == 635
+    searches = 0
     offered = []
 
     def keep(g):
         offered.append(g)
         return families._under_cap(g, k3k3)
 
-    got = graphs_up_to(7, keep)
-    assert len(set(offered)) == len(offered) == 1249  # the empty graph included
-    assert searches <= 1.1 * len(offered)
-    assert len(set(got)) == len(got) == 1160
-    assert set(got) == {g for g in offered if families._under_cap(g, k3k3)}
+    got = list(graph_stream(7, keep))
+    assert searches == 626
+    assert len({canonical_key(g) for g in offered}) == len(offered) == 1249  # the empty graph included
+    assert len({canonical_key(g) for g in got}) == len(got) == 1160
+    assert got == [g for g in offered if families._under_cap(g, k3k3)]
 
 
 def test_graphs_up_to_includes_small():
