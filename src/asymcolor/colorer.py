@@ -9,7 +9,9 @@ first read, so sweeps, which keep only the status, build none.
 when no tracked h2-copy through it has a pin partner there
 (families.is_pinned over the tracked and alive masks), a tracked copy
 is retired at its families.unpinned_edge, and replay flips the
-unpinned_edge of each fully-blue tracked copy red.
+unpinned_edge of each fully-blue tracked copy red. Replay keeps the set of
+blue edges, so a tracked copy is fully blue when its edge set is a subset
+of it.
 
 The tracked copy set starts as all h2-copies of the input and only ever
 shrinks; h1-copies are always read against the current residual. Because a
@@ -30,11 +32,12 @@ read.
 Each edge is tested for a pin once up front. Before the hand-off the alive
 and tracked masks only shrink, so an unpinned edge stays unpinned until it
 is deleted, and a pinned one is tested again only when an h1-copy or a
-tracked h2-copy through it goes. The unpinned live edges are kept in a
-heap, and each deletion takes its least. When the heap is empty the least
-tracked copy with an unpinned edge is retired; least_loose finds it
-testing each tracked copy once, and again only after an h1-copy sharing
-an edge with it dies.
+tracked h2-copy through it goes. retest intersects the pinned set with
+the gone copies' edges, and returns at once when no copy went or nothing
+is pinned. The unpinned live edges are kept in a heap, and each deletion
+takes its least. When the heap is empty the least tracked copy with an
+unpinned edge is retired; least_loose finds it testing each tracked copy
+once, and again only after an h1-copy sharing an edge with it dies.
 
 After each deletion a guard asks whether the residual is a clean sparse
 union of blocker members. A live edge rules it out when it lies on no live
@@ -45,11 +48,13 @@ rule's proof: in a clean sparse union e lies in one member M; no copy
 through e straddles, so its edges, each in some member, all lie in M, which
 has at most widest vertices. It counts endpoints of copy edges, since
 Copy.vertices also holds the images of isolated pattern vertices, and
-stops at the first copy that takes the count past widest; with widest
-below 2 (no catalog) it reads none, as every copy through e has e's 2
-endpoints. The blocker copies are enumerated only in the first residual
-no edge rules out, and the later residuals, its subgraphs, read them
-through alive masks.
+stops at the first copy that takes the count past widest. When h2 is h1
+the alive masks agree until the hand-off, and the one set is walked once.
+With widest below 2 (no catalog) every live edge rules out, as a copy
+through it has its 2 endpoints, so the guard answers None for any
+non-empty residual without reading a copy. The blocker copies are
+enumerated only in the first residual no edge rules out, and the later
+residuals, its subgraphs, read them through alive masks.
 The guard then builds the residual's BlockerDecomposition from the live
 copies, reading each blocker set's index through its alive mask, and
 reads covered_once and sparse, unless some live edge has no live blocker
@@ -65,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Literal, Sequence
 
 from .density import PairSpec
@@ -199,11 +205,12 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     def retest(copies: CopySet, gone: int) -> None:
         """Test again the pinned edges of the copies at positions gone, which
         have just left alive1 or tracked."""
-        for i in bit_positions(gone):
-            for f in copies.copies[i].edges:
-                if f in pinned and not is_pinned(f, h2, h1, tracked, alive1):
-                    pinned.discard(f)
-                    heappush(unpinned, f)
+        if not gone or not pinned:
+            return
+        for f in pinned.intersection(chain.from_iterable(copies.copies[i].edges for i in bit_positions(gone))):
+            if not is_pinned(f, h2, h1, tracked, alive1):
+                pinned.discard(f)
+                heappush(unpinned, f)
 
     # the retirement scan: the tracked copies at positions below frontier
     # have been tested. loose holds those that had an unpinned edge; they
@@ -235,11 +242,12 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     def rules_out(e: Edge) -> bool:
         """e is on no live h2-copy, or its live h1/h2-copies span > widest."""
         through2 = alive2 & h2.index.get(e, 0)
-        # a copy through e spans at least e's 2 endpoints
-        if not through2 or widest < 2:
+        if not through2:
             return True
+        # when h2 is h1, alive1 is alive2 until the hand-off
+        through1 = 0 if h2 is h1 else alive1 & h1.index.get(e, 0)
         span = 0
-        for copies, through in ((h1, alive1 & h1.index.get(e, 0)), (h2, through2)):
+        for copies, through in ((h2, through2), (h1, through1)):
             for i in bit_positions(through):
                 span |= copies.endpoint_masks[i]
                 if span.bit_count() > widest:
@@ -260,6 +268,8 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
         masks. An edge on no live blocker copy lies in no member either, and
         then no decomposition is built."""
         nonlocal witness, blocker_sets, blocker_alive
+        if widest < 2 and live:
+            return None  # every live edge rules out: a copy through it spans 2 endpoints
         if witness not in live or not rules_out(witness):
             witness = next((e for e in live if rules_out(e)), None)
         if witness is not None:
@@ -323,6 +333,7 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     if not base.ok:
         raise UncolorableMemberError(base)
     assignment: dict[Edge, str] = dict(base.coloring.assignment)
+    blue = {e for e, c in assignment.items() if c == BLUE}
 
     # the entries before the handoff, last first, are the stack
     for action, e, li in reversed(log[:-1]):
@@ -333,10 +344,11 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
                 if h1.copies[i].edges <= live:
                     alive1 |= 1 << i
             assignment[e] = BLUE
+            blue.add(e)
             log.append(("readd_edge", e, -1))
         else:  # push_l or retire_l: a tracked copy
             L_edges = h2.copies[li].edges
-            if not all(assignment.get(f) == BLUE for f in L_edges):
+            if not L_edges <= blue:
                 continue
             flip = unpinned_edge(L_edges, h1, alive1)
             if flip is None:
@@ -346,6 +358,7 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
                     log, h2,
                 )
             assignment[flip] = RED
+            blue.discard(flip)
             log.append(("recolor_red", flip, li))
             for i in bit_positions(alive1 & h1.index.get(flip, 0)):
                 if all(assignment.get(x) == RED for x in h1.copies[i].edges):

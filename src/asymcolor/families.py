@@ -108,17 +108,19 @@ def verify_from_copies(coloring: Coloring, h1_copies: CopySet, h2_copies: CopySe
     graph.
 
     Reports, in order: uncolored edges, then an all-red copy of h1, then an
-    all-blue copy of h2. Returns the first failure only.
+    all-blue copy of h2, each the first in its set's order. Returns the
+    first failure only.
     """
     missing = coloring.uncolored_edges()
     if missing:
         return ColoringCheck(False, "uncolored", missing)
-    a = coloring.assignment
+    red = {e for e, c in coloring.assignment.items() if c == RED}
+    blue = coloring.assignment.keys() - red
     for c in h1_copies.copies:
-        if all(a[e] == RED for e in c.edges):
+        if c.edges <= red:
             return ColoringCheck(False, "red_h1", tuple(sorted(c.edges)))
     for c in h2_copies.copies:
-        if all(a[e] == BLUE for e in c.edges):
+        if c.edges <= blue:
             return ColoringCheck(False, "blue_h2", tuple(sorted(c.edges)))
     return ColoringCheck(True)
 

@@ -379,8 +379,8 @@ def test_dense_inputs_enumerate_no_blocker_copy(k3k3_setup, monkeypatch):
 
 def test_span_rule_without_catalog_reads_no_endpoints():
     # with no catalog the widest blocker has 0 vertices, and every copy
-    # through an edge spans its 2 endpoints, so the span rule rules out an
-    # edge on a live h2-copy without building either set's endpoint_masks
+    # through an edge spans its 2 endpoints, so the guard rules out every
+    # non-empty residual without building either set's endpoint_masks
     ruled, b = 0, Fraction(2)
     for pair in (pair_k4c4(), build_pair_spec(complete_graph(5), cycle_graph(4))):
         for t in range(4):

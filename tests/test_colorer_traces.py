@@ -5,8 +5,10 @@ Each line of data/colorer_traces.jsonl names one seeded host and holds the
 sha256 of everything asym_edge_color returns about it: status, trace,
 coloring, residual and live anchors. The hosts are G(n, p(b)) samples for
 n in {12, 16, 20} and b in {1, 3/2, 2} under K3/K3 (bound-6 catalog),
-K4/C4 and K5/C4 (no catalog), plus K6..K9 under K3/K3. Running this file as
-a script rewrites the data file from the colorer it imports.
+K4/C4 and K5/C4 (no catalog), plus K6..K9 under K3/K3, then n = 40, b = 1
+under each pair. The K5/C4 ones hold 1,069-1,547 C4 copies, past
+CopySet.index's 1,024-copy chunk, and never pin an edge. Running this file
+as a script rewrites the data file from the colorer it imports.
 """
 
 import hashlib
@@ -62,6 +64,11 @@ def traced_hosts():
                     yield f"{name} n={n} b={b} t={t}", pair, blockers, g
     for k in range(6, 10):
         yield f"K3/K3 K{k}", k3k3, catalog, complete_graph(k)
+    for name, pair, blockers in pairs:
+        p = edge_probability(pair, 40, Fraction(1))
+        for t in range(TRIALS):
+            g = sample_gnp(40, p, derive_seed(MASTER_SEED, 40, Fraction(1), t))
+            yield f"{name} n=40 b=1 t={t}", pair, blockers, g
 
 
 def trace_lines():

@@ -14,6 +14,7 @@ from asymcolor.families import (
     RED,
     BlockerDecomposition,
     Coloring,
+    ColoringCheck,
     ColoringSearch,
     FamilyReport,
     PatternCopy,
@@ -147,10 +148,27 @@ def test_verify_coloring_forced_edge_configuration():
     assert set(check.edges) == set(complete_graph(4).edges)
 
 
+def per_edge_verify(coloring: Coloring, h1_copies: CopySet, h2_copies: CopySet) -> ColoringCheck:
+    """The reference for verify_from_copies: the same check, reading each
+    copy's colours edge by edge."""
+    missing = coloring.uncolored_edges()
+    if missing:
+        return ColoringCheck(False, "uncolored", missing)
+    a = coloring.assignment
+    for c in h1_copies.copies:
+        if all(a[e] == RED for e in c.edges):
+            return ColoringCheck(False, "red_h1", tuple(sorted(c.edges)))
+    for c in h2_copies.copies:
+        if all(a[e] == BLUE for e in c.edges):
+            return ColoringCheck(False, "blue_h2", tuple(sorted(c.edges)))
+    return ColoringCheck(True)
+
+
 def test_verify_from_copies_matches_verify_coloring():
     # the check from held copy sets is verify_coloring without the
-    # enumeration: the same verdict, kind and witness edges on random
-    # colourings, partial ones and the oracle's valid ones
+    # enumeration, and both give the per-edge reference's verdict, kind
+    # and witness edges on random colourings, partial ones and the
+    # oracle's valid ones
     rng = random.Random(3141)
     kinds = Counter()
     for pair in (pair_k4c4(), pair_k3k3(), pair_k3c4()):
@@ -168,6 +186,7 @@ def test_verify_from_copies_matches_verify_coloring():
                 for assignment in colorings:
                     coloring = Coloring(g, assignment)
                     check = verify_from_copies(coloring, *copies)
+                    assert check == per_edge_verify(coloring, *copies)
                     assert check == verify_coloring(coloring, pair)
                     kinds[check.kind] += 1
     assert set(kinds) == {None, "uncolored", "red_h1", "blue_h2"}
