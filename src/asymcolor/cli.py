@@ -15,6 +15,7 @@ digits fall outside the body alphabet.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -154,12 +155,12 @@ def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
-    print("key,value")
+    rows = csv.writer(sys.stdout, lineterminator="\n")
+    rows.writerow(("key", "value"))
     for k, v in payload.items():
         if isinstance(v, (dict, list)):
-            blob = json.dumps(v, separators=(",", ":")).replace('"', '""')
-            v = f'"{blob}"'
-        print(f"{k},{v}")
+            v = json.dumps(v, separators=(",", ":"))
+        rows.writerow((k, str(v)))  # None prints as None, not as an empty field
 
 
 def _write_artifact(out: Path | None, name: str, text: str) -> None:

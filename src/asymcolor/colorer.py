@@ -53,16 +53,17 @@ the alive masks agree until the hand-off, and the one set is walked once.
 With widest below 2 (no catalog) every live edge rules out, as a copy
 through it has its 2 endpoints, so the guard answers None for any
 non-empty residual without reading a copy. The blocker copies are
-enumerated only in the first residual no edge rules out, and the later
-residuals, its subgraphs, read them through alive masks.
+enumerated only in the first residual no edge rules out. Every later
+residual is a subgraph of that one, so a blocker copy lies in it exactly
+when all the copy's edges are live; the guard reads them by that
+containment, off each blocker set's index, with no mask to keep.
 The guard then builds the residual's BlockerDecomposition from the live
-copies, reading each blocker set's index through its alive mask, and
-reads covered_once and sparse, unless some live edge has no live blocker
-copy through it (it lies in no member).
-Both pick the members of one edge at a time and stop at the first edge
-or copy that fails; the decomposition that passes is handed to the
-member-wise colorer. The rules only answer early what that decomposition
-would, so no output changes.
+copies and reads covered_once and sparse, its one clean test: an edge on
+no live blocker copy has 0 members, so covered_once fails there. Both
+pick the members of one edge at a time and stop at the first edge or
+copy that fails; the decomposition that passes is handed to the
+member-wise colorer. The span rule only answers early what that
+decomposition would, so no output changes.
 """
 
 from __future__ import annotations
@@ -189,10 +190,9 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     h1, h2 = pair_copies(g, pair)
     alive1, alive2 = (1 << len(h1)) - 1, (1 << len(h2)) - 1
     tracked = alive2
-    # the blockers' copies in the first residual that can be clean, then
-    # alive masks over them; None until then
+    # the blockers' copies in the first residual that can be clean, read in
+    # later residuals by containment; None until then
     blocker_sets: list[CopySet] | None = None
-    blocker_alive: list[int] = []
     widest = max((b.vertex_count for b in blockers), default=0)
     witness: Edge | None = None  # a live edge that rules_out
     log: list[LogEntry] = []
@@ -256,34 +256,30 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
 
     def clean_residual() -> BlockerDecomposition | None:
         """The residual's blocker decomposition, from the live copies, when it
-        is a clean sparse union of blocker members; None otherwise. Its
-        blocker copies through an edge are read off each blocker set's
-        index through its alive mask.
+        is a clean sparse union of blocker members; None otherwise.
 
         A witness, a live edge that rules_out, rules the residual out. Its
         span can shrink as copies die, so it is tested again on each call,
         and live is scanned for another only when it fails or is deleted.
         The blocker copies are enumerated in the first residual with no
-        witness; later residuals, its subgraphs, read them through alive
-        masks. An edge on no live blocker copy lies in no member either, and
-        then no decomposition is built."""
-        nonlocal witness, blocker_sets, blocker_alive
+        witness. Later residuals are its subgraphs, so a blocker copy lies in
+        one exactly when its edges do; the decomposition reads them by that
+        containment. An edge on no blocker copy of the residual has no
+        member, which covered_once reads as not clean."""
+        nonlocal witness, blocker_sets
         if widest < 2 and live:
             return None  # every live edge rules out: a copy through it spans 2 endpoints
         if witness not in live or not rules_out(witness):
             witness = next((e for e in live if rules_out(e)), None)
         if witness is not None:
             return None
+        residual = graph(g.vertex_count, live)
+        edges = residual.edge_set()
         if blocker_sets is None:
-            residual = graph(g.vertex_count, live)
             blocker_sets = [enumerate_copies(residual, b) for b in blockers]
-            blocker_alive = [(1 << len(bs)) - 1 for bs in blocker_sets]
-        live_sets = list(zip(blocker_sets, blocker_alive))
-        if not all(any(a & bs.index.get(e, 0) for bs, a in live_sets) for e in live):
-            return None
         decomp = BlockerDecomposition(
-            graph(g.vertex_count, live),
-            lambda e: [bs.copies[i] for bs, a in live_sets for i in bit_positions(a & bs.index.get(e, 0))],
+            residual,
+            lambda e: [c for bs in blocker_sets for c in bs.through(e) if c.edges <= edges],
             CopySet(pair.h1, tuple(h1.copies[i] for i in bit_positions(alive1))),
             CopySet(pair.h2, tuple(h2.copies[i] for i in bit_positions(alive2))),
         )
@@ -304,8 +300,6 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
             alive1 &= ~killed
             killed_since |= killed
             alive2 &= ~h2.index.get(e, 0)
-            if blocker_sets is not None:
-                blocker_alive = [a & ~bs.index.get(e, 0) for bs, a in zip(blocker_sets, blocker_alive)]
             # every tracked copy stays fully alive in the residual
             assert not tracked & ~alive2
             log.append(("delete_edge", e, -1))

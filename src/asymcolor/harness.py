@@ -104,7 +104,11 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def edge_probability(pair: PairSpec, n: int, b: Fraction) -> float:
-    """b * n**(-1/m2(h1, h2)), clamped to [0, 1]; the one float we own."""
+    """b * n**(-1/m2(h1, h2)), clamped to [0, 1]; the one float we own.
+    As m2(h1, h2) > 1, b >= n gives p >= n**(1 - 1/m2(h1, h2)) >= 1, so
+    it is 1 before b, which may lie past float range, is converted."""
+    if b >= n:
+        return 1.0
     p = float(b) * float(n) ** (-1.0 / float(pair.m2_pair))
     return min(1.0, max(0.0, p))
 

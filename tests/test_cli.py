@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from types import SimpleNamespace
 
@@ -57,6 +59,40 @@ def test_density_flat_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert lines[1].startswith('h1,"{""graph6""')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--h1", "K4", "--h2", "C4"],
+        ["oracle", "--h1", "K3", "--h2", "K3", "--graph", "K5"],
+        ["color", "--h1", "K3", "--h2", "K3", "--graph", "K6"],
+        ["grow", "--h1", "K3", "--h2", "K3", "--graph", "K6"],
+        ["trial", "--h1", "K3", "--h2", "K3", "--n", "12", "--b", "1"],
+        ["regular-cert", "--v1", "5", "--l1", "4", "--v2", "4", "--l2", "3", "--enumerate", "6"],
+        # the rejection's reason holds a comma
+        ["regular-cert", "--v1", "4", "--l1", "3", "--v2", "4", "--l2", "2"],
+    ],
+    ids=["density", "oracle", "color", "grow", "trial", "regular-cert-certified", "regular-cert-rejected"],
+)
+def test_key_value_csv_round_trips(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows)
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(rows)
+    assert written.getvalue() == out
+    # each value reads back as the JSON rendering gives it
+    rc, text, _ = run_cli(capsys, *argv)
+    blob = json.loads(text)
+    assert [k for k, _ in rows[1:]] == list(blob)
+    for k, v in rows[1:]:
+        want = blob[k]
+        if isinstance(want, (dict, list)):
+            assert json.loads(v) == want, k
+        elif k != "wall_ms":
+            assert v == str(want), k
 
 
 def test_families_csv_lists_the_4_clique(capsys):
@@ -348,6 +384,21 @@ def test_exit_2_on_bad_input(capsys):
             cli.main(argv)
         assert exc.value.code == 2, argv
         assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b, edges", [("1e400", 45), ("1e-400", 0)])
+def test_exit_0_on_a_b_past_float_range(capsys, b, edges):
+    # p is 1 once b >= n, before b is made a float; a b that rounds to 0.0
+    # as a float gives the empty host
+    rc, out, _ = run_cli(capsys, "trial", "--h1", "K3", "--h2", "K3", "--n", "10", "--b", b)
+    assert rc == 0
+    blob = json.loads(out)
+    assert blob["edge_count"] == edges and blob["p"] == (1.0 if edges else 0.0)
+    rc, out, _ = run_cli(
+        capsys, "sweep", "--h1", "K3", "--h2", "K3", "--n", "10", "--b", b, "--trials", "1"
+    )
+    assert rc == 0
+    assert json.loads(out)["cells"][0]["p"] == blob["p"]
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from asymcolor.density import build_pair_spec
 from asymcolor.families import (
     BLUE,
     RED,
+    BlockerDecomposition,
     blocker_decomposition,
     blocker_members,
     color_by_members,
@@ -285,28 +286,51 @@ def test_soundness_k3k3_random(k3k3_setup):
 
 
 def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
-    # The guard decomposes the residual from the colorer's live-filtered
-    # copies; the decomposition it hands to color_by_members must equal one
-    # computed from scratch on the residual.
-    handed = []
+    # The guard decomposes each residual it gets past the span rule from the
+    # colorer's copies, reading the blocker copies of an earlier residual by
+    # containment. Every decomposition it builds must answer as one computed
+    # from scratch on the same residual, and the one it hands to
+    # color_by_members must equal that one part for part.
+    handed, built = [], []
 
     def spy(decomp, pair):
         handed.append(decomp)
         return color_by_members(decomp, pair)
 
+    def spy_decomposition(*args):
+        decomp = BlockerDecomposition(*args)
+        built.append(decomp)
+        return decomp
+
     monkeypatch.setattr(colorer, "color_by_members", spy)
+    monkeypatch.setattr(colorer, "BlockerDecomposition", spy_decomposition)
     k3k3, blockers = k3k3_setup
     cases = [(k3k3, blockers, gnp(12, 0.4, 7000 + s)) for s in range(30)]
     cases += [(pair_k4c4(), (), gnp(12, 0.3, 8000 + s)) for s in range(30)]
-    colored = with_members = 0
+    # the 4-wheel is pinned for K3/C4, but no spoke lies on an anchored C4,
+    # so a copy of it can lose an edge after the guard has enumerated it
+    wheel = graph(5, [(0, 1), (1, 3), (3, 2), (2, 0)] + [(i, 4) for i in range(4)])
+    cases += [(pair_k3c4(), (wheel,), gnp(8, 0.5, 9000 + s)) for s in range(30)]
+    colored = with_members = guarded = uncovered = 0
     for pair, catalog, g in cases:
         handed.clear()
+        built.clear()
         out = asym_edge_color(g, pair, catalog)
+        for decomp in built:
+            fresh = blocker_decomposition(decomp.graph, pair, catalog)
+            assert decomp.covered_once == fresh.covered_once
+            assert decomp.sparse == fresh.sparse
+            if decomp.covered_once:
+                assert decomp.members == fresh.members
+            # an edge on no live blocker copy: the residual is not clean
+            uncovered += any(not decomp.members_through(e) for e in decomp.graph.edges)
+        guarded += len(built)
         if out.status != "colored":
             continue
         deleted = {ev.edge for ev in out.trace if ev.action == "delete_edge"}
         residual = graph(g.vertex_count, set(g.edges) - deleted)
         (decomp,) = handed
+        assert decomp is built[-1]
         fresh = blocker_decomposition(residual, pair, catalog)
         # a decomposition holds a lookup of blocker copies, so each part is
         # compared on its own
@@ -317,7 +341,8 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
         assert tuple(decomp.straddlers()) == tuple(fresh.straddlers())
         colored += 1
         with_members += bool(decomp.members)
-    assert colored == 50 and with_members == 14
+    assert colored == 75 and with_members == 22
+    assert guarded > colored and uncovered >= 1
 
 
 def count_enumerations(monkeypatch):
