@@ -34,10 +34,14 @@ and tracked masks only shrink, so an unpinned edge stays unpinned until it
 is deleted, and a pinned one is tested again only when an h1-copy or a
 tracked h2-copy through it goes. retest intersects the pinned set with
 the gone copies' edges, and returns at once when no copy went or nothing
-is pinned. The unpinned live edges are kept in a heap, and each deletion
-takes its least. When the heap is empty the least tracked copy with an
-unpinned edge is retired; least_loose finds it testing each tracked copy
-once, and again only after an h1-copy sharing an edge with it dies.
+is pinned. When h2 is h1 the tracked copies a deletion drops are among the
+h1-copies it kills, as tracked lies within alive2, which equals alive1
+until the hand-off; so one retest of the killed copies tests each of
+their pinned edges once. The unpinned live edges are kept in a heap, and
+each deletion takes its least. When the heap is empty the least tracked
+copy with an unpinned edge is retired; least_loose finds it testing each
+tracked copy once, and again only after an h1-copy sharing an edge with
+it dies.
 
 After each deletion a guard asks whether the residual is a clean sparse
 union of blocker members. A live edge rules it out when it lies on no live
@@ -52,7 +56,13 @@ stops at the first copy that takes the count past widest. When h2 is h1
 the alive masks agree until the hand-off, and the one set is walked once.
 With widest below 2 (no catalog) every live edge rules out, as a copy
 through it has its 2 endpoints, so the guard answers None for any
-non-empty residual without reading a copy. The blocker copies are
+non-empty residual without reading a copy. A witness, a live edge that
+rules out, is kept while it does; when it is deleted or stops ruling out,
+the scan for another goes on from the next edge of the snapshot of live
+it was found in, skipping deleted edges. An edge scanned before it can
+have come to rule out since, so no witness is answered only after a
+whole pass over the current live finds none: the guard decomposes exactly
+the residuals no edge rules out. The blocker copies are
 enumerated only in the first residual no edge rules out. Every later
 residual is a subgraph of that one, so a blocker copy lies in it exactly
 when all the copy's edges are live; the guard reads them by that
@@ -72,7 +82,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .density import PairSpec
 from .families import (
@@ -195,6 +205,7 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     blocker_sets: list[CopySet] | None = None
     widest = max((b.vertex_count for b in blockers), default=0)
     witness: Edge | None = None  # a live edge that rules_out
+    scan: Iterator[Edge] = iter(())  # the rest of a snapshot of live
     log: list[LogEntry] = []
 
     # unpinned is a heap of exactly the unpinned live edges: an edge stays
@@ -259,20 +270,26 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
         is a clean sparse union of blocker members; None otherwise.
 
         A witness, a live edge that rules_out, rules the residual out. Its
-        span can shrink as copies die, so it is tested again on each call,
-        and live is scanned for another only when it fails or is deleted.
+        span can shrink as copies die, so it is tested again on each call.
+        When it fails or is deleted, the scan resumes after it in the
+        snapshot of live it was found in; only a fresh whole pass over
+        live that finds no witness lets the residual be decomposed.
         The blocker copies are enumerated in the first residual with no
         witness. Later residuals are its subgraphs, so a blocker copy lies in
         one exactly when its edges do; the decomposition reads them by that
         containment. An edge on no blocker copy of the residual has no
         member, which covered_once reads as not clean."""
-        nonlocal witness, blocker_sets
+        nonlocal witness, scan, blocker_sets
         if widest < 2 and live:
             return None  # every live edge rules out: a copy through it spans 2 endpoints
-        if witness not in live or not rules_out(witness):
-            witness = next((e for e in live if rules_out(e)), None)
-        if witness is not None:
+        if witness in live and rules_out(witness):
             return None
+        for fresh in (False, True):
+            if fresh:
+                scan = iter(list(live))
+            witness = next((e for e in scan if e in live and rules_out(e)), None)
+            if witness is not None:
+                return None
         residual = graph(g.vertex_count, live)
         edges = residual.edge_set()
         if blocker_sets is None:
@@ -304,7 +321,10 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
             assert not tracked & ~alive2
             log.append(("delete_edge", e, -1))
             retest(h1, killed)
-            retest(h2, dropped)
+            # when h2 is h1, dropped is within killed, whose pinned edges
+            # were just tested again in this state
+            if h2 is not h1:
+                retest(h2, dropped)
             clean = clean_residual()
         elif (li := least_loose()) is not None:
             tracked &= ~(1 << li)

@@ -5,10 +5,12 @@ Vocabulary used throughout (each mirrors one family from the underlying
 theory, renamed for what it checks):
 
 - a copy R of h1 "pins" edge e for a copy L of h2 when E(L) cap E(R) = {e};
-  pin_partner is the one test of this relation, a mask of h1-copy
-  positions read off CopySet.index; unpinned_edge finds the least edge of
-  L that nothing pins, and is_pinned asks whether e is pinned for some
-  copy of h2 through it;
+  pin_partner defines this relation, a mask of h1-copy positions read off
+  CopySet.index; unpinned_edge finds the least edge of L that nothing
+  pins, and is_pinned asks whether e is pinned for some copy of h2
+  through it. Both compute pin_partner's mask inline, as the colorer
+  calls them tens of thousands of times a run: unpinned_edge reads each
+  of L's index masks once, and is_pinned makes no call per h2-copy;
 - an "anchored" copy is a copy L of h2 every edge of which is pinned;
 - a graph is "pinned" when each of its edges is pinned for some copy of h2,
   and "anchored" when every edge lies on an anchored copy
@@ -319,9 +321,16 @@ def pin_partner(l_edges: frozenset[Edge], e: Edge, h1_copies: CopySet, alive: in
 
 def unpinned_edge(l_edges: frozenset[Edge], h1_copies: CopySet, alive: int = -1) -> Edge | None:
     """The least edge e of an h2-copy that no copy among h1_copies,
-    restricted to alive, pins; None when the copy is anchored."""
-    for e in sorted(l_edges):
-        if not pin_partner(l_edges, e, h1_copies, alive):
+    restricted to alive, pins; None when the copy is anchored. It is
+    pin_partner's test with each of the copy's index masks read once."""
+    index = h1_copies.index
+    masks = [(e, index.get(e, 0)) for e in sorted(l_edges)]
+    for e, through in masks:
+        partners = alive & through
+        for f, other in masks:
+            if partners and f != e:
+                partners &= ~other
+        if not partners:
             return e
     return None
 
@@ -330,15 +339,21 @@ def is_pinned(e: Edge, h2_copies: CopySet, h1_copies: CopySet, alive2: int = -1,
     """Some copy among h2_copies, restricted to alive2, through e has a
     copy among h1_copies, restricted to alive1, that pins e for it. False
     at once when no such h1-copy passes through e; otherwise it stops at
-    the first h2-copy through e with a pin partner."""
-    cand = alive1 & h1_copies.index.get(e, 0)
+    the first h2-copy through e with a pin partner. The partner mask is
+    pin_partner's, computed inline."""
+    index = h1_copies.index
+    cand = alive1 & index.get(e, 0)
     if not cand:
         return False
     copies = h2_copies.copies
-    return any(
-        pin_partner(copies[i].edges, e, h1_copies, cand)
-        for i in bit_positions(alive2 & h2_copies.index.get(e, 0))
-    )
+    for i in bit_positions(alive2 & h2_copies.index.get(e, 0)):
+        partners = cand
+        for f in copies[i].edges:
+            if partners and f != e:
+                partners &= ~index.get(f, 0)
+        if partners:
+            return True
+    return False
 
 
 @dataclass(frozen=True, eq=False)

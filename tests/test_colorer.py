@@ -342,7 +342,36 @@ def test_handoff_decomposition_matches_a_fresh_one(k3k3_setup, monkeypatch):
         colored += 1
         with_members += bool(decomp.members)
     assert colored == 75 and with_members == 22
-    assert guarded > colored and uncovered >= 1
+    # the guard's witness scan resumes where it stopped; it must still
+    # decompose exactly the residuals no edge rules out
+    assert guarded == 111 and uncovered == 31
+
+
+def test_each_deletion_tests_an_edge_for_a_pin_once(k3k3_setup, monkeypatch):
+    # when h2 is h1 the copies a deletion drops from tracked are among those
+    # it kills, so the pinned edges of both are tested again once. Every
+    # deletion or retirement that tests edges again shrinks the masks
+    # is_pinned is asked against, so an (edge, masks) question asked twice
+    # is an edge tested twice between two consecutive log entries
+    asked = []
+    original = colorer.is_pinned
+
+    def spy(e, h2_copies, h1_copies, alive2, alive1):
+        asked.append((e, alive2, alive1))
+        return original(e, h2_copies, h1_copies, alive2, alive1)
+
+    monkeypatch.setattr(colorer, "is_pinned", spy)
+    pair, blockers = k3k3_setup
+    p = edge_probability(pair, 20, Fraction(3, 2))
+    hosts = [gnp(12, 0.4, 7000 + s) for s in range(30)]
+    hosts += [sample_gnp(20, p, derive_seed(20261021, 20, Fraction(3, 2), t)) for t in range(10)]
+    retested = 0
+    for g in hosts:
+        asked.clear()
+        asym_edge_color(g, pair, blockers)
+        assert len(set(asked)) == len(asked)
+        retested += len(asked) - g.edge_count
+    assert retested > 0
 
 
 def count_enumerations(monkeypatch):

@@ -476,19 +476,34 @@ def literal_partners(l_edges, e, h1_copies: CopySet, alive: int) -> list[int]:
     ]
 
 
+def dense_k3_host() -> Graph:
+    """G(25, 0.8): over 1,024 triangles, so CopySet.index is built in chunks,
+    and more than 8 through most edges, so bit_positions reads those masks
+    off their bin() string."""
+    g = sample_gnp(25, 0.8, derive_seed(16, 25, F(4, 5), 0))
+    triangles = enumerate_copies(g, complete_graph(3))
+    assert len(triangles) > 1024
+    assert sum(m.bit_count() > 8 for m in triangles.index.values()) > g.edge_count // 2
+    return g
+
+
 @pytest.mark.parametrize("pair_of", [pair_k3k3, pair_k4c4])
 def test_pin_relation_matches_its_definition_on_gnp(pair_of):
+    # on the dense K3/K3 host every 7th h2-copy is tested, as the
+    # reference scans every h1-copy per edge
     pair = pair_of()
     rng = random.Random(16)
     seen = Counter()
-    for t in range(8):
-        g = sample_gnp(11, 0.55, derive_seed(16, 11, F(11, 20), t))
+    hosts = [(sample_gnp(11, 0.55, derive_seed(16, 11, F(11, 20), t)), 1) for t in range(8)]
+    if pair_of is pair_k3k3:
+        hosts.append((dense_k3_host(), 7))
+    for g, step in hosts:
         h1, h2 = enumerate_copies(g, pair.h1), enumerate_copies(g, pair.h2)
         for e in g.edges:
             through = [i for i, c in enumerate(h1.copies) if e in c.edges]
             assert h1.index.get(e, 0) == sum(1 << i for i in through)
         for alive in (-1, rng.getrandbits(len(h1))):
-            for L in h2.copies:
+            for L in h2.copies[::step]:
                 for e in sorted(L.edges):
                     partners = pin_partner(L.edges, e, h1, alive)
                     expect = literal_partners(L.edges, e, h1, alive)
@@ -517,22 +532,27 @@ def literal_pinned(e, h2_copies: CopySet, h1_copies: CopySet, alive2: int, alive
 @pytest.mark.parametrize("pair_of", [pair_k4c4, pair_k5c4, pair_k3k3])
 def test_is_pinned_matches_its_definition_on_gnp(pair_of):
     # every copy alive, every h1-copy dead, and seeded random masks; the
-    # edges on no live h1-copy take is_pinned's early False
+    # edges on no live h1-copy take is_pinned's early False. K3/K3 adds
+    # the dense host, whose masks through an edge are wide and hold more
+    # than 8 copies
     pair = pair_of()
     rng = random.Random(26)
     seen = Counter()
-    for p in (F(2, 5), F(7, 10)):
-        for t in range(4):
-            g = sample_gnp(10, float(p), derive_seed(26, 10, p, t))
-            h1, h2 = pair_copies(g, pair)
-            masks = ((-1, -1), (-1, 0), (rng.getrandbits(len(h2)), rng.getrandbits(len(h1))))
-            for alive2, alive1 in masks:
-                for e in g.edges:
-                    expect = literal_pinned(e, h2, h1, alive2, alive1)
-                    assert is_pinned(e, h2, h1, alive2, alive1) == expect
-                    seen[expect, e in h1.index] += 1
-            unpinned = tuple(e for e in g.edges if not literal_pinned(e, h2, h1, -1, -1))
-            assert FamilyReport(g, h1, h2).pinned_failures == unpinned
+    hosts = [
+        sample_gnp(10, float(p), derive_seed(26, 10, p, t)) for p in (F(2, 5), F(7, 10)) for t in range(4)
+    ]
+    if pair_of is pair_k3k3:
+        hosts.append(dense_k3_host())
+    for g in hosts:
+        h1, h2 = pair_copies(g, pair)
+        masks = ((-1, -1), (-1, 0), (rng.getrandbits(len(h2)), rng.getrandbits(len(h1))))
+        for alive2, alive1 in masks:
+            for e in g.edges:
+                expect = literal_pinned(e, h2, h1, alive2, alive1)
+                assert is_pinned(e, h2, h1, alive2, alive1) == expect
+                seen[expect, e in h1.index] += 1
+        unpinned = tuple(e for e in g.edges if not literal_pinned(e, h2, h1, -1, -1))
+        assert FamilyReport(g, h1, h2).pinned_failures == unpinned
     # pinned edges, unpinned ones on some h1-copy, and edges on none
     assert all(seen[k] for k in ((True, True), (False, True), (False, False))), seen
 

@@ -234,6 +234,18 @@ def test_bit_positions_matches_a_naive_scan():
     masks.append((1 << 20000) | 1)  # wide and sparse
     for m in masks:
         assert list(bit_positions(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+    # masks built from their bits, each with its top bit set: 7, 8 and 9 bits
+    # either side of the switch from the lowest-bit walk to the bin() walk,
+    # at widths from 10 to 100,000 bits, and a single bit at 100,000
+    cases = [
+        rng.sample(range(w - 1), k - 1) + [w - 1] for w in (10, 200, 2000, 100_000) for k in (7, 8, 9)
+    ]
+    cases.append([99_999])
+    for bits in cases:
+        assert list(bit_positions(sum(1 << i for i in bits))) == sorted(bits)
+    for m in (-1, -5, -(1 << 100)):
+        with pytest.raises(ValueError):
+            list(bit_positions(m))
 
 
 def test_copy_witness_is_the_first_embedding():
