@@ -193,9 +193,9 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     member raises UncolorableMemberError; color_by_members searches each
     member at the default budget.
     """
-    loose = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
-    if loose:
-        raise ValueError(f"blocker members must be pinned for the pair; not pinned: {', '.join(loose)}")
+    unpinned_blockers = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
+    if unpinned_blockers:
+        raise ValueError(f"blocker members must be pinned for the pair; not pinned: {', '.join(unpinned_blockers)}")
     live: set[Edge] = set(g.edges)
     h1, h2 = pair_copies(g, pair)
     alive1, alive2 = (1 << len(h1)) - 1, (1 << len(h2)) - 1

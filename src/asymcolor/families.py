@@ -34,7 +34,6 @@ theory, renamed for what it checks):
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Sequence
@@ -47,6 +46,7 @@ from .graphs import (
     Graph,
     bit_positions,
     canonical_form,
+    copy_index,
     enumerate_copies,
     enumerate_copies_through,
     extract_from_edges,
@@ -504,9 +504,9 @@ def _maximal(copies: Iterable[Copy]) -> tuple[Copy, ...]:
     copy is kept unless one kept at a larger size contains it (none of its
     own size can): kept[e] has bit i set when the i-th kept copy contains
     e, so a copy lies inside a kept one exactly when the masks of its edges
-    share a bit. The bits of a size's kept copies are joined into the masks
-    once that size is done, as setting them one at a time would copy the
-    whole mask each time."""
+    share a bit. Once a size is done, copy_index builds its kept copies'
+    masks, which are shifted past the copies kept before and joined in, as
+    setting bits one at a time would copy the whole mask each time."""
     by_size: dict[int, dict[frozenset[Edge], Copy]] = {}
     for c in copies:
         by_size.setdefault(len(c.edges), {}).setdefault(c.edges, c)
@@ -523,23 +523,10 @@ def _maximal(copies: Iterable[Copy]) -> tuple[Copy, ...]:
                     fresh.append(c)
                     break
         if size != sizes[-1]:  # a smaller size is still to be tested
-            positions: defaultdict[Edge, list[int]] = defaultdict(list)
-            for i, c in enumerate(fresh, len(maximal)):
-                for e in c.edges:
-                    positions[e].append(i)
-            for e, ps in positions.items():
-                kept[e] = kept.get(e, 0) | _mask(ps)
+            for e, m in copy_index(fresh).items():
+                kept[e] = kept.get(e, 0) | m << len(maximal)
         maximal += fresh
     return tuple(sorted(maximal, key=Copy.sort_key))
-
-
-def _mask(positions: list[int]) -> int:
-    """The mask with bits set at ascending positions, built in time linear
-    in its width."""
-    digits = bytearray(b"0") * (positions[-1] + 1)  # most significant first
-    for i in positions:
-        digits[-1 - i] = 49  # ord("1")
-    return int(digits, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,8 +645,7 @@ def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> MemberColo
         raise ValueError("host is not a cleanly-covered sparse union of blocker members")
     assignment: dict[Edge, str] = {}
     for mem in decomp.members:
-        sub, index = extract_from_edges(mem.edges)
-        back = {v: k for k, v in index.items()}
+        sub, verts = extract_from_edges(mem.edges)
         res = has_valid_coloring(sub, pair)
         if res.status != "valid":
             finding = (
@@ -671,5 +657,5 @@ def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> MemberColo
             return MemberColoringResult(False, None, finding, mem)
         assert res.coloring is not None
         for (u, v), c in res.coloring.assignment.items():
-            assignment[norm_edge(back[u], back[v])] = c
+            assignment[norm_edge(verts[u], verts[v])] = c
     return MemberColoringResult(True, Coloring(decomp.graph, assignment), None, None)

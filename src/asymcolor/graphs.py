@@ -131,24 +131,27 @@ def adjacency_sets(g: Graph) -> list[set[int]]:
     return adj
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Extract the induced subgraph on `vertices` as a standalone Graph.
 
-    Returns the extracted graph together with the map original->new index.
-    Vertices are relabeled in increasing original order.
+    Returns the extracted graph together with its vertices' original
+    labels, new vertex i being original vertex verts[i]. Vertices are
+    relabeled in increasing original order.
     """
-    verts = sorted(set(vertices))
+    verts = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return graph(len(verts), edges), index
+    return graph(len(verts), edges), verts
 
 
-def extract_from_edges(edges: Iterable[Edge]) -> tuple[Graph, dict[int, int]]:
-    """Relabel an edge set to a compact Graph on the vertices it touches."""
+def extract_from_edges(edges: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
+    """Relabel an edge set to a compact Graph on the vertices it touches,
+    returned with their original labels in increasing order, as
+    induced_subgraph does."""
     edges = [norm_edge(*e) for e in edges]
-    verts = sorted({v for e in edges for v in e})
+    verts = tuple(sorted({v for e in edges for v in e}))
     index = {v: i for i, v in enumerate(verts)}
-    return graph(len(verts), [(index[u], index[v]) for u, v in edges]), index
+    return graph(len(verts), [(index[u], index[v]) for u, v in edges]), verts
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +194,43 @@ def bit_positions(mask: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
+def copy_index(copies: Sequence[Copy]) -> dict[Edge, int]:
+    """Every edge on some copy, mapped to the bitmask of the positions in
+    copies of the copies through it. The one builder of per-edge copy
+    masks: CopySet.index and the blocker decomposition's maximality test
+    both call it.
+
+    Setting a bit copies the whole int, so bits are set in the small ints
+    of 1024-copy chunks; past one chunk, each edge's mask is joined once
+    from its chunks' 128-byte images, zeros where none."""
+    n_chunks = -(-len(copies) // 1024)
+    zero = bytes(128)
+    parts: dict[Edge, list[bytes]] = {}
+    for j in range(n_chunks):
+        chunk: dict[Edge, int] = {}
+        for i, c in enumerate(copies[1024 * j : 1024 * j + 1024]):
+            bit = 1 << i
+            for e in c.edges:
+                chunk[e] = chunk.get(e, 0) | bit
+        if n_chunks == 1:
+            return chunk
+        for e, m in chunk.items():
+            p = parts.get(e)
+            if p is None:
+                p = parts[e] = [zero] * n_chunks
+            p[j] = m.to_bytes(128, "little")
+    return {e: int.from_bytes(b"".join(p), "little") for e, p in parts.items()}
+
+
 @dataclass(frozen=True)
 class CopySet:
     """Copies of pattern, in ascending `Copy.sort_key` order.
 
-    index maps every edge on some copy to the bitmask of the positions of
-    the copies through it, and through(e) decodes that mask into those
-    copies in the order of copies. It is the one per-edge copy index: the
-    colorer's alive masks, the oracle and the pin relation all read it.
+    index, which copy_index builds, maps every edge on some copy to the
+    bitmask of the positions of the copies through it, and through(e)
+    decodes that mask into those copies in the order of copies. It is the
+    one per-edge copy index: the colorer's alive masks, the oracle and the
+    pin relation all read it.
     The index is built on first use: a set nobody queries costs nothing.
     endpoint_masks, per copy the bitmask of its edges' endpoints, is too.
     """
@@ -211,27 +243,7 @@ class CopySet:
 
     @cached_property
     def index(self) -> dict[Edge, int]:
-        # setting a bit copies the whole int, so bits are set in the small
-        # ints of 1024-copy chunks; past one chunk, each edge's mask is
-        # joined once from its chunks' 128-byte images, zeros where none
-        copies = self.copies
-        n_chunks = -(-len(copies) // 1024)
-        zero = bytes(128)
-        parts: dict[Edge, list[bytes]] = {}
-        for j in range(n_chunks):
-            chunk: dict[Edge, int] = {}
-            for i, c in enumerate(copies[1024 * j : 1024 * j + 1024]):
-                bit = 1 << i
-                for e in c.edges:
-                    chunk[e] = chunk.get(e, 0) | bit
-            if n_chunks == 1:
-                return chunk
-            for e, m in chunk.items():
-                p = parts.get(e)
-                if p is None:
-                    p = parts[e] = [zero] * n_chunks
-                p[j] = m.to_bytes(128, "little")
-        return {e: int.from_bytes(b"".join(p), "little") for e, p in parts.items()}
+        return copy_index(self.copies)
 
     @cached_property
     def endpoint_masks(self) -> tuple[int, ...]:

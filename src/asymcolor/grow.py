@@ -250,7 +250,7 @@ def _grow(
     i = 0
     while True:
         lam = Fraction(len(f_verts)) - Fraction(len(f_edges)) / pair.m2_pair
-        extracted, index = extract_from_edges(f_edges)
+        extracted, verts = extract_from_edges(f_edges)
         if i >= cap:
             break
         # with m2_pair = p/q, the least slack over subgraphs S of F is
@@ -276,7 +276,7 @@ def _grow(
             f_edges |= absorbed.edges
             f_verts |= absorbed.vertices
         else:
-            e = _mapped_eligible(extracted, index, pair, variant, steps)
+            e = _mapped_eligible(extracted, verts, pair, variant, steps)
             kind, degenerate = extend_kind, extend(f_edges, f_verts, e, decomp.report)
         if len(f_edges) <= before_e:
             raise GrowError("growth step added no edge; attachment bookkeeping is broken", steps)
@@ -310,8 +310,7 @@ def _grow(
         # canonically least minimiser (canonical_key orders by vertex count
         # first).
         final, _ = induced_subgraph(extracted, least)
-        back = {c: o for o, c in index.items()}
-        chosen = {back[c] for c in least}
+        chosen = {verts[c] for c in least}
         host_edges = tuple(
             sorted(e for e in f_edges if e[0] in chosen and e[1] in chosen)
         )
@@ -321,7 +320,7 @@ def _grow(
 
 def _mapped_eligible(
     extracted: Graph,
-    index: dict[int, int],
+    verts: tuple[int, ...],
     pair: PairSpec,
     variant: Variant,
     steps: Sequence[GrowStep],
@@ -334,8 +333,7 @@ def _mapped_eligible(
             "would have been a member return",
             steps,
         )
-    back = {c: o for o, c in index.items()}
-    return norm_edge(back[e[0]], back[e[1]])
+    return norm_edge(verts[e[0]], verts[e[1]])
 
 
 def grow(decomp: BlockerDecomposition, pair: PairSpec) -> tuple[Graph, GrowTrace]:

@@ -19,6 +19,7 @@ from asymcolor.families import (
     FamilyReport,
     PatternCopy,
     _capped_blocker,
+    _maximal,
     _under_cap,
     blocker_decomposition,
     color_by_members,
@@ -985,6 +986,36 @@ def test_maximal_members_match_pairwise_scan():
         members += len(d.members)
     assert members > 1000
 
+
+
+def test_maximal_matches_pairwise_scan_past_one_index_chunk():
+    # a shuffled pool through edge (0, 1) in five sizes, each edge set also
+    # copied on other vertices: 10 five-edge copies; 58 quadrilaterals, each
+    # around one of 1500 triangles, which leaves 1442 of those kept, past
+    # the 1024 copies of one copy_index chunk; 580 three-edge copies, each
+    # with an edge of one five-edge copy and one quadrilateral and so inside
+    # neither, but inside both if a size's masks were not shifted past the
+    # copies kept before it; a pair inside every triangle and 100 pairs
+    # inside none; and the single edge (0, 1) itself
+    def copy(*edges):
+        return Copy(frozenset(edges), frozenset(v for e in edges for v in e))
+
+    pool = []
+    for k in range(30_000, 30_010):
+        pool.append(copy((0, 1), (0, k), (1, k), (k, k + 1000), (k + 1000, k + 2000)))
+        for a in range(2, 60):
+            pool.append(copy((0, 1), (k, k + 1000), (a, 10_000 + a)))
+    for a in range(2, 1502):
+        pool += [copy((0, 1), (0, a), (1, a)), copy((0, 1), (0, a))]
+        if a < 60:
+            pool.append(copy((0, 1), (0, a), (1, a), (a, 10_000 + a)))
+    pool += [copy((0, 1), (1, b)) for b in range(2000, 2100)]
+    pool.append(copy((0, 1)))
+    pool += [Copy(c.edges, c.vertices | {40_000}) for c in pool]
+    random.Random(3).shuffle(pool)
+    members = _maximal(pool)
+    assert members == reference_members(pool)
+    assert Counter(len(c.edges) for c in members) == {5: 10, 4: 58, 3: 2022, 2: 100}
 
 def kept_mask_members(blocker_copies):
     """The global kept-mask scan the decomposition ran before members were

@@ -92,17 +92,17 @@ def test_named_graphs():
 
 def test_induced_subgraph_relabels():
     g = cycle_graph(5)
-    sub, index = induced_subgraph(g, [0, 1, 3])
+    sub, verts = induced_subgraph(g, [0, 1, 3])
     assert sub.vertex_count == 3
     assert sub.edges == ((0, 1),)
-    assert index == {0: 0, 1: 1, 3: 2}
+    assert verts == (0, 1, 3)
 
 
 def test_extract_from_edges():
-    g, index = extract_from_edges([(7, 3), (3, 9)])
+    g, verts = extract_from_edges([(7, 3), (3, 9)])
     assert g.vertex_count == 3
     assert g.edges == ((0, 1), (0, 2))  # 3 is the path center and sorts first
-    assert index[3] == 0
+    assert verts == (3, 7, 9)
 
 
 # ---------------------------------------------------------------------------
