@@ -22,15 +22,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .colorer import (
-    ColorerInternalError,
-    UncolorableMemberError,
-    asym_edge_color,
-    check_stuck_state,
-)
-from .density import build_pair_spec, density_profile, m2_asym
+from .colorer import ColorerInternalError, asym_edge_color, check_stuck_state
+from .density import build_pair_spec, d2_density, d_density, m2_asym, m2_density, m_density
 from .families import (
     DEFAULT_ORACLE_BUDGET,
+    UncolorableMemberError,
     blocker_decomposition,
     blocker_members,
     enumerate_blockers,
@@ -175,16 +171,16 @@ def _jsonl(rows) -> str:
 
 
 def _profile_dict(g: Graph) -> dict:
-    prof = density_profile(g)
+    m2, m2_witness = m2_density(g)
     return {
         "graph6": emit_graph6(g),
         "vertices": g.vertex_count,
         "edges": g.edge_count,
-        "d": str(prof.d),
-        "m": str(prof.m),
-        "d2": str(prof.d2),
-        "m2": str(prof.m2),
-        "m2_witness_vertices": list(prof.witness_m2.vertices),
+        "d": str(d_density(g)),
+        "m": str(m_density(g)[0]),
+        "d2": str(d2_density(g)),
+        "m2": str(m2),
+        "m2_witness_vertices": list(m2_witness),
     }
 
 
@@ -204,7 +200,7 @@ def cmd_density(args) -> int:
             "gamma": str(pair.gamma),
             "epsilon": str(pair.epsilon),
             "case": pair.case,
-            "witness_vertices": list(witness.vertices),
+            "witness_vertices": list(witness),
             "hypotheses": {
                 "distinct": pair.hypotheses.distinct,
                 "h2_strictly_two_balanced": pair.hypotheses.h2_strictly_two_balanced,

@@ -90,7 +90,6 @@ from .families import (
     RED,
     BlockerDecomposition,
     Coloring,
-    MemberColoringResult,
     blocker_decomposition,
     color_by_members,
     family_report,
@@ -157,18 +156,6 @@ class ColorerInternalError(Exception):
         super().__init__("\n".join([message] + [str(ev.to_dict()) for ev in self.trace]))
 
 
-class UncolorableMemberError(Exception):
-    """The member-wise colorer failed on the sparse core.
-
-    Not an internal bug: it means some blocker member has no valid coloring,
-    refuting the emptiness premise for this pair/epsilon. Carries the result.
-    """
-
-    def __init__(self, result: MemberColoringResult):
-        super().__init__(result.finding or "member coloring failed")
-        self.result = result
-
-
 @lru_cache(maxsize=256)  # a run meets few (member, pair) combinations
 def _pinned(member: Graph, pair: PairSpec) -> bool:
     return family_report(member, pair).pinned
@@ -189,9 +176,10 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
 
     Returns Colored (with a verified coloring) or Stuck (with the residual
     and the still-tracked copies). Internal contract violations raise
-    ColorerInternalError with the log's tail attached; an uncolorable sparse-core
-    member raises UncolorableMemberError; color_by_members searches each
-    member at the default budget.
+    ColorerInternalError with the log's tail attached. color_by_members
+    colours the sparse core, searching each member at the default budget,
+    and raises families.UncolorableMemberError at a member that it cannot
+    colour; that error passes through.
     """
     unpinned_blockers = [emit_graph6(b) for b in blockers if not _pinned(b, pair)]
     if unpinned_blockers:
@@ -343,10 +331,7 @@ def asym_edge_color(g: Graph, pair: PairSpec, blockers: Sequence[Graph]) -> Colo
     # hand the sparse, cleanly-covered residual to the member-wise colorer,
     # with its h1/h2 copies as the live-filtered input copies
     log.append(("handoff", None, -1))
-    base = color_by_members(clean, pair)
-    if not base.ok:
-        raise UncolorableMemberError(base)
-    assignment: dict[Edge, str] = dict(base.coloring.assignment)
+    assignment: dict[Edge, str] = dict(color_by_members(clean, pair).assignment)
     blue = {e for e, c in assignment.items() if c == BLUE}
 
     # the entries before the handoff, last first, are the stack

@@ -6,7 +6,8 @@ on the core that is left. The measures with a least maximizing
 witness (m_density, m2_density, m2_asym) and the balancedness tests
 iterate over vertex subsets and take all induced edges, which is sound
 because adding an edge at a fixed vertex set never lowers any of the
-measures involved. Witnesses are therefore induced.
+measures involved. Witnesses are therefore induced, and are returned as
+their sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
-from .graphs import Graph, adjacency_masks, adjacency_sets, canonical_key, induced_subgraph
+from .graphs import Graph, adjacency_masks, adjacency_sets, canonical_key
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -25,25 +26,6 @@ _SUBSET_LIMIT = 20
 
 BalanceMode = Literal["balanced", "strictly_balanced", "two_balanced", "strictly_two_balanced"]
 PairCase = Literal["strict", "equal"]
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A maximizing induced subgraph: original vertices plus the extraction."""
-
-    vertices: tuple[int, ...]
-    subgraph: Graph
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    graph: Graph
-    d: Fraction
-    m: Fraction
-    d2: Fraction
-    m2: Fraction
-    witness_m: Witness
-    witness_m2: Witness
 
 
 @dataclass(frozen=True)
@@ -58,10 +40,6 @@ class PairHypotheses:
     distinct: bool
     h2_strictly_two_balanced: bool
     h1_case_balance: bool  # strict case: strictly balanced w.r.t. d2(.,h2); equal case: strictly 2-balanced
-
-    @property
-    def balance_ok(self) -> bool:
-        return self.h2_strictly_two_balanced and self.h1_case_balance
 
 
 @dataclass(frozen=True)
@@ -129,7 +107,7 @@ def _iter_induced(g: Graph):
         yield tuple(verts), edges
 
 
-def _maximize(g: Graph, value: Callable[[int, int], Fraction]) -> tuple[Fraction, Witness]:
+def _maximize(g: Graph, value: Callable[[int, int], Fraction]) -> tuple[Fraction, tuple[int, ...]]:
     best: Fraction | None = None
     best_verts: tuple[int, ...] = ()
     for verts, edges in _iter_induced(g):
@@ -138,17 +116,18 @@ def _maximize(g: Graph, value: Callable[[int, int], Fraction]) -> tuple[Fraction
             best = val
             best_verts = verts
     assert best is not None
-    sub, _ = induced_subgraph(g, best_verts)
-    return best, Witness(best_verts, sub)
+    return best, best_verts
 
 
-def m_density(g: Graph) -> tuple[Fraction, Witness]:
-    """max d(J) over subgraphs J, with a least maximizing induced witness."""
+def m_density(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """max d(J) over subgraphs J, with the vertices of a least maximizing
+    induced witness."""
     return _maximize(g, _d)
 
 
-def m2_density(g: Graph) -> tuple[Fraction, Witness]:
-    """max d2(J) over subgraphs J, with a least maximizing induced witness."""
+def m2_density(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """max d2(J) over subgraphs J, with the vertices of a least maximizing
+    induced witness."""
     return _maximize(g, _d2)
 
 
@@ -159,11 +138,11 @@ def d2_asym(g1: Graph, h2: Graph) -> Fraction:
     return _d2_asym_of(h2)(g1.vertex_count, g1.edge_count)
 
 
-def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, Witness]:
-    """max of d2_asym(J, h2) over J contained in h1, with a least witness."""
+def m2_asym(h1: Graph, h2: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """max of d2_asym(J, h2) over J contained in h1, with the vertices of a
+    least witness."""
     if h2.edge_count == 0:
-        sub, _ = induced_subgraph(h1, ())
-        return Fraction(0), Witness((), sub)
+        return Fraction(0), ()
     return _maximize(h1, _d2_asym_of(h2))
 
 
@@ -292,12 +271,6 @@ def least_max_gain_set(g: Graph, c: Fraction) -> tuple[int, tuple[int, ...]]:
             add(node[u], node[v], q, q)
     flow, level = _max_flow(adj, source, sink)
     return (excess - flow) // 2, tuple(v for v in core if level[node[v]] >= 0)
-
-
-def density_profile(g: Graph) -> DensityProfile:
-    m, wm = m_density(g)
-    m2, wm2 = m2_density(g)
-    return DensityProfile(g, d_density(g), m, d2_density(g), m2, wm, wm2)
 
 
 # ---------------------------------------------------------------------------

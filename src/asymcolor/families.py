@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .density import PairSpec, max_gain
@@ -75,12 +76,6 @@ class Coloring:
                 raise ValueError(f"assignment colors {e}, which is not an edge")
             if c not in (RED, BLUE):
                 raise ValueError(f"bad color {c!r} for edge {e}")
-
-    def color_of(self, e: Edge) -> str:
-        return self.assignment.get(norm_edge(*e), "uncolored")
-
-    def is_total(self) -> bool:
-        return len(self.assignment) == self.graph.edge_count
 
     def uncolored_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.graph.edges if e not in self.assignment)
@@ -492,12 +487,6 @@ def blocker_members(pair: PairSpec, max_vertices: int) -> tuple[Graph, ...]:
 # host decomposition into blocker members
 
 
-@dataclass(frozen=True)
-class PatternCopy:
-    kind: str  # "h1" | "h2"
-    copy: Copy
-
-
 def _maximal(copies: Iterable[Copy]) -> tuple[Copy, ...]:
     """The copies, one per edge set, that lie inside no other, in
     `Copy.sort_key` order. Sizes are tested from the largest down, and a
@@ -572,15 +561,14 @@ class BlockerDecomposition:
     def report(self) -> FamilyReport:
         return FamilyReport(self.graph, self.h1_copies, self.h2_copies)
 
-    def straddlers(self) -> Iterator[PatternCopy]:
-        """The h1- then h2-copies, each set in its copy order, that touch two
-        or more members; one copy per edge set."""
+    def straddlers(self) -> Iterator[Copy]:
+        """The copies that touch two or more members: the h1-copies, then
+        the h2-copies, each set in its copy order; one copy per edge set."""
         seen: set[frozenset[Edge]] = set()
-        for kind, copies in (("h1", self.h1_copies), ("h2", self.h2_copies)):
-            for c in copies.copies:
-                if c.edges not in seen and self._straddles(c):
-                    seen.add(c.edges)
-                    yield PatternCopy(kind, c)
+        for c in chain(self.h1_copies.copies, self.h2_copies.copies):
+            if c.edges not in seen and self._straddles(c):
+                seen.add(c.edges)
+                yield c
 
     def _straddles(self, c: Copy) -> bool:
         """c touches two or more members; asks about c's edges, least first,
@@ -619,27 +607,28 @@ def blocker_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class MemberColoringResult:
-    """Outcome of coloring a host member by member.
+class UncolorableMemberError(Exception):
+    """A blocker member of a clean sparse host has no valid coloring, or its
+    coloring search exceeded its budget; member is that member's copy.
 
-    A member with no valid coloring is not an internal error: it refutes the
-    emptiness premise for this pair/epsilon and is reported as a finding.
+    Not an internal bug: an uncolorable member refutes the emptiness
+    premise for this pair and epsilon, and is reported as a finding.
     """
 
-    ok: bool
-    coloring: Coloring | None
-    finding: str | None
-    failed_member: Copy | None
+    def __init__(self, finding: str, member: Copy):
+        super().__init__(finding)
+        self.member = member
 
 
-def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> MemberColoringResult:
+def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> Coloring:
     """Color each maximal blocker member of decomp.graph locally, each at
-    the default search budget, and take the union.
+    the default search budget, and return the union.
 
     Precondition (checked): the decomposition is clean (every edge in
     exactly one member) with no straddling h1/h2 copies. Local validity
-    then composes.
+    then composes. The first member whose search does not find a valid
+    coloring, as none exists or the budget ran out, raises
+    UncolorableMemberError.
     """
     if not (decomp.covered_once and decomp.sparse):
         raise ValueError("host is not a cleanly-covered sparse union of blocker members")
@@ -648,14 +637,14 @@ def color_by_members(decomp: BlockerDecomposition, pair: PairSpec) -> MemberColo
         sub, verts = extract_from_edges(mem.edges)
         res = has_valid_coloring(sub, pair)
         if res.status != "valid":
-            finding = (
+            raise UncolorableMemberError(
                 "blocker member admits no valid coloring; the emptiness premise "
                 "fails for this pair and epsilon"
                 if res.status == "invalid"
-                else "coloring search for a blocker member exceeded its budget"
+                else "coloring search for a blocker member exceeded its budget",
+                mem,
             )
-            return MemberColoringResult(False, None, finding, mem)
         assert res.coloring is not None
         for (u, v), c in res.coloring.assignment.items():
             assignment[norm_edge(verts[u], verts[v])] = c
-    return MemberColoringResult(True, Coloring(decomp.graph, assignment), None, None)
+    return Coloring(decomp.graph, assignment)

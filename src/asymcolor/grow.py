@@ -219,7 +219,7 @@ def _grow(
                 "union and should not have been grown"
             )
         union: set[Edge] = set()
-        for e in straddler.copy.edges:
+        for e in straddler.edges:
             for m in decomp.members_through(e):
                 union |= m.edges
         return _special_return("special_case_1", union, pair)

@@ -25,7 +25,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
@@ -142,42 +142,21 @@ class TrialConfig:
             raise ValueError(f"a_hat_bound = {self.a_hat_bound} < 0")
 
 
-@dataclass(frozen=True)
-class GrowSummary:
-    """The λ bookkeeping of one growth trace, reduced to what reports need."""
-
-    steps: int
-    degenerate_count: int
-    min_drop: Fraction | None  # smallest strict slack decrease, degenerate steps only
-    initial_slack: Fraction
-    final_slack: Fraction
-    outcome: str
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "degenerate_count": self.degenerate_count,
-            "min_drop": None if self.min_drop is None else str(self.min_drop),
-            "initial_slack": str(self.initial_slack),
-            "final_slack": str(self.final_slack),
-            "outcome": self.outcome,
-        }
-
-
-def summarize_trace(trace: GrowTrace) -> GrowSummary:
+def _grow_summary(trace: GrowTrace) -> dict:
+    """The λ bookkeeping of one growth trace, reduced to what reports need:
+    min_drop is the smallest strict slack decrease over degenerate steps,
+    and both slacks are 0 when the density guard tripped on the seed copy
+    itself, leaving no steps."""
     steps = trace.steps
-    if not steps:
-        # the density guard tripped on the seed copy itself; nothing to report
-        return GrowSummary(0, 0, None, Fraction(0), Fraction(0), trace.outcome)
     drops = [s.lambda_before - s.lambda_after for s in steps if s.degenerate]
-    return GrowSummary(
-        steps=len(steps),
-        degenerate_count=len(drops),
-        min_drop=min(drops) if drops else None,
-        initial_slack=steps[0].lambda_before,
-        final_slack=steps[-1].lambda_after,
-        outcome=trace.outcome,
-    )
+    return {
+        "steps": len(steps),
+        "degenerate_count": len(drops),
+        "min_drop": str(min(drops)) if drops else None,
+        "initial_slack": str(steps[0].lambda_before if steps else 0),
+        "final_slack": str(steps[-1].lambda_after if steps else 0),
+        "outcome": trace.outcome,
+    }
 
 
 @dataclass(frozen=True)
@@ -190,10 +169,6 @@ class TrialResult:
     grow_trace: GrowTrace | None
     grow_error: str | None
     wall_ms: float
-
-    @cached_property
-    def grow_summary(self) -> GrowSummary | None:
-        return None if self.grow_trace is None else summarize_trace(self.grow_trace)
 
     def to_dict(self) -> dict:
         c = self.config
@@ -213,9 +188,8 @@ class TrialResult:
                 "status": self.oracle.status,
                 "nodes_expanded": self.oracle.nodes_expanded,
             }
-        if self.grow_summary is not None:
-            out["grow_summary"] = self.grow_summary.to_dict()
         if self.grow_trace is not None:
+            out["grow_summary"] = _grow_summary(self.grow_trace)
             out["grow_trace"] = [s.to_dict() for s in self.grow_trace.steps]
         if self.grow_error is not None:
             out["grow_error"] = self.grow_error

@@ -61,14 +61,6 @@ class RegularPairParams:
                 raise ValueError(f"{tag}: degree {l} is impossible on {v} vertices")
 
     @property
-    def e1(self) -> Fraction:
-        return Fraction(self.v1 * self.l1, 2)
-
-    @property
-    def e2(self) -> Fraction:
-        return Fraction(self.v2 * self.l2, 2)
-
-    @property
     def realizable_h1(self) -> bool:
         return self.v1 * self.l1 % 2 == 0
 

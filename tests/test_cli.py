@@ -1,12 +1,11 @@
 import csv
 import io
 import json
-from types import SimpleNamespace
 
 import pytest
 
 from asymcolor import cli, colorer
-from asymcolor.colorer import UncolorableMemberError
+from asymcolor.families import UncolorableMemberError
 from asymcolor.graphs import (
     canonical_key,
     complete_bipartite,
@@ -442,7 +441,7 @@ def test_exit_3_on_invariant_violation(capsys, monkeypatch):
     def boom(g):
         raise AssertionError("broken invariant")
 
-    monkeypatch.setattr(cli, "density_profile", boom)
+    monkeypatch.setattr(cli, "m2_density", boom)
     rc, _, err = run_cli(capsys, "density", "--h1", "K4")
     assert rc == 3
     assert "invariant violation" in err
@@ -467,7 +466,7 @@ def test_exit_2_on_a_resource_limit(capsys, monkeypatch, limit):
 
 def test_exit_3_names_an_uncolorable_member(capsys, monkeypatch):
     def boom(g, pair, blockers):
-        raise UncolorableMemberError(SimpleNamespace(finding="member C~ has no valid coloring"))
+        raise UncolorableMemberError("member C~ has no valid coloring", None)
 
     monkeypatch.setattr(cli, "asym_edge_color", boom)
     rc, _, err = run_cli(

@@ -8,17 +8,13 @@ from fractions import Fraction
 import pytest
 
 from asymcolor import colorer, graphs
-from asymcolor.colorer import (
-    ColorerInternalError,
-    UncolorableMemberError,
-    asym_edge_color,
-    check_stuck_state,
-)
+from asymcolor.colorer import ColorerInternalError, asym_edge_color, check_stuck_state
 from asymcolor.density import build_pair_spec
 from asymcolor.families import (
     BLUE,
     RED,
     BlockerDecomposition,
+    UncolorableMemberError,
     blocker_decomposition,
     blocker_members,
     color_by_members,

@@ -18,7 +18,6 @@ from asymcolor.density import (
     d2_asym,
     d2_density,
     d_density,
-    density_profile,
     density_slack,
     least_max_gain_set,
     m2_asym,
@@ -33,6 +32,7 @@ from asymcolor.graphs import (
     cycle_graph,
     graph,
     graphs_up_to,
+    induced_subgraph,
     path_graph,
 )
 
@@ -94,8 +94,7 @@ def test_m_m2_examples():
     assert m2_density(complete_graph(5))[0] == 3
     val, wit = m_density(graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
     assert val == 1
-    assert wit.vertices == (0, 1, 2)  # the triangle beats the whole graph tie
-    assert wit.subgraph == complete_graph(3)
+    assert wit == (0, 1, 2)  # the triangle beats the whole graph tie
 
 
 def test_m_m2_against_exhaustive_oracle():
@@ -117,11 +116,11 @@ def test_witnesses_achieve_maxima():
     rng = random.Random(42)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
-        prof = density_profile(g)
-        assert prof.d <= prof.m and prof.d2 <= prof.m2
-        assert d_density(prof.witness_m.subgraph) == prof.m
-        assert d2_density(prof.witness_m2.subgraph) == prof.m2
-        assert set(prof.witness_m.vertices) <= set(range(g.vertex_count))
+        (m, wm), (m2, wm2) = m_density(g), m2_density(g)
+        assert d_density(g) <= m and d2_density(g) <= m2
+        assert d_density(induced_subgraph(g, wm)[0]) == m
+        assert d2_density(induced_subgraph(g, wm2)[0]) == m2
+        assert set(wm) <= set(range(g.vertex_count))
 
 
 def test_subset_limit_guard():
@@ -313,7 +312,7 @@ def test_m2_asym_witness_is_maximizer():
         h1 = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
         for h2 in h2s:
             val, wit = m2_asym(h1, h2)
-            assert d2_asym(wit.subgraph, h2) == val
+            assert d2_asym(induced_subgraph(h1, wit)[0], h2) == val
             # exhaustive check over vertex subsets
             best = F(0)
             inv = 1 / m2_density(h2)[0]
@@ -406,7 +405,6 @@ def test_build_pair_spec_strict():
     assert spec.hypotheses.distinct
     assert spec.hypotheses.h2_strictly_two_balanced
     assert spec.hypotheses.h1_case_balance
-    assert spec.hypotheses.balance_ok
 
 
 def test_build_pair_spec_equal():
@@ -414,7 +412,7 @@ def test_build_pair_spec_equal():
     assert spec.case == "equal"
     assert spec.m2_pair == 2
     assert not spec.hypotheses.distinct
-    assert spec.hypotheses.balance_ok
+    assert spec.hypotheses.h2_strictly_two_balanced and spec.hypotheses.h1_case_balance
 
 
 def test_build_pair_spec_rejections():
@@ -475,7 +473,7 @@ def test_nondegenerate_attachment_preserves_slack():
         (complete_bipartite(3, 3), cycle_graph(4)),
     ]:
         spec = build_pair_spec(h1, h2)
-        assert spec.hypotheses.balance_ok
+        assert spec.hypotheses.h2_strictly_two_balanced and spec.hypotheses.h1_case_balance
         v1, e1 = h1.vertex_count, h1.edge_count
         v2, e2 = h2.vertex_count, h2.edge_count
         dv = (v2 - 2) + (e2 - 1) * (v1 - 2)
@@ -493,10 +491,10 @@ def test_profile_orderings_property(n, data):
         )
     )
     g = graph(n, list(edges))
-    prof = density_profile(g)
-    assert prof.m >= prof.d >= 0
-    assert prof.m2 >= prof.d2 >= 0
+    (m, wm), (m2, wm2) = m_density(g), m2_density(g)
+    assert m >= d_density(g) >= 0
+    assert m2 >= d2_density(g) >= 0
     # m2 dominates m - 1/2 style bounds do not hold in general; but the
     # witness extractions must reproduce the recorded values
-    assert d_density(prof.witness_m.subgraph) == prof.m
-    assert d2_density(prof.witness_m2.subgraph) == prof.m2
+    assert d_density(induced_subgraph(g, wm)[0]) == m
+    assert d2_density(induced_subgraph(g, wm2)[0]) == m2

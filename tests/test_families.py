@@ -17,7 +17,7 @@ from asymcolor.families import (
     ColoringCheck,
     ColoringSearch,
     FamilyReport,
-    PatternCopy,
+    UncolorableMemberError,
     _capped_blocker,
     _maximal,
     _under_cap,
@@ -106,9 +106,6 @@ def test_coloring_validation():
     with pytest.raises(ValueError):
         Coloring(complete_graph(3), {(0, 1): "green"})
     c = Coloring(complete_graph(3), {(0, 1): RED})
-    assert c.color_of((1, 0)) == RED
-    assert c.color_of((1, 2)) == "uncolored"
-    assert not c.is_total()
     assert c.uncolored_edges() == ((0, 2), (1, 2))
 
 
@@ -211,7 +208,7 @@ def test_searcher_small_verdicts():
     assert res_c4.status == "valid"
 
     empty = has_valid_coloring(graph(0), k3)
-    assert empty.status == "valid" and empty.coloring.is_total()
+    assert empty.status == "valid" and not empty.coloring.uncolored_edges()
 
 
 def test_searcher_deep_search_is_iterative():
@@ -371,7 +368,7 @@ def rescanning_search(g: Graph, h1_copies: CopySet, h2_copies: CopySet, budget: 
 
     out = Coloring(g, {edges[i]: color[i] for i in range(n_e) if color[i] is not None})
     # the searcher never leaves an edge both unforced and unbranched
-    assert out.is_total()
+    assert not out.uncolored_edges()
     return ColoringSearch("valid", out, nodes)
 
 
@@ -459,7 +456,7 @@ def test_search_without_copies():
     k3 = pair_k3k3()
     for g in (complete_bipartite(3, 3), graph(0), graph(5)):
         res = assert_same_on(g, k3, 1000)
-        assert res.status == "valid" and res.coloring.is_total()
+        assert res.status == "valid" and not res.coloring.uncolored_edges()
         assert res.nodes_expanded == g.edge_count + 1
 
 
@@ -917,7 +914,8 @@ def test_decomposition_shared_edge_counts():
     # K4s, has edges in both members; h1 copies come first, each kind in
     # copy order (growth's special case 1 reads the first)
     assert not d.sparse
-    assert [(pc.kind, sorted(pc.copy.edges)) for pc in d.straddlers()] == [
+    kind = {c: "h1" for c in d.h1_copies.copies} | {c: "h2" for c in d.h2_copies.copies}
+    assert [(kind[c], sorted(c.edges)) for c in d.straddlers()] == [
         ("h1", [(0, 1), (0, 2), (1, 2)]),
         ("h1", [(0, 1), (0, 3), (1, 3)]),
         ("h1", [(0, 1), (0, 4), (1, 4)]),
@@ -1053,11 +1051,11 @@ def eager_answers(g, pair, blockers):
             index[e].append(i)
     members_of = {e: tuple(ms) for e, ms in index.items()}
     straddlers, seen = [], set()
-    for kind, copies in zip(("h1", "h2"), pair_copies(g, pair)):
+    for copies in pair_copies(g, pair):
         for c in copies.copies:
             if len({i for e in c.edges for i in members_of[e]}) >= 2 and c.edges not in seen:
                 seen.add(c.edges)
-                straddlers.append(PatternCopy(kind, c))
+                straddlers.append(c)
     shared = next((e for e in g.edges if len(members_of[e]) >= 2), None)
     return {
         "members": members,
@@ -1116,14 +1114,13 @@ def test_lazy_decomposition_matches_the_global_scan():
 
 def test_color_by_members_disjoint_union():
     pair = pair_k3c4()
-    res = color_by_members(blocker_decomposition(two_disjoint_k4(), pair, [complete_graph(4)]), pair)
-    assert res.ok
-    assert verify_coloring(res.coloring, pair).ok
+    coloring = color_by_members(blocker_decomposition(two_disjoint_k4(), pair, [complete_graph(4)]), pair)
+    assert verify_coloring(coloring, pair).ok
 
 
 def test_color_by_members_empty_graph():
-    res = color_by_members(blocker_decomposition(graph(0), pair_k3c4(), []), pair_k3c4())
-    assert res.ok and res.coloring.is_total()
+    coloring = color_by_members(blocker_decomposition(graph(0), pair_k3c4(), []), pair_k3c4())
+    assert coloring.graph == graph(0) and not coloring.assignment
 
 
 def test_color_by_members_precondition():
@@ -1134,10 +1131,15 @@ def test_color_by_members_precondition():
 
 def test_color_by_members_surfaces_uncolorable_member():
     # synthetic family containing K6 for the triangle pair: the member itself
-    # has no valid coloring and that comes back as a finding, not a crash
+    # has no valid coloring, and that is raised as a finding naming the
+    # member, from color_by_members and from the colorer that calls it
     pair = pair_k3k3()
-    res = color_by_members(blocker_decomposition(complete_graph(6), pair, [complete_graph(6)]), pair)
-    assert not res.ok
-    assert res.coloring is None
-    assert "no valid coloring" in res.finding
-    assert res.failed_member is not None
+    k6 = complete_graph(6)
+    for color in (
+        lambda: color_by_members(blocker_decomposition(k6, pair, [k6]), pair),
+        lambda: asym_edge_color(k6, pair, [k6]),
+    ):
+        with pytest.raises(UncolorableMemberError) as exc:
+            color()
+        assert "no valid coloring" in str(exc.value)
+        assert exc.value.member.edges == k6.edge_set()

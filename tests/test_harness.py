@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import sys
 from fractions import Fraction
@@ -12,20 +13,20 @@ from asymcolor import families, graphs, harness
 from asymcolor.colorer import check_stuck_state
 from asymcolor.density import build_pair_spec
 from asymcolor.families import blocker_decomposition, blocker_members
-from asymcolor.graphs import complete_graph, cycle_graph, emit_graph6
-from asymcolor.grow import grow, grow_alt
+from asymcolor.graphs import complete_graph, cycle_graph, emit_graph6, graph
+from asymcolor.grow import GrowTrace, grow, grow_alt
 from asymcolor.harness import (
     CSV_HEADER,
     SweepCell,
     SweepReport,
     TrialConfig,
+    _grow_summary,
     derive_seed,
     edge_probability,
     monotonicity_flags,
     render_csv,
     run_trial,
     sample_gnp,
-    summarize_trace,
     sweep,
 )
 
@@ -162,7 +163,8 @@ def test_run_trial_colored_below_threshold():
     assert [r.outcome for r in results] == ["colored"] * 12
     for r in results:
         assert r.colorer_status == "colored"
-        assert r.oracle is None and r.grow_summary is None and r.grow_error is None
+        assert r.oracle is None and r.grow_trace is None and r.grow_error is None
+        assert "grow_summary" not in r.to_dict()
         assert r.wall_ms > 0
         assert r.edge_count == sample_gnp(20, edge_probability(pair, 20, Fraction(1, 4)), r.config.seed).edge_count
 
@@ -208,13 +210,14 @@ def test_run_trial_k6_full_pipeline():
     # growth on the residual either yields a trace or a recorded failure,
     # never a crash; here two catalog members share an edge of the residual,
     # so the special-case branch fires
-    assert (r.grow_summary is None) != (r.grow_error is None)
-    assert r.grow_summary is not None and r.grow_trace is not None
-    assert r.grow_summary.outcome == "special_case"
-    assert r.grow_summary.steps == len(r.grow_trace.steps) == 1
-    assert r.grow_trace.steps[0].kind == "special_case_2"
-    assert r.grow_summary.final_slack == Fraction(-1, 2)
+    assert (r.grow_trace is None) != (r.grow_error is None)
+    assert r.grow_trace is not None
     row = r.to_dict()
+    summary = row["grow_summary"]
+    assert summary["outcome"] == "special_case"
+    assert summary["steps"] == len(r.grow_trace.steps) == 1
+    assert r.grow_trace.steps[0].kind == "special_case_2"
+    assert summary["final_slack"] == "-1/2"
     assert row["outcome"] == "oracle_invalid"
     json.dumps(row)
 
@@ -233,22 +236,36 @@ def test_trial_result_serializes():
 def test_summarize_trace_frozen_k6_alt():
     pair = pair_k3k3()
     _, trace = grow_alt(blocker_decomposition(complete_graph(6), pair, ()), pair)
-    s = summarize_trace(trace)
-    assert s.steps == 2
-    assert s.degenerate_count == 1
-    assert s.min_drop == Fraction(1, 2)
-    assert s.initial_slack == Fraction(3, 2)
-    assert s.final_slack == Fraction(1)
-    assert s.outcome == "hit_iteration_cap"
-    assert s.to_dict()["min_drop"] == "1/2"
+    assert _grow_summary(trace) == {
+        "steps": 2,
+        "degenerate_count": 1,
+        "min_drop": "1/2",
+        "initial_slack": "3/2",
+        "final_slack": "1",
+        "outcome": "hit_iteration_cap",
+    }
 
 
 def test_summarize_trace_special_case():
     pair = pair_k3k3()
     _, trace = grow(blocker_decomposition(complete_graph(6), pair, [complete_graph(4)]), pair)
-    s = summarize_trace(trace)
-    assert s.steps == 1 and s.degenerate_count == 0 and s.min_drop is None
-    assert s.outcome == "special_case"
+    s = _grow_summary(trace)
+    assert s["steps"] == 1 and s["degenerate_count"] == 0 and s["min_drop"] is None
+    assert s["outcome"] == "special_case"
+
+
+def test_grow_summary_without_steps():
+    # the density guard can trip on the seed copy itself: the trace has no
+    # steps, and both slacks read 0 in the report, in the usual key order
+    s = _grow_summary(GrowTrace((), "hit_density_guard", graph(0), ()))
+    assert list(s.items()) == [
+        ("steps", 0),
+        ("degenerate_count", 0),
+        ("min_drop", None),
+        ("initial_slack", "0"),
+        ("final_slack", "0"),
+        ("outcome", "hit_density_guard"),
+    ]
 
 
 def test_full_pipeline_trials_match_golden():
@@ -498,3 +515,17 @@ def test_monotonicity_flags_fire_on_significant_rise():
     # a one-trial wobble is not significant
     small = (_cell(9, Fraction(1, 4), 1, 3), _cell(9, Fraction(1, 2), 2, 3))
     assert monotonicity_flags(SweepReport(pair, "ColorOnly", 0, 3, 4, 1, small, ())) == ()
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps package functions by (module, name); a name
+    # the package drops would otherwise fail only a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tables = (tracing.SPANNED, tracing.COUNTED, tracing.YIELD_COUNTED)
+    targets = [(module, attr) for table in tables for module, attr, _ in table]
+    assert targets
+    for module, attr in targets:
+        assert callable(getattr(importlib.import_module(f"asymcolor.{module}"), attr, None)), (module, attr)

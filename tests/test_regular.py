@@ -66,8 +66,6 @@ def graphs_on(n, keep=None):
 
 def test_params_validation_and_derived_fields():
     p = params(5, 3, 6, 2)
-    assert p.e1 == Fraction(15, 2)
-    assert p.e2 == 6
     assert not p.realizable_h1  # 3-regular on 5 vertices does not exist
     assert p.realizable_h2
     assert p.degree_floor == 2
