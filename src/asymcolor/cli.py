@@ -39,6 +39,7 @@ from .graphs import (
     cube_graph,
     cycle_graph,
     emit_graph6,
+    extract_from_edges,
     octahedron_graph,
     parse_graph6,
     path_graph,
@@ -531,7 +532,8 @@ def main(argv=None) -> int:
         print(f"error: resource limit ({err!r})", file=sys.stderr)
         return 2
     except UncolorableMemberError as err:
-        print(f"counterexample: {err}", file=sys.stderr)
+        member, _ = extract_from_edges(err.member.edges)
+        print(f"counterexample: {err}: member {emit_graph6(member)}", file=sys.stderr)
         return 3
     except (AssertionError, RuntimeError, ColorerInternalError) as err:
         print(f"invariant violation: {err}", file=sys.stderr)

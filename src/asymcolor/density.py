@@ -2,21 +2,27 @@
 
 Everything here is exact (Fraction or int). The density test m(g) <= c is
 max_gain(g, c) == 0: peel the vertices of degree <= c, then one max-flow
-on the core that is left. The measures with a least maximizing
-witness (m_density, m2_density, m2_asym) and the balancedness tests
-iterate over vertex subsets and take all induced edges, which is sound
-because adding an edge at a fixed vertex set never lowers any of the
-measures involved. Witnesses are therefore induced, and are returned as
-their sorted vertex tuples.
+on the core that is left. The measures with a least maximizing witness
+(m_density, m2_density, m2_asym) and the balancedness tests all read one
+memoised scan of g's vertex subsets, `_densest`, which keeps for each
+vertex count v the most edges a v-vertex subset induces and the least
+such subset. That is exact because every measure here is non-decreasing
+in the edge count at a fixed vertex count, and strictly increasing where
+it is positive: the maximum is the best of its n+1 values at those edge
+counts, the least witness is the stored subset at the least vertex count
+attaining it, and g is (strictly) balanced when no smaller vertex count
+exceeds (or ties) g itself. Witnesses are therefore induced, and are
+returned as their sorted vertex tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Literal
 
-from .graphs import Graph, adjacency_masks, adjacency_sets, canonical_key
+from .graphs import Graph, adjacency_masks, adjacency_sets, bit_positions, canonical_key
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -56,7 +62,7 @@ class PairSpec:
 
 
 # d, d2 and the mixed d2_asym measure as functions of (vertex count, edge
-# count), the form in which the subset maximizations evaluate them.
+# count), the form in which `_densest`'s readers evaluate them.
 
 
 def _d(v: int, e: int) -> Fraction:
@@ -94,29 +100,44 @@ def d2_density(g: Graph) -> Fraction:
     return _d2(g.vertex_count, g.edge_count)
 
 
-def _iter_induced(g: Graph):
-    """Yield (vertex tuple, induced edge count) for every vertex subset."""
-    if g.vertex_count > _SUBSET_LIMIT:
-        raise ValueError(
-            f"subset maximization limited to {_SUBSET_LIMIT} vertices, got {g.vertex_count}"
-        )
+@lru_cache(maxsize=256)  # a run meets few graphs: h1, h2 and the CLI's profiles of them
+def _densest(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """At index v, for v = 0..vertex_count, the most edges a v-vertex
+    subset induces, and the least such subset as a sorted vertex tuple.
+
+    The one walk over vertex subsets in this module. Each subset's edge
+    count is its count without its lowest vertex plus that vertex's
+    neighbours in the rest, so a scan costs a few int operations a subset.
+    """
+    n = g.vertex_count
+    if n > _SUBSET_LIMIT:
+        raise ValueError(f"subset maximization limited to {_SUBSET_LIMIT} vertices, got {n}")
     masks = adjacency_masks(g)
-    for sub in range(1 << g.vertex_count):
-        verts = [v for v in range(g.vertex_count) if (sub >> v) & 1]
-        edges = sum((masks[v] & sub).bit_count() for v in verts) // 2
-        yield tuple(verts), edges
+    induced = [0] * (1 << n)
+    most, least = [0] + [-1] * n, [0] * (n + 1)
+    for sub in range(1, 1 << n):
+        low = sub & -sub
+        rest = sub ^ low
+        e = induced[sub] = induced[rest] + (masks[low.bit_length() - 1] & rest).bit_count()
+        v = sub.bit_count()
+        # of two sets of one size, the lesser sorted tuple holds the least
+        # vertex of their difference
+        diff = sub ^ least[v]
+        if e > most[v] or (e == most[v] and diff & -diff & sub):
+            most[v], least[v] = e, sub
+    return tuple(most), tuple(tuple(bit_positions(sub)) for sub in least)
+
+
+def _peaks(g: Graph, value: Callable[[int, int], Fraction]) -> list[Fraction]:
+    """value(v, most edges on v vertices) for v = 0..vertex_count: the
+    largest value of the measure over subgraphs on v vertices."""
+    return [value(v, e) for v, e in enumerate(_densest(g)[0])]
 
 
 def _maximize(g: Graph, value: Callable[[int, int], Fraction]) -> tuple[Fraction, tuple[int, ...]]:
-    best: Fraction | None = None
-    best_verts: tuple[int, ...] = ()
-    for verts, edges in _iter_induced(g):
-        val = value(len(verts), edges)
-        if best is None or val > best or (val == best and (len(verts), verts) < (len(best_verts), best_verts)):
-            best = val
-            best_verts = verts
-    assert best is not None
-    return best, best_verts
+    peaks = _peaks(g, value)
+    best = max(peaks)
+    return best, _densest(g)[1][peaks.index(best)]
 
 
 def m_density(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -280,15 +301,9 @@ def least_max_gain_set(g: Graph, c: Fraction) -> tuple[int, tuple[int, ...]]:
 def _balanced_against(g: Graph, value: Callable[[int, int], Fraction], strict: bool) -> bool:
     # Proper subgraphs on the full vertex set have fewer edges and all the
     # measures here are strictly edge-monotone wherever they are nonzero, so
-    # only proper vertex subsets (taken induced) can violate or tie.
-    whole = value(g.vertex_count, g.edge_count)
-    for verts, edges in _iter_induced(g):
-        if len(verts) == g.vertex_count:
-            continue
-        val = value(len(verts), edges)
-        if val > whole or (strict and val == whole):
-            return False
-    return True
+    # only smaller vertex counts can violate or tie.
+    *below, whole = _peaks(g, value)
+    return all(val < whole if strict else val <= whole for val in below)
 
 
 def balancedness(g: Graph, mode: BalanceMode) -> bool:

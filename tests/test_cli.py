@@ -5,7 +5,6 @@ import json
 import pytest
 
 from asymcolor import cli, colorer
-from asymcolor.families import UncolorableMemberError
 from asymcolor.graphs import (
     canonical_key,
     complete_bipartite,
@@ -465,12 +464,13 @@ def test_exit_2_on_a_resource_limit(capsys, monkeypatch, limit):
 
 
 def test_exit_3_names_an_uncolorable_member(capsys, monkeypatch):
-    def boom(g, pair, blockers):
-        raise UncolorableMemberError("member C~ has no valid coloring", None)
-
-    monkeypatch.setattr(cli, "asym_edge_color", boom)
-    rc, _, err = run_cli(
-        capsys, "color", "--h1", "K3", "--h2", "K3", "--graph", "K6", "--a-hat-bound", "0"
-    )
+    # with K6 as the only blocker member, the colorer's guard reaches a
+    # clean sparse residual of one K6 copy, which color_by_members cannot
+    # colour for K3/K3 (R(3,3) = 6); exit 3 names that member's graph6
+    monkeypatch.setattr(cli, "blocker_members", lambda pair, bound: (complete_graph(6),))
+    rc, _, err = run_cli(capsys, "color", "--h1", "K3", "--h2", "K3", "--graph", "K6")
     assert rc == 3
-    assert "counterexample" in err and "C~" in err
+    assert err == (
+        "counterexample: blocker member admits no valid coloring; the emptiness "
+        "premise fails for this pair and epsilon: member E~~w\n"
+    )

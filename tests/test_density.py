@@ -3,12 +3,14 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymcolor import cli, density
 from asymcolor.density import (
     DEFAULT_EPSILON,
     _max_flow,
@@ -29,6 +31,7 @@ from asymcolor.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
+    cube_graph,
     cycle_graph,
     graph,
     graphs_up_to,
@@ -123,9 +126,63 @@ def test_witnesses_achieve_maxima():
         assert set(wm) <= set(range(g.vertex_count))
 
 
+def least_maximisers(g: Graph, values) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """For each value(v, e), its maximum over the induced subgraphs of g,
+    with the least (size, sorted vertex tuple) subset attaining it: a
+    literal scan of every vertex subset."""
+    subsets = [
+        (k, verts, sum(1 for a, b in g.edges if a in verts and b in verts))
+        for k in range(g.vertex_count + 1)
+        for verts in itertools.combinations(range(g.vertex_count), k)
+    ]
+    results = []
+    for value in values:
+        val = {(k, e): value(k, e) for k, e in {(k, e) for k, _, e in subsets}}
+        best = max(val.values())
+        results.append((best, min((k, verts) for k, verts, e in subsets if val[k, e] == best)[1]))
+    return results
+
+
+def test_witnesses_match_the_subset_scan():
+    # K3, C4 and K4 are 2-balanced, so m2(h2) = d2(h2) for each
+    h2s = [complete_graph(3), cycle_graph(4), complete_graph(4)]
+    values = [lambda v, e: pointwise(v, e, "d"), lambda v, e: pointwise(v, e, "d2")] + [
+        lambda v, e, inv=1 / d2_density(h2): F(e) / (v - 2 + inv) if v >= 2 else F(0)
+        for h2 in h2s
+    ]
+    for g in graphs_up_to(7):
+        measured = [m_density(g), m2_density(g)] + [m2_asym(g, h2) for h2 in h2s]
+        assert measured == least_maximisers(g, values), g.edges
+
+
 def test_subset_limit_guard():
-    with pytest.raises(ValueError):
-        m_density(graph(21))
+    for measure in (
+        m_density,
+        lambda g: m2_asym(g, complete_graph(3)),
+        lambda g: balancedness(g, "strictly_two_balanced"),
+    ):
+        with pytest.raises(ValueError, match="limited to 20 vertices"):
+            measure(graph(21))
+
+
+def test_each_graph_is_scanned_once(monkeypatch):
+    scanned = []
+    masks = density.adjacency_masks
+
+    def counting(g: Graph):
+        scanned.append(g)
+        return masks(g)
+
+    monkeypatch.setattr(density, "adjacency_masks", counting)
+    # m2(h1), m2(h2), m2(h1, h2) and three balancedness tests
+    density._densest.cache_clear()
+    build_pair_spec(complete_graph(4), cycle_graph(4))
+    assert Counter(scanned) == {complete_graph(4): 1, cycle_graph(4): 1}
+    # both profiles, the pair spec and the pair's witness
+    scanned.clear()
+    density._densest.cache_clear()
+    assert cli.main(["density", "--h1", "Q3", "--h2", "C4"]) == 0
+    assert Counter(scanned) == {cube_graph(): 1, cycle_graph(4): 1}
 
 
 def subset_scan_least_max_gain_sets(
